@@ -26,18 +26,53 @@ from __future__ import annotations
 
 import json
 import threading
-from typing import Any, Callable
+from bisect import bisect_left
+from typing import Any, Callable, Sequence
 
-from ..rdbms.database import Database
+from ..rdbms.functions import FunctionRegistry
 from ..rdbms.types import SqlType
 from . import serializer
 from .catalog import SinewCatalog
 from .extraction_context import DEFAULT_CACHE_CAPACITY, ExtractionContext
-from .serializer import DecodedHeader
+from .serializer import DECODERS, unpack_span, value_at
+
+#: extractor method -> the SQL types it tries, in order (``extract_num`` is
+#: INTEGER first, then REAL).  ``exists`` and ``extract_any`` are untyped:
+#: they accept every attribute that carries the key's name.
+TYPED_METHODS: dict[str, tuple[SqlType, ...]] = {
+    "extract_text": (SqlType.TEXT,),
+    "extract_int": (SqlType.INTEGER,),
+    "extract_real": (SqlType.REAL,),
+    "extract_num": (SqlType.INTEGER, SqlType.REAL),
+    "extract_bool": (SqlType.BOOLEAN,),
+    "extract_array": (SqlType.ARRAY,),
+    "extract_doc": (SqlType.BYTEA,),
+}
 
 
-def _found(value: Any) -> bool:
-    return value is not None
+class _Path:
+    """One key resolved against the catalog dictionary.
+
+    ``parents`` are the attr ids of the key's nested-document prefixes,
+    longest first (prefixes the dictionary does not know are left out).
+    A typed path has one leaf (``leaf_id``, -1 while the dictionary does
+    not know the key, and its ``decode``); an untyped path accepts any of
+    ``named`` -- every ``(attr_id, type)`` carrying the key's name -- and
+    looks at its own level *before* descending.
+    """
+
+    __slots__ = ("key", "sql_type", "parents", "leaf_id", "decode", "named", "settled")
+
+    def __init__(self, key: str, sql_type: SqlType | None):
+        self.key = key
+        self.sql_type = sql_type
+        self.parents: tuple[int, ...] = ()
+        self.leaf_id = -1
+        self.decode = DECODERS.get(sql_type)
+        self.named: tuple[tuple[int, SqlType], ...] | None = None
+        #: every id this path can use is known; an unsettled path is
+        #: resolved again before each use (a load may have added its key)
+        self.settled = False
 
 
 class ReservoirExtractor:
@@ -45,24 +80,26 @@ class ReservoirExtractor:
 
     def __init__(self, catalog: SinewCatalog):
         self.catalog = catalog
-        # per-thread stack of query-scoped decode caches: queries on the
+        # per-thread stack of execution-scoped contexts: queries on the
         # main thread never share state with the materializer daemon, and
         # nested query execution (UDFs issuing queries) stays balanced
         self._local = threading.local()
+        # what calls outside any query (materializer, UPDATE, direct use)
+        # run under: nothing shared, counters nobody reads
+        self._detached = ExtractionContext(enabled=False)
         # key -> its nested-document prefixes, longest first; pure string
         # derivation, so sharing across threads/queries is safe
         self._prefixes: dict[str, tuple[str, ...]] = {}
 
-    # -- query-scoped decode cache (FunctionRegistry listener hooks) ---------
+    # -- execution-scoped contexts (FunctionRegistry listener hooks) ---------
 
     def begin_query(self, execution_context: Any) -> None:
-        """Install a fresh :class:`ExtractionContext` for one query.
+        """Install a fresh :class:`ExtractionContext` for one execution.
 
-        A scope may request a larger decode cache through an
-        ``extraction_cache_capacity`` attribute: the vectorized batch
-        pipeline evaluates expressions column-major, so the cache must
-        hold one full batch of headers for the decode/hit split to match
-        row-major evaluation (see repro.rdbms.vectorized).
+        A scope may request a larger memo through an
+        ``extraction_cache_capacity`` attribute: the batch pipeline runs a
+        whole batch through one stage before the next, so the memo must
+        hold a few batches of id runs for a later stage to find them.
         """
         local = self._local
         stack = getattr(local, "stack", None)
@@ -76,7 +113,7 @@ class ReservoirExtractor:
                 capacity=capacity or DEFAULT_CACHE_CAPACITY,
             )
         )
-        # mirror of stack[-1]: one getattr on the hot path instead of two
+        # mirror of stack[-1]: one getattr per lookup instead of two
         local.top = stack[-1]
 
     def end_query(self, execution_context: Any) -> None:
@@ -86,97 +123,100 @@ class ReservoirExtractor:
             stack.pop()
         local.top = stack[-1] if stack else None
 
-    def _context(self) -> ExtractionContext | None:
-        return getattr(self._local, "top", None)
+    def _context(self) -> ExtractionContext:
+        return getattr(self._local, "top", None) or self._detached
 
-    def _header(self, data: bytes) -> DecodedHeader:
-        context = getattr(self._local, "top", None)
-        if context is not None:
-            return context.header(data)
-        # no active query (direct use, materializer thread): plain decode
-        return DecodedHeader(data)
+    # -- resolved paths -------------------------------------------------------
 
-    def _subdocument(self, header: DecodedHeader, parent_id: int) -> bytes | None:
-        context = getattr(self._local, "top", None)
-        if context is not None:
-            return context.subdocument(header, parent_id)
-        return header.extract(parent_id, SqlType.BYTEA)
+    def _resolve(self, path: _Path) -> None:
+        """Bind ``path`` to the live dictionary (ids are never reassigned,
+        so a settled path stays valid)."""
+        catalog = self.catalog
+        key = path.key
+        settled = True
+        if "." in key:
+            prefixes = self._prefixes.get(key)
+            if prefixes is None:
+                parts = key.split(".")
+                prefixes = self._prefixes[key] = tuple(
+                    ".".join(parts[:split]) for split in range(len(parts) - 1, 0, -1)
+                )
+            found = [catalog.lookup_id(prefix, SqlType.BYTEA) for prefix in prefixes]
+            path.parents = tuple(parent for parent in found if parent is not None)
+            settled = len(path.parents) == len(prefixes)
+        if path.sql_type is None:
+            # a further type of the same key may still appear: never settled
+            path.named = tuple(
+                (attribute.attr_id, attribute.key_type)
+                for attribute in catalog.attributes_named(key)
+            )
+            settled = False
+        else:
+            leaf_id = catalog.lookup_id(key, path.sql_type)
+            if leaf_id is None:
+                settled = False
+            else:
+                path.leaf_id = leaf_id
+        path.settled = settled
 
-    # -- core navigation ----------------------------------------------------
+    def bind(self, requests: Sequence[tuple[str, tuple]]) -> "BoundPaths":
+        """The ``ScalarFunction.specializer`` hook: resolve extraction
+        calls whose key is a literal, once for the running execution.
+
+        ``requests`` are ``(method, (key,))`` pairs, all applied to the
+        *same* reservoir value; see :class:`BoundPaths`.
+        """
+        return BoundPaths(self, self._context(), requests)
+
+    def _walk(self, path: _Path, data: bytes, ids: tuple, context: ExtractionContext) -> Any:
+        """Look ``path`` up in one document whose id run is ``ids``.
+
+        Nested-document prefixes are tried longest first, and a miss
+        inside one keeps trying *shorter* ones: the key may live directly
+        in a shallower cell -- a literal ``"b.c"`` key inside ``a``'s
+        document beside a materialized ``a.b`` sub-document -- so the
+        longest prefix must not short-circuit navigation.  A stored value
+        is never NULL (absence is encoded by omission), so ``None`` means
+        "not at this level".
+        """
+        n = len(ids)
+        named = path.named
+        if named is not None:
+            for attr_id, sql_type in named:
+                position = bisect_left(ids, attr_id)
+                if position < n and ids[position] == attr_id:
+                    return sql_type, value_at(data, n, position)
+        for parent_id in path.parents:
+            position = bisect_left(ids, parent_id)
+            if position < n and ids[position] == parent_id:
+                child, child_ids = context.sub(data, n, position, parent_id)
+                value = self._walk(path, child, child_ids, context)
+                if value is not None:
+                    return value
+        if named is None:
+            leaf_id = path.leaf_id
+            position = bisect_left(ids, leaf_id)
+            if position < n and ids[position] == leaf_id:
+                return path.decode(value_at(data, n, position))
+        return None
+
+    # -- per-call entry points (non-literal keys, engine internals) ----------
+
+    def _lookup(self, data: bytes, key: str, sql_type: SqlType | None) -> Any:
+        path = _Path(key, sql_type)
+        self._resolve(path)
+        context = self._context()
+        return self._walk(path, data, context.ids(data), context)
 
     def extract_typed(self, data: bytes | None, key: str, sql_type: SqlType) -> Any:
-        """Extract ``key`` as ``sql_type``; None when absent or mistyped.
-
-        A stored attribute's value is never NULL (the serializer encodes
-        absence by omission), so a None from ``extract`` means "absent at
-        this level" and navigation can proceed without a separate
-        existence probe.
-        """
+        """Extract ``key`` as ``sql_type``; None when absent or mistyped."""
         if data is None:
             return None
-        header = self._header(data)
-        if "." in key:
-            # dotted keys almost always live inside a nested document;
-            # navigate the parent chain first, then fall back to a literal
-            # dotted key stored at this level
-            value = self._descend(
-                header, key, lambda sub: self.extract_typed(sub, key, sql_type)
-            )
-            if value is not None:
-                return value
-        attr_id = self.catalog.lookup_id(key, sql_type)
-        if attr_id is None:
-            return None
-        return header.extract(attr_id, sql_type)
-
-    def _descend(
-        self,
-        header: DecodedHeader,
-        key: str,
-        continuation: Callable[[bytes], Any],
-        found: Callable[[Any], bool] = _found,
-    ) -> Any:
-        """Navigate nested-document prefixes of ``key``, longest first.
-
-        A miss inside one prefix (``found`` rejects the continuation's
-        result) keeps trying *shorter* prefixes: the key may live directly
-        in a shallower cell -- e.g. a literal ``"b.c"`` key inside ``a``'s
-        document coexisting with a materialized ``a.b`` sub-document --
-        so the longest prefix must not short-circuit navigation.
-        """
-        prefixes = self._prefixes.get(key)
-        if prefixes is None:
-            parts = key.split(".")
-            prefixes = self._prefixes[key] = tuple(
-                ".".join(parts[:split]) for split in range(len(parts) - 1, 0, -1)
-            )
-        lookup_id = self.catalog.lookup_id
-        for prefix in prefixes:
-            parent_id = lookup_id(prefix, SqlType.BYTEA)
-            if parent_id is None or not header.has(parent_id):
-                continue
-            sub_document = self._subdocument(header, parent_id)
-            if sub_document is None:
-                continue
-            value = continuation(sub_document)
-            if found(value):
-                return value
-        return None
+        return self._lookup(data, key, sql_type)
 
     def exists(self, data: bytes | None, key: str) -> bool:
         """Key-existence check (any type) without decoding the value."""
-        if data is None:
-            return False
-        header = self._header(data)
-        for attribute in self.catalog.attributes_named(key):
-            if header.has(attribute.attr_id):
-                return True
-        result = self._descend(
-            header, key, lambda sub: self.exists(sub, key), found=bool
-        )
-        return bool(result)
-
-    # -- typed entry points (the registered UDFs) ---------------------------
+        return data is not None and self._lookup(data, key, None) is not None
 
     def extract_text(self, data: bytes | None, key: str) -> str | None:
         return self.extract_typed(data, key, SqlType.TEXT)
@@ -207,12 +247,13 @@ class ReservoirExtractor:
         """Untyped extraction; non-text values are downcast to text."""
         if data is None:
             return None
-        header = self._header(data)
-        for attribute in self.catalog.attributes_named(key):
-            if header.has(attribute.attr_id):
-                value = header.extract(attribute.attr_id, attribute.key_type)
-                return self._downcast(value, attribute.key_type, attribute.key_name)
-        return self._descend(header, key, lambda sub: self.extract_any(sub, key))
+        return self._any_text(self._lookup(data, key, None), key)
+
+    def _any_text(self, found: tuple[SqlType, bytes] | None, key: str) -> str | None:
+        if found is None:
+            return None
+        sql_type, raw = found
+        return self._downcast(DECODERS[sql_type](raw), sql_type, key)
 
     def _downcast(
         self, value: Any, sql_type: SqlType, key_name: str = ""
@@ -356,6 +397,158 @@ class ReservoirExtractor:
         return None
 
 
+class _Request:
+    """One extraction call of a :class:`BoundPaths`: the paths it tries in
+    order, what it returns for a NULL reservoir, and how it presents what
+    a path found (``None``: as is, the typed calls)."""
+
+    __slots__ = ("paths", "absent", "present")
+
+    def __init__(self, paths: list[_Path], absent: Any, present: Callable[[Any], Any] | None):
+        self.paths = paths
+        self.absent = absent
+        self.present = present
+
+
+class BoundPaths:
+    """Extraction calls with literal keys, resolved for one execution.
+
+    What ``ReservoirExtractor.bind`` hands the expression compiler.  All
+    calls of one instance apply to the same reservoir value, so a batch
+    (:meth:`columns`) unpacks each row's id run once for all of them --
+    one header *decode* and, per further call, one *hit*; with sharing
+    switched off every call unpacks for itself and all are decodes.  The
+    access count is therefore the same either way, and the same as
+    evaluating the calls one row at a time through :meth:`one`.
+
+    Attr ids are looked up when the instance is built.  A key (or a
+    nested-document prefix) the dictionary does not know yet stays
+    *unsettled* and is looked up again before every use: a load that
+    runs beside the query may introduce it.
+    """
+
+    def __init__(
+        self,
+        extractor: ReservoirExtractor,
+        context: ExtractionContext,
+        requests: Sequence[tuple[str, tuple]],
+    ):
+        self._extractor = extractor
+        self._context = context
+        context.sites += 1
+        self._requests: list[_Request] = []
+        for method, (key,) in requests:
+            if method == "exists":
+                request = _Request([_Path(key, None)], False, _is_found)
+            elif method == "extract_any":
+                request = _Request(
+                    [_Path(key, None)],
+                    None,
+                    lambda found, key=key: extractor._any_text(found, key),
+                )
+            else:
+                paths = [_Path(key, sql_type) for sql_type in TYPED_METHODS[method]]
+                request = _Request(paths, None, None)
+            self._requests.append(request)
+        self._unsettled = [path for request in self._requests for path in request.paths]
+        self._settle()
+
+    def _settle(self) -> None:
+        resolve = self._extractor._resolve
+        for path in self._unsettled:
+            resolve(path)
+        self._unsettled = [path for path in self._unsettled if not path.settled]
+
+    def _evaluate(self, request: _Request, data: bytes, ids: tuple) -> Any:
+        """One call on one document; the access to ``ids`` is the caller's."""
+        context = self._context
+        walk = self._extractor._walk
+        paths = request.paths
+        value = walk(paths[0], data, ids, context)
+        if value is None and len(paths) > 1:
+            # extract_num's REAL attempt is an access of its own
+            context.repeat()
+            value = walk(paths[1], data, ids, context)
+        return value if request.present is None else request.present(value)
+
+    def one(self, data: bytes | None) -> Any:
+        """The (single) call's value for one reservoir value."""
+        if self._unsettled:
+            self._settle()
+        request = self._requests[0]
+        if data is None:
+            return request.absent
+        return self._evaluate(request, data, self._context.ids(data))
+
+    def columns(self, blobs: Sequence[bytes | None]) -> list[list[Any]]:
+        """Every call's values for a batch of reservoir values."""
+        if self._unsettled:
+            self._settle()
+        context = self._context
+        requests = self._requests
+        if not context.enabled:
+            return [self._column(request, blobs, context.ids_of(blobs)[0]) for request in requests]
+        runs, live = context.ids_of(blobs)
+        context.repeat((len(requests) - 1) * live)
+        return [self._column(request, blobs, runs) for request in requests]
+
+    def _column(self, request: _Request, blobs: Sequence[bytes | None], runs: list) -> list[Any]:
+        out: list[Any] = []
+        append = out.append
+        evaluate = self._evaluate
+        if request.present is not None:
+            absent = request.absent
+            for data, ids in zip(blobs, runs):
+                append(absent if ids is None else evaluate(request, data, ids))
+            return out
+        # A typed call.  Where none of the key's nested-document prefixes
+        # is in the row's document -- always, for a top-level key -- the
+        # lookup is the binary search of section 4.1, done here in line.
+        paths = request.paths
+        parents = paths[0].parents
+        leaf_id, decode = paths[0].leaf_id, paths[0].decode
+        if len(paths) > 1:
+            other_id, other_decode = paths[1].leaf_id, paths[1].decode
+        else:
+            other_id, other_decode = -1, None
+        retried = 0
+        for data, ids in zip(blobs, runs):
+            if ids is None:
+                append(None)
+                continue
+            n = len(ids)
+            for parent_id in parents:
+                position = bisect_left(ids, parent_id)
+                if position < n and ids[position] == parent_id:
+                    # a nested document to enter: the general walk
+                    append(evaluate(request, data, ids))
+                    break
+            else:
+                position = bisect_left(ids, leaf_id)
+                if position < n and ids[position] == leaf_id:
+                    start, end = unpack_span(data, 4 + 4 * (n + position))
+                    base = 8 + 8 * n
+                    append(decode(data[base + start : base + end]))
+                elif other_decode is None:
+                    append(None)
+                else:
+                    retried += 1
+                    position = bisect_left(ids, other_id)
+                    if position < n and ids[position] == other_id:
+                        start, end = unpack_span(data, 4 + 4 * (n + position))
+                        base = 8 + 8 * n
+                        append(other_decode(data[base + start : base + end]))
+                    else:
+                        append(None)
+        if retried:
+            self._context.repeat(retried)
+        return out
+
+
+def _is_found(found: Any) -> bool:
+    return found is not None
+
+
 #: Map from an expected SQL type to the UDF name the rewriter emits.
 EXTRACT_FUNCTION_FOR_TYPE = {
     SqlType.TEXT: "extract_key_text",
@@ -386,23 +579,29 @@ EXTRACTION_UDFS: dict[str, tuple[str, SqlType]] = {
 }
 
 
-def register_extraction_udfs(db: Database, extractor: ReservoirExtractor) -> None:
+def register_extraction_udfs(
+    functions: FunctionRegistry, extractor: ReservoirExtractor
+) -> None:
     """Register Sinew's extraction functions on the underlying RDBMS,
     exactly as the prototype installs its UDF extension (paper section 5).
 
     Each function carries a ``("sinew_extract", method)`` remote spec: the
     bound methods themselves are unpicklable (they close over the catalog
     and its latches), so the process lane ships the *name* and the worker
-    rebinds it to its own extractor (see repro.rdbms.process_worker).
+    registers the same table on its own extractor (see
+    repro.rdbms.process_worker).  The ``(data, 'literal key')`` functions
+    also carry the specializer hook, through which the expression
+    compiler gets their :class:`BoundPaths` form.
     """
     for name, (method, return_type) in EXTRACTION_UDFS.items():
-        db.create_function(
+        functions.register_scalar(
             name,
             getattr(extractor, method),
             return_type,
             remote_spec=("sinew_extract", method),
+            specializer=(extractor, method) if method != "to_json" else None,
         )
-    # scope the extractor's decoded-header cache to each query's lifetime
-    db.functions.register_query_listener(extractor)
+    # scope the extractor's id-run memo to each execution's lifetime
+    functions.register_query_listener(extractor)
     # and let the planner/process lane snapshot the catalog for workers
-    db.functions.remote_catalog = extractor
+    functions.remote_catalog = extractor

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import struct
 from bisect import bisect_left
-from typing import Any, Iterator, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from ..rdbms.errors import ExecutionError
 from ..rdbms.types import SqlType
@@ -44,6 +44,21 @@ from ..rdbms.types import SqlType
 _U32 = struct.Struct("<I")
 _I64 = struct.Struct("<q")
 _F64 = struct.Struct("<d")
+#: ``unpack_span(data, 4 + 4 * (n + i))``: the ``(start, end)`` body
+#: offsets of the i-th of ``n`` attributes, read out of the offset run
+unpack_span = struct.Struct("<II").unpack_from
+
+#: ``n`` -> the Struct unpacking a run of ``n`` uint32 (an id run, or with
+#: ``n + 1`` an offset run); built on first use, so no format string per
+#: document.  A racing first use builds the same Struct twice, harmlessly.
+_RUNS: dict[int, struct.Struct] = {}
+
+
+def _run(n: int) -> struct.Struct:
+    run = _RUNS.get(n)
+    if run is None:
+        run = _RUNS[n] = struct.Struct(f"<{n}I")
+    return run
 
 #: One-byte tags used inside ARRAY bodies (arrays are heterogeneous in
 #: JSON, so elements are self-describing).
@@ -84,19 +99,11 @@ def encode_value(value: Any, sql_type: SqlType) -> bytes:
 
 def decode_value(data: bytes, sql_type: SqlType) -> Any:
     """Decode one value previously produced by :func:`encode_value`."""
-    if sql_type is SqlType.INTEGER:
-        return _I64.unpack(data)[0]
-    if sql_type is SqlType.REAL:
-        return _F64.unpack(data)[0]
-    if sql_type is SqlType.BOOLEAN:
-        return data != b"\x00"
-    if sql_type is SqlType.TEXT:
-        return data.decode("utf-8")
-    if sql_type is SqlType.BYTEA:
-        return bytes(data)
-    if sql_type is SqlType.ARRAY:
-        return decode_array(data)
-    raise ExecutionError(f"cannot deserialize type {sql_type}")
+    try:
+        decoder = DECODERS[sql_type]
+    except KeyError:
+        raise ExecutionError(f"cannot deserialize type {sql_type}") from None
+    return decoder(data)
 
 
 def encode_array(values: Sequence[Any]) -> bytes:
@@ -158,6 +165,31 @@ def decode_array(data: bytes) -> list[Any]:
     return out
 
 
+#: Per-type value decoders: the table :func:`decode_value` dispatches on,
+#: shared with the resolved extraction paths of :mod:`repro.core.extractors`.
+DECODERS: dict[SqlType, Callable[[bytes], Any]] = {
+    SqlType.INTEGER: lambda data: _I64.unpack(data)[0],
+    SqlType.REAL: lambda data: _F64.unpack(data)[0],
+    SqlType.BOOLEAN: lambda data: data != b"\x00",
+    SqlType.TEXT: lambda data: str(data, "utf-8"),
+    SqlType.BYTEA: bytes,
+    SqlType.ARRAY: decode_array,
+}
+
+
+def unpack_ids(data: bytes) -> tuple[int, ...]:
+    """The sorted attribute-id run of a document: the part of the header a
+    key lookup binary-searches (the offsets are read per found key)."""
+    return _run(_U32.unpack_from(data, 0)[0]).unpack_from(data, 4)
+
+
+def value_at(data: bytes, n: int, position: int) -> bytes:
+    """Raw bytes of the ``position``-th of a document's ``n`` attributes."""
+    start, end = unpack_span(data, 4 + 4 * (n + position))
+    base = 8 + 8 * n
+    return data[base + start : base + end]
+
+
 def serialize(attributes: Sequence[tuple[int, SqlType, Any]]) -> bytes:
     """Serialize a document given ``(attr_id, type, value)`` triples.
 
@@ -182,57 +214,30 @@ def serialize(attributes: Sequence[tuple[int, SqlType, Any]]) -> bytes:
     return bytes(header) + b"".join(encoded)
 
 
+def _unpack_header(data: bytes) -> tuple[int, tuple, tuple, int]:
+    """``(n, ids, offsets, body_base)`` of a serialized document."""
+    n = _U32.unpack_from(data, 0)[0]
+    return (
+        n,
+        _run(n).unpack_from(data, 4),
+        _run(n + 1).unpack_from(data, 4 + 4 * n),
+        8 + 8 * n,
+    )
+
+
 class DecodedHeader:
     """A fully parsed document header: ids, offsets, and the body base.
 
-    Parsing the header once and reusing it across key lookups is what the
-    per-query extraction cache amortises; each lookup is then a single
-    binary search plus one slice decode, with no re-unpacking.
+    For callers that visit every attribute (:func:`iterate`,
+    :func:`extract_many`); single-key lookups read only the id run
+    (:func:`unpack_ids`) and one offset pair (:func:`value_at`).
     """
 
     __slots__ = ("data", "n", "ids", "offsets", "body_base")
 
     def __init__(self, data: bytes):
         self.data = data
-        n = _U32.unpack_from(data, 0)[0]
-        self.n = n
-        if n:
-            self.ids = struct.unpack_from(f"<{n}I", data, 4)
-            offsets_base = 4 + 4 * n
-            self.offsets = struct.unpack_from(f"<{n + 1}I", data, offsets_base)
-            self.body_base = offsets_base + 4 * (n + 1)
-        else:
-            self.ids = ()
-            self.offsets = (0,)
-            self.body_base = 8
-
-    def position_of(self, attr_id: int) -> int:
-        """Binary-search position of ``attr_id`` in the id run, or -1."""
-        position = bisect_left(self.ids, attr_id)
-        if position < self.n and self.ids[position] == attr_id:
-            return position
-        return -1
-
-    def has(self, attr_id: int) -> bool:
-        return self.position_of(attr_id) >= 0
-
-    def raw(self, position: int) -> bytes:
-        start = self.body_base + self.offsets[position]
-        end = self.body_base + self.offsets[position + 1]
-        return self.data[start:end]
-
-    def extract(self, attr_id: int, sql_type: SqlType) -> Any:
-        # open-coded position_of + raw: this is the per-row hot path
-        ids = self.ids
-        position = bisect_left(ids, attr_id)
-        if position >= self.n or ids[position] != attr_id:
-            return None
-        base = self.body_base
-        offsets = self.offsets
-        return decode_value(
-            self.data[base + offsets[position] : base + offsets[position + 1]],
-            sql_type,
-        )
+        self.n, self.ids, self.offsets, self.body_base = _unpack_header(data)
 
 
 def decode_header(data: bytes) -> DecodedHeader:
@@ -246,8 +251,7 @@ def attribute_count(data: bytes) -> int:
 
 def attribute_ids(data: bytes) -> list[int]:
     """The sorted attribute ids present in a serialized document."""
-    n = attribute_count(data)
-    return list(struct.unpack_from(f"<{n}I", data, 4)) if n else []
+    return list(unpack_ids(data))
 
 
 def has_attribute(data: bytes, attr_id: int) -> bool:
@@ -256,12 +260,9 @@ def has_attribute(data: bytes, attr_id: int) -> bool:
     This is the fast path the paper contrasts with BSON, where existence
     checks still walk the record.
     """
-    n = _U32.unpack_from(data, 0)[0]
-    if n == 0:
-        return False
-    ids = struct.unpack_from(f"<{n}I", data, 4)
+    ids = unpack_ids(data)
     position = bisect_left(ids, attr_id)
-    return position < n and ids[position] == attr_id
+    return position < len(ids) and ids[position] == attr_id
 
 
 def extract(data: bytes, attr_id: int, sql_type: SqlType) -> Any:
@@ -270,21 +271,12 @@ def extract(data: bytes, attr_id: int, sql_type: SqlType) -> Any:
     Cost is O(log n) in the number of attributes: one binary search in the
     id run, one offset lookup, one slice decode.
     """
-    n = _U32.unpack_from(data, 0)[0]
-    if n == 0:
-        return None
-    ids = struct.unpack_from(f"<{n}I", data, 4)
+    ids = unpack_ids(data)
+    n = len(ids)
     position = bisect_left(ids, attr_id)
     if position >= n or ids[position] != attr_id:
         return None
-    offsets_base = 4 + 4 * n
-    start_offset, end_offset = struct.unpack_from(
-        "<II", data, offsets_base + 4 * position
-    )
-    body_base = offsets_base + 4 * (n + 1)
-    return decode_value(
-        data[body_base + start_offset : body_base + end_offset], sql_type
-    )
+    return decode_value(value_at(data, n, position), sql_type)
 
 
 def extract_many(
@@ -292,13 +284,7 @@ def extract_many(
 ) -> list[Any]:
     """Extract several attributes from one document (amortises the header
     unpack across keys, as Appendix A's 10-key task does)."""
-    n = _U32.unpack_from(data, 0)[0]
-    if n == 0:
-        return [None] * len(wanted)
-    ids = struct.unpack_from(f"<{n}I", data, 4)
-    offsets_base = 4 + 4 * n
-    offsets = struct.unpack_from(f"<{n + 1}I", data, offsets_base)
-    body_base = offsets_base + 4 * (n + 1)
+    n, ids, offsets, body_base = _unpack_header(data)
     out: list[Any] = []
     for attr_id, sql_type in wanted:
         position = bisect_left(ids, attr_id)
@@ -312,13 +298,7 @@ def extract_many(
 
 def iterate(data: bytes) -> Iterator[tuple[int, bytes]]:
     """Yield ``(attr_id, raw_value_bytes)`` pairs (deserialization path)."""
-    n = _U32.unpack_from(data, 0)[0]
-    if n == 0:
-        return
-    ids = struct.unpack_from(f"<{n}I", data, 4)
-    offsets_base = 4 + 4 * n
-    offsets = struct.unpack_from(f"<{n + 1}I", data, offsets_base)
-    body_base = offsets_base + 4 * (n + 1)
+    n, ids, offsets, body_base = _unpack_header(data)
     for index in range(n):
         yield ids[index], data[
             body_base + offsets[index] : body_base + offsets[index + 1]

@@ -28,7 +28,7 @@ from ..analysis.checker import CheckReport, IntegrityChecker, validate_document
 from ..rdbms.database import Database, DatabaseConfig, DbSession, QueryResult
 from ..rdbms.errors import CatalogError, PlanningError, SemanticError
 from ..rdbms.transactions import CheckpointInfo
-from ..rdbms.expressions import Star
+from ..rdbms.expressions import Literal, SchemaResolver, Star, compile_expr
 from ..rdbms.sql.ast import (
     DeleteStatement,
     SelectItem,
@@ -37,6 +37,7 @@ from ..rdbms.sql.ast import (
 )
 from ..rdbms.sql.parser import parse
 from ..rdbms.types import SqlType
+from . import serializer
 from .background import DEFAULT_IDLE_SLEEP, DEFAULT_STEP_ROWS, MaterializerDaemon
 from .catalog import SinewCatalog, column_state_payload
 from .extractors import ReservoirExtractor, register_extraction_udfs
@@ -122,7 +123,7 @@ class SinewDB:
         )
         self.text_index = InvertedTextIndex() if self.config.enable_text_index else None
         self._matches_cache: dict[tuple[str, str], set[int]] = {}
-        register_extraction_udfs(self.db, self.extractor)
+        register_extraction_udfs(self.db.functions, self.extractor)
         # a cached set-membership probe, not reservoir extraction work, so
         # it stays out of the udf_calls extraction counter
         self.db.create_function(
@@ -897,8 +898,6 @@ class SinewDB:
         physical_assignments: list[tuple[str, Any]] = []
         reservoir_assignments: list[tuple[str, SqlType, Any]] = []
         for column_name, value_expr in statement.assignments:
-            from ..rdbms.expressions import Literal
-
             if not isinstance(value_expr, Literal):
                 raise PlanningError(
                     "Sinew UPDATE currently supports literal assignments on "
@@ -923,8 +922,6 @@ class SinewDB:
                 )
                 reservoir_assignments.append((column_name, sql_type, value))
 
-        from ..rdbms.expressions import SchemaResolver, compile_expr
-
         resolver = SchemaResolver(
             [(table_name, c.name) for c in table.schema], self.db.functions
         )
@@ -935,46 +932,56 @@ class SinewDB:
         updated = 0
         touched_attrs: dict[int, tuple[str, str]] = {}
         with self.db._dml_txn(session) as txn:
-            matches: list[tuple[int, tuple]] = []
-            for rid, row in table.scan():
-                if predicate is None or predicate(row) is True:
-                    matches.append((rid, row))
-            for rid, row in matches:
-                new_row = list(row)
-                for physical_name, value in physical_assignments:
-                    new_row[table.schema.position_of(physical_name)] = value
-                if reservoir_assignments:
-                    data = new_row[data_position]
-                    if data is None:
-                        from . import serializer
-
-                        data = serializer.serialize([])
-                    for key_name, sql_type, value in reservoir_assignments:
-                        had_value = (
-                            self.extractor.extract_typed(data, key_name, sql_type)
-                            is not None
-                        )
-                        data = self.extractor.set_path(data, key_name, sql_type, value)
-                        attr_id = self.catalog.attribute_id(key_name, sql_type)
-                        touched_attrs[attr_id] = (key_name, sql_type.value)
-                        if value is not None and not had_value:
-                            table_catalog.state(attr_id).count += 1
-                        elif value is None and had_value:
-                            table_catalog.state(attr_id).count -= 1
-                    new_row[data_position] = data
-                replacement = tuple(new_row)
-                old = table.update(rid, replacement)
-                txn.log_update(
-                    table_name,
-                    rid,
-                    table.tuple_bytes(replacement),
-                    undo=lambda rid=rid, old=old: table.update(rid, old),
-                    payload=replacement,
-                )
-                if self.text_index is not None:
-                    doc = self._document_of_row(table, replacement)
-                    self.text_index.index_document(replacement[id_position], doc)
-                updated += 1
+            # two phases, so an UPDATE never observes its own writes
+            matched = [
+                rid
+                for rid, row in table.scan()
+                if predicate is None or predicate(row) is True
+            ]
+            # The scan ran beside the materializer, which rewrites a row
+            # when it moves one of its values.  Every write goes on the
+            # row as it is *now*, under the latch that keeps the
+            # materializer (and the loader) out -- writing back the image
+            # the scan saw would undo a move made since, or be undone by
+            # one made from an image fetched before this write.
+            with self.catalog.exclusive_latch("update"):
+                for rid in matched:
+                    row = table.fetch(rid)
+                    if row is None:
+                        continue
+                    new_row = list(row)
+                    for physical_name, value in physical_assignments:
+                        new_row[table.schema.position_of(physical_name)] = value
+                    if reservoir_assignments:
+                        data = new_row[data_position]
+                        if data is None:
+                            data = serializer.serialize([])
+                        for key_name, sql_type, value in reservoir_assignments:
+                            had_value = (
+                                self.extractor.extract_typed(data, key_name, sql_type)
+                                is not None
+                            )
+                            data = self.extractor.set_path(data, key_name, sql_type, value)
+                            attr_id = self.catalog.attribute_id(key_name, sql_type)
+                            touched_attrs[attr_id] = (key_name, sql_type.value)
+                            if value is not None and not had_value:
+                                table_catalog.state(attr_id).count += 1
+                            elif value is None and had_value:
+                                table_catalog.state(attr_id).count -= 1
+                        new_row[data_position] = data
+                    replacement = tuple(new_row)
+                    old = table.update(rid, replacement)
+                    txn.log_update(
+                        table_name,
+                        rid,
+                        table.tuple_bytes(replacement),
+                        undo=lambda rid=rid, old=old: table.update(rid, old),
+                        payload=replacement,
+                    )
+                    if self.text_index is not None:
+                        doc = self._document_of_row(table, replacement)
+                        self.text_index.index_document(replacement[id_position], doc)
+                    updated += 1
             if touched_attrs:
                 # absolute post-statement counts: replay sets them verbatim,
                 # so the redo is idempotent no matter the per-row history

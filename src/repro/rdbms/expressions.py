@@ -12,17 +12,22 @@ evaluator implements SQL semantics:
 * casts raise :class:`~repro.rdbms.errors.TypeCastError` exactly like
   PostgreSQL, aborting the query.
 
-For execution, expressions are *compiled* into Python closures over a row
-tuple (``compile_expr``), which keeps per-row interpretation overhead low
-enough for benchmark-sized tables.
+For execution, expressions are *compiled*: one compiler
+(:func:`compile_program`) turns a tree into Python source specialised on
+what the statement makes known, with two entry points -- ``compile_expr``
+for a closure over one row tuple, ``repro.rdbms.vectorized.compile_batch``
+for one loop over a batch of them.  The helpers ``_compare``, ``_arith``
+and ``_kleene_*`` below state the semantics the generated code keeps;
+the tests' reference evaluator is built on them.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Iterator, Optional, Sequence
 
+from .cost import CostCounters
 from .errors import ExecutionError
 from .types import SqlType, cast_value
 
@@ -289,7 +294,7 @@ def _needs_quotes(name: str) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation helpers (three-valued logic)
+# Reference semantics (three-valued logic)
 # ---------------------------------------------------------------------------
 
 
@@ -442,164 +447,459 @@ class SchemaResolver(Resolver):
         return self._functions.scalar(name)
 
 
-def compile_expr(expr: Expr, resolver: Resolver) -> CompiledExpr:
-    """Compile an expression tree into a closure ``row -> value``."""
-    if isinstance(expr, Literal):
-        value = expr.value
-        return lambda row: value
+# One compiler turns an expression tree into Python source, once per node
+# type, and the source into a function.  What is known when a statement is
+# compiled is decided then: which comparison operator, the type class of a
+# literal operand (so ``col = 'lit'`` is one guarded native comparison),
+# whether a LIKE pattern is constant, whether a function offers a
+# specialised form.  Literal *values* stay parameters of the generated
+# code, so every statement of the same shape shares one code object.
 
-    if isinstance(expr, ColumnRef):
-        position = resolver.resolve(expr)
-        return lambda row: row[position]
+#: factories built from generated source, keyed by the source text
+_FACTORIES: dict[str, Callable[..., Callable]] = {}
+_MAX_FACTORIES = 512
 
-    if isinstance(expr, BinaryOp):
-        left = compile_expr(expr.left, resolver)
-        right = compile_expr(expr.right, resolver)
-        op = expr.op
+#: what generated code may name besides its parameters and the builtins
+_NAMESPACE = {
+    "NUM": (int, float),
+    "SEQ": (list, tuple),
+    "ONCE": (None,),
+    "arith": _arith,
+    "cast": cast_value,
+    "like": like_to_regex,
+}
+
+_PYTHON_OPERATOR = {
+    "=": "==", "<>": "!=", "!=": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">=",
+}
+_MIRRORED = {"==": "==", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
+#: the result of comparing across type brackets (:func:`_compare`)
+_MISMATCH = {"==": "False", "!=": "True"}
+_IS_NUM = "isinstance({0}, NUM) and {0} is not True and {0} is not False"
+#: literal type class -> test that a runtime value is in the same bracket
+_GUARD = {
+    "num": _IS_NUM,
+    "bool": "type({0}) is bool",
+    "str": "type({0}) is str",
+    "bytes": "type({0}) is bytes",
+}
+
+_LITERAL_CLASSES = {int: "num", float: "num", bool: "bool", str: "str", bytes: "bytes"}
+
+#: what emitting a node yields: the source of its value, and for a literal
+#: the type class the generated comparisons specialise on
+Operand = tuple[str, Optional[str]]
+
+
+def _literal_class(value: Any) -> str | None:
+    """The comparison bracket of a literal, when it is one the generated
+    code tests with a plain ``type() is``; None leaves it to the general
+    comparison."""
+    if value is None:
+        return "null"
+    return _LITERAL_CLASSES.get(type(value))
+
+
+class _Emitter:
+    """Writes the statements that evaluate expressions for one row, the
+    tuple ``row``.
+
+    Emitting a node appends what it needs computed first and returns the
+    source of its value: an expression to use once, or -- after
+    :meth:`atom` -- a name that is cheap to repeat.
+    """
+
+    def __init__(self, resolver: Resolver, batch: bool):
+        self.resolver = resolver
+        #: a batch stage: calls with a specialised form whose value
+        #: argument is a column are hoisted out of the row loop
+        self.batch = batch
+        self.lines: list[str] = []
+        self.depth = 3 if batch else 2
+        #: values of the factory's parameters ``a0, a1, ...``
+        self.args: list[Any] = []
+        self.temps = 0
+        #: > 0 while emitting code that does not run for every row
+        self.lazy = 0
+        #: specialised calls evaluated per row: ``s<i>`` = one call
+        self.sites: list[tuple[Any, list]] = []
+        #: specialised calls evaluated per batch: (family, column position)
+        #: -> (family, position, requests); ``g<i>`` = all calls of group i
+        self.groups: dict[tuple[int, int], tuple[Any, int, list]] = {}
+        self.counters: CostCounters | None = None
+
+    # -- writing ------------------------------------------------------------
+
+    def line(self, text: str) -> None:
+        self.lines.append("    " * self.depth + text)
+
+    def param(self, value: Any) -> str:
+        self.args.append(value)
+        return f"a{len(self.args) - 1}"
+
+    def temp(self, source: str) -> str:
+        self.temps += 1
+        name = f"t{self.temps}"
+        self.line(f"{name} = {source}")
+        return name
+
+    def atom(self, source: str) -> str:
+        return source if source.isidentifier() else self.temp(source)
+
+    # -- nodes --------------------------------------------------------------
+
+    def emit(self, node: Expr) -> Operand:
+        method = _EMITTERS.get(type(node))
+        if method is None:
+            raise ExecutionError(f"cannot compile expression node {type(node).__name__}")
+        return method(self, node)
+
+    def value(self, node: Expr) -> str:
+        return self.atom(self.emit(node)[0])
+
+    def literal(self, node: Literal) -> Operand:
+        kind = _literal_class(node.value)
+        return ("None" if kind == "null" else self.param(node.value)), kind
+
+    def column(self, node: ColumnRef) -> Operand:
+        return f"row[{self.resolver.resolve(node)}]", None
+
+    def binary(self, node: BinaryOp) -> Operand:
+        op = node.op
+        left_source, left_class = self.emit(node.left)
+        left = self.atom(left_source), left_class
+        right_source, right_class = self.emit(node.right)
+        right = self.atom(right_source), right_class
         if op == "AND":
-            return lambda row: _kleene_and(left(row), right(row))
+            return self.kleene_and(left[0], right[0]), None
         if op == "OR":
-            return lambda row: _kleene_or(left(row), right(row))
-        if op in ("=", "<>", "!=", "<", "<=", ">", ">="):
-            return lambda row: _compare(op, left(row), right(row))
-        return lambda row: _arith(op, left(row), right(row))
+            a, b = left[0], right[0]
+            return self.temp(
+                f"True if ({a} is True or {b} is True) "
+                f"else (None if ({a} is None or {b} is None) else False)"
+            ), None
+        if op in _PYTHON_OPERATOR:
+            return self.compare(_PYTHON_OPERATOR[op], left, right)
+        return self.temp(f"arith({op!r}, {left[0]}, {right[0]})"), None
 
-    if isinstance(expr, UnaryOp):
-        operand = compile_expr(expr.operand, resolver)
-        if expr.op == "NOT":
-            def _not(row: Row) -> bool | None:
-                value = operand(row)
-                return None if value is None else not value
+    def kleene_and(self, a: str, b: str) -> str:
+        return self.temp(
+            f"False if ({a} is False or {b} is False) "
+            f"else (None if ({a} is None or {b} is None) else True)"
+        )
 
-            return _not
-        if expr.op == "-":
-            def _neg(row: Row) -> Any:
-                value = operand(row)
-                return None if value is None else -value
+    def compare(self, op: str, left: Operand, right: Operand) -> Operand:
+        """SQL comparison of two atoms: NULL propagates, numbers compare
+        with numbers, anything else only with its own type (the contract
+        of :func:`_compare`, with ``op`` already a Python operator)."""
+        (a, a_class), (b, b_class) = left, right
+        if a_class == "null" or b_class == "null":
+            return "None", "null"
+        if a_class in _GUARD and b_class not in _GUARD:
+            a, b, b_class, op = b, a, a_class, _MIRRORED[op]
+        miss = _MISMATCH.get(op, "None")
+        if b_class in _GUARD:
+            # one operand's bracket is known: a single guarded comparison
+            guard = _GUARD[b_class].format(a)
+            other = "None" if miss == "None" else f"(None if {a} is None else {miss})"
+            return self.temp(f"({a} {op} {b}) if {guard} else {other}"), None
+        self.temps += 1
+        name = f"t{self.temps}"
+        self.line(f"if {a} is None or {b} is None: {name} = None")
+        self.line(f"elif {_IS_NUM.format(a)}:")
+        self.line(f"    {name} = ({a} {op} {b}) if {_IS_NUM.format(b)} else {miss}")
+        self.line(f"elif type({a}) is not type({b}): {name} = {miss}")
+        self.line("else:")
+        self.line(f"    try: {name} = {a} {op} {b}")
+        self.line(f"    except TypeError: {name} = None")
+        return name, None
 
-            return _neg
-        if expr.op == "+":
-            return operand
-        raise ExecutionError(f"unknown unary operator {expr.op!r}")
+    def negate(self, source: str, negated: bool) -> str:
+        return self.temp(f"None if {source} is None else not {source}") if negated else source
 
-    if isinstance(expr, IsNull):
-        operand = compile_expr(expr.operand, resolver)
-        if expr.negated:
-            return lambda row: operand(row) is not None
-        return lambda row: operand(row) is None
+    def unary(self, node: UnaryOp) -> Operand:
+        if node.op == "+":
+            return self.emit(node.operand)
+        operand = self.value(node.operand)
+        if node.op == "NOT":
+            return self.negate(operand, True), None
+        if node.op == "-":
+            return self.temp(f"None if {operand} is None else -{operand}"), None
+        raise ExecutionError(f"unknown unary operator {node.op!r}")
 
-    if isinstance(expr, Between):
-        operand = compile_expr(expr.operand, resolver)
-        low = compile_expr(expr.low, resolver)
-        high = compile_expr(expr.high, resolver)
-        negated = expr.negated
+    def is_null(self, node: IsNull) -> Operand:
+        operand = self.emit(node.operand)[0]
+        return self.temp(f"{operand} is {'not ' if node.negated else ''}None"), None
 
-        def _between(row: Row) -> bool | None:
-            value = operand(row)
-            result = _kleene_and(
-                _compare(">=", value, low(row)), _compare("<=", value, high(row))
+    def between(self, node: Between) -> Operand:
+        operand = self.value(node.operand), None
+        low_source, low_class = self.emit(node.low)
+        low = self.atom(low_source), low_class
+        high_source, high_class = self.emit(node.high)
+        high = self.atom(high_source), high_class
+        if low_class == high_class and low_class in _GUARD:
+            guard = _GUARD[low_class].format(operand[0])
+            result = self.temp(f"({low[0]} <= {operand[0]} <= {high[0]}) if {guard} else None")
+        else:
+            result = self.kleene_and(
+                self.compare(">=", operand, low)[0], self.compare("<=", operand, high)[0]
             )
-            if negated and result is not None:
-                return not result
-            return result
+        return self.negate(result, node.negated), None
 
-        return _between
+    def in_list(self, node: InList) -> Operand:
+        operand = self.value(node.operand), None
+        if not node.items:
+            return self.temp(f"None if {operand[0]} is None else {node.negated}"), None
+        self.temps += 1
+        name, saw_null = f"t{self.temps}", f"n{self.temps}"
+        self.line(f"{name} = None")
+        self.line(f"if {operand[0]} is not None:")
+        self.depth += 1
+        self.lazy += 1
+        self.line(f"{saw_null} = False")
+        # items are evaluated in order, and only until one matches
+        self.line("for _ in ONCE:")
+        self.depth += 1
+        for item in node.items:
+            candidate_source, candidate_class = self.emit(item)
+            if candidate_class == "null":
+                self.line(f"{saw_null} = True")
+                continue
+            candidate = self.atom(candidate_source)
+            if candidate_class is None:
+                self.line(f"if {candidate} is None: {saw_null} = True")
+                self.line("else:")
+                self.depth += 1
+            matched = self.compare("==", operand, (candidate, candidate_class))[0]
+            self.line(f"if {matched} is True:")
+            self.line(f"    {name} = {not node.negated}")
+            self.line("    break")
+            if candidate_class is None:
+                self.depth -= 1
+        self.depth -= 1
+        self.line("else:")
+        self.line(f"    {name} = None if {saw_null} else {node.negated}")
+        self.lazy -= 1
+        self.depth -= 1
+        return name, None
 
-    if isinstance(expr, InList):
-        operand = compile_expr(expr.operand, resolver)
-        items = [compile_expr(item, resolver) for item in expr.items]
-        negated = expr.negated
+    def like_node(self, node: Like) -> Operand:
+        operand = self.value(node.operand)
+        verdict = "is None" if node.negated else "is not None"
+        if isinstance(node.pattern, Literal) and isinstance(node.pattern.value, str):
+            regex = self.param(like_to_regex(node.pattern.value))
+            return self.temp(
+                f"None if {operand} is None else {regex}.match(str({operand})) {verdict}"
+            ), None
+        pattern = self.value(node.pattern)
+        return self.temp(
+            f"None if ({operand} is None or {pattern} is None) "
+            f"else like(str({pattern})).match(str({operand})) {verdict}"
+        ), None
 
-        def _in(row: Row) -> bool | None:
-            value = operand(row)
-            if value is None:
-                return None
-            saw_null = False
-            for item in items:
-                candidate = item(row)
-                if candidate is None:
-                    saw_null = True
-                elif _compare("=", value, candidate) is True:
-                    return not negated
-            if saw_null:
-                return None
-            return negated
+    def coalesce(self, node: Coalesce) -> Operand:
+        # arguments after the first run only where all before them are NULL
+        # (the dirty-column contract: the extraction bridge must not run
+        # for rows whose physical column already has the value)
+        self.temps += 1
+        name = f"t{self.temps}"
+        opened = 0
+        for index, argument in enumerate(node.args):
+            self.line(f"{name} = {self.emit(argument)[0]}")
+            if index + 1 < len(node.args):
+                self.line(f"if {name} is None:")
+                self.depth += 1
+                self.lazy += 1
+                opened += 1
+        self.depth -= opened
+        self.lazy -= opened
+        if not node.args:
+            self.line(f"{name} = None")
+        return name, None
 
-        return _in
+    def cast_node(self, node: Cast) -> Operand:
+        operand = self.emit(node.operand)[0]
+        return self.temp(f"cast({operand}, {self.param(node.target)})"), None
 
-    if isinstance(expr, Like):
-        operand = compile_expr(expr.operand, resolver)
-        if isinstance(expr.pattern, Literal) and isinstance(expr.pattern.value, str):
-            regex = like_to_regex(expr.pattern.value)
+    def any_node(self, node: AnyPredicate) -> Operand:
+        needle_source, needle_class = self.emit(node.needle)
+        needle = self.atom(needle_source), needle_class
+        array = self.value(node.haystack)
+        if needle_class == "null":
+            return "None", "null"
+        if needle_class in ("str", "bytes"):
+            # an element of another type never equals a string
+            return self.temp(
+                f"({needle[0]} in {array}) if isinstance({array}, SEQ) else None"
+            ), None
+        self.temps += 1
+        name = f"t{self.temps}"
+        self.line(f"if {needle[0]} is None or not isinstance({array}, SEQ): {name} = None")
+        self.line("else:")
+        self.depth += 1
+        self.line(f"{name} = False")
+        element = f"e{self.temps}"
+        self.line(f"for {element} in {array}:")
+        self.depth += 1
+        matched = self.compare("==", needle, (element, None))[0]
+        self.line(f"if {matched} is True:")
+        self.line(f"    {name} = True")
+        self.line("    break")
+        self.depth -= 2
+        return name, None
 
-            def _like_const(row: Row) -> bool | None:
-                value = operand(row)
-                if value is None:
-                    return None
-                matched = regex.match(str(value)) is not None
-                return not matched if expr.negated else matched
+    def call(self, node: FunctionCall) -> Operand:
+        implementation = self.resolver.resolve_function(node.name)
+        if implementation.counts_as_udf and implementation.counters is not None:
+            self.counters = implementation.counters
+            self.line("u += 1")
+        hook = implementation.specializer
+        if (
+            hook is None
+            or len(node.args) < 2
+            or not all(isinstance(argument, Literal) for argument in node.args[1:])
+        ):
+            arguments = ", ".join([self.emit(argument)[0] for argument in node.args])
+            return self.temp(f"{self.param(implementation.fn)}({arguments})"), None
+        family, tag = hook
+        request = (tag, tuple(argument.value for argument in node.args[1:]))
+        subject = node.args[0]
+        if self.batch and not self.lazy and isinstance(subject, ColumnRef):
+            position = self.resolver.resolve(subject)
+            key = (id(family), position)
+            requests = self.groups.setdefault(key, (family, position, []))[2]
+            requests.append(request)
+            return f"x{list(self.groups).index(key)}_{len(requests) - 1}", None
+        self.sites.append((family, [request]))
+        return self.temp(f"s{len(self.sites) - 1}({self.emit(subject)[0]})"), None
 
-            return _like_const
-        pattern = compile_expr(expr.pattern, resolver)
 
-        def _like(row: Row) -> bool | None:
-            value = operand(row)
-            pat = pattern(row)
-            if value is None or pat is None:
-                return None
-            matched = like_to_regex(str(pat)).match(str(value)) is not None
-            return not matched if expr.negated else matched
+_EMITTERS: dict[type, Callable[[_Emitter, Any], Operand]] = {
+    Literal: _Emitter.literal,
+    ColumnRef: _Emitter.column,
+    BinaryOp: _Emitter.binary,
+    UnaryOp: _Emitter.unary,
+    IsNull: _Emitter.is_null,
+    Between: _Emitter.between,
+    InList: _Emitter.in_list,
+    Like: _Emitter.like_node,
+    Coalesce: _Emitter.coalesce,
+    Cast: _Emitter.cast_node,
+    AnyPredicate: _Emitter.any_node,
+    FunctionCall: _Emitter.call,
+}
 
-        return _like
 
-    if isinstance(expr, Coalesce):
-        compiled = [compile_expr(arg, resolver) for arg in expr.args]
+class Program:
+    """Compiled expressions, built once per statement.
 
-        def _coalesce(row: Row) -> Any:
-            for fn in compiled:
-                value = fn(row)
-                if value is not None:
-                    return value
-            return None
+    :meth:`bind` makes the callable for one execution -- the calling
+    thread's query, one worker's morsel: it charges UDF calls to that
+    execution's counters and lets each specialised function family
+    resolve its calls against the state of that moment.
+    """
 
-        return _coalesce
+    __slots__ = ("_make", "_args", "_specialised", "_counters")
 
-    if isinstance(expr, Cast):
-        operand = compile_expr(expr.operand, resolver)
-        target = expr.target
-        return lambda row: cast_value(operand(row), target)
+    def __init__(self, source: str, emitter: _Emitter):
+        make = _FACTORIES.get(source)
+        if make is None:
+            namespace = dict(_NAMESPACE)
+            try:
+                exec(compile(source, "<compiled expression>", "exec"), namespace)
+            except (SyntaxError, RecursionError, MemoryError) as error:
+                if isinstance(error, SyntaxError) and "nested" not in str(error):
+                    raise
+                raise ExecutionError(f"expression is too deeply nested: {error}") from None
+            make = namespace["make"]
+            if len(_FACTORIES) >= _MAX_FACTORIES:
+                _FACTORIES.clear()
+            _FACTORIES[source] = make
+        self._make = make
+        self._args = emitter.args
+        self._specialised = [(family, requests, "one") for family, requests in emitter.sites]
+        self._specialised += [
+            (family, requests, "columns")
+            for family, _position, requests in emitter.groups.values()
+        ]
+        self._counters = emitter.counters
 
-    if isinstance(expr, AnyPredicate):
-        needle = compile_expr(expr.needle, resolver)
-        haystack = compile_expr(expr.haystack, resolver)
+    def bind(self, counters: CostCounters | None = None) -> Callable:
+        bound = [
+            getattr(family.bind(requests), form)
+            for family, requests, form in self._specialised
+        ]
+        if self._counters is not None:
+            bound.append(self._counters if counters is None else counters)
+        return self._make(*self._args, *bound)
 
-        def _any(row: Row) -> bool | None:
-            value = needle(row)
-            array = haystack(row)
-            if value is None or array is None:
-                return None
-            if not isinstance(array, (list, tuple)):
-                return None
-            return any(_compare("=", value, element) is True for element in array)
 
-        return _any
+def compile_program(exprs: Sequence[Expr], resolver: Resolver, shape: str) -> Program:
+    """Compile ``exprs`` over one row layout into a :class:`Program`.
 
-    if isinstance(expr, FunctionCall):
-        implementation = resolver.resolve_function(expr.name)
-        args = [compile_expr(arg, resolver) for arg in expr.args]
-        fn = implementation.fn
-        if implementation.counts_as_udf:
-            counters = implementation.counters
+    ``shape`` says what the bound callable is:
 
-            def _udf(row: Row) -> Any:
-                if counters is not None:
-                    counters.udf_calls += 1
-                return fn(*[a(row) for a in args])
+    * ``"row"`` -- ``fn(row) -> value`` of the single expression;
+    * ``"filter"`` -- ``stage(rows) -> rows`` keeping those for which the
+      single expression is TRUE;
+    * ``"map"`` -- ``stage(rows) -> [(value, ...), ...]``, one tuple of all
+      expressions per row.
 
-            return _udf
-        return lambda row: fn(*[a(row) for a in args])
+    The two batch shapes evaluate their expressions in one loop over the
+    batch; exactly the rows given are evaluated, in order.
+    """
+    batch = shape != "row"
+    emitter = _Emitter(resolver, batch)
+    results = [emitter.emit(expr)[0] for expr in exprs]
+    counted = emitter.counters is not None
+    names = [f"a{index}" for index in range(len(emitter.args))]
+    names += [f"s{index}" for index in range(len(emitter.sites))]
+    names += [f"g{index}" for index in range(len(emitter.groups))]
+    if counted:
+        names.append("C")
+    head = [f"def make({', '.join(names)}):"]
+    if not batch:
+        head.append("    def run(row):")
+        if counted:
+            head.append("        u = 0")
+            emitter.line("C.udf_calls += u")
+        emitter.line(f"return {results[0]}")
+        tail = ["    return run"]
+    else:
+        if shape == "filter":
+            emitter.line(f"if {results[0]} is True: append(row)")
+        else:
+            emitter.line(f"append(({''.join(result + ', ' for result in results)}))")
+        head += ["    def run(rows):", "        out = []", "        append = out.append"]
+        # each group's calls, evaluated for the whole batch before the loop
+        # and zipped into it: ``x<group>_<call>`` is the row's value
+        feeds, targets = ["rows"], ["row"]
+        for index, (_family, position, requests) in enumerate(emitter.groups.values()):
+            calls = range(len(requests))
+            columns = [f"c{index}_{call}" for call in calls]
+            head.append(
+                f"        {', '.join(columns)}, = g{index}([row[{position}] for row in rows])"
+            )
+            feeds += columns
+            targets += [f"x{index}_{call}" for call in calls]
+        if counted:
+            head.append("        u = 0")
+        if len(feeds) > 1:
+            head.append(f"        for {', '.join(targets)} in zip({', '.join(feeds)}):")
+        else:
+            head.append("        for row in rows:")
+        tail = ["        C.udf_calls += u"] if counted else []
+        tail += ["        return out", "    return run"]
+    return Program("\n".join(head + emitter.lines + tail) + "\n", emitter)
 
-    raise ExecutionError(f"cannot compile expression node {type(expr).__name__}")
+
+def compile_expr(expr: Expr, resolver: Resolver) -> CompiledExpr:
+    """Compile an expression tree into a closure ``row -> value``.
+
+    The row form of the compiler, bound at once: UDF calls are charged
+    to the registry's counters.
+    """
+    return compile_program((expr,), resolver, "row").bind()
 
 
 def contains_function_call(expr: Expr) -> bool:

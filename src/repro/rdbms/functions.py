@@ -41,6 +41,17 @@ class ScalarFunction:
     ``("sinew_extract", method)`` for the reservoir-extraction UDFs.
     ``None`` -- the default for user closures -- keeps any query calling
     the function off the process lane (it falls back to threads).
+
+    ``specializer`` is the one hook through which a function can offer the
+    expression compiler something better than ``fn(*args)`` per row.  It
+    is a ``(family, tag)`` pair and applies to calls of the shape
+    ``f(value, literal, ...)``.  Per execution the compiler hands
+    ``family.bind([(tag, literals), ...])`` the calls that share a family
+    and a first argument, and evaluates them through what it returns:
+    ``.one(value)`` for one call on one row, ``.columns(values)`` for all
+    calls on a batch (one result list per call, aligned with ``values``).
+    Results and ``udf_calls`` must be those of calling ``fn``; calls of
+    any other shape still go through ``fn``.
     """
 
     name: str
@@ -50,6 +61,7 @@ class ScalarFunction:
     counters: CostCounters | None = None
     volatile: bool = False
     remote_spec: tuple[str, str] | None = None
+    specializer: tuple[Any, str] | None = None
 
 
 class AggregateFunction:
@@ -243,6 +255,7 @@ class FunctionRegistry:
         counts_as_udf: bool = True,
         volatile: bool = False,
         remote_spec: tuple[str, str] | None = None,
+        specializer: tuple[Any, str] | None = None,
     ) -> ScalarFunction:
         """Register a user-defined scalar function (CREATE FUNCTION)."""
         key = name.lower()
@@ -254,6 +267,7 @@ class FunctionRegistry:
             counters=self.counters,
             volatile=volatile,
             remote_spec=remote_spec,
+            specializer=specializer,
         )
         self._scalars[key] = implementation
         return implementation

@@ -24,8 +24,8 @@ from __future__ import annotations
 import heapq
 import threading
 import time
-from dataclasses import dataclass, replace
-from typing import Any, Iterator, Sequence
+from dataclasses import dataclass
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .cost import CostCounters, DiskBudget, ExtractionStats
 from .errors import ExecutionError
@@ -40,7 +40,7 @@ from .expressions import (
 )
 from .functions import AggregateFunction, FunctionRegistry
 from .storage import HeapTable
-from .vectorized import BATCH_ROWS, BatchProgram, ColumnBatch, compile_batch
+from .vectorized import BATCH_ROWS, BatchProgram, compile_batch
 
 Row = tuple
 OutputColumns = list[tuple[str | None, str]]
@@ -850,35 +850,6 @@ def _compare_keys(left: tuple, right: tuple) -> int:
 # ---------------------------------------------------------------------------
 
 
-class _WorkerFunctions:
-    """Function-registry facade that hands out per-worker counter bindings.
-
-    Compiled UDF closures increment ``implementation.counters`` directly,
-    which is racy across threads (``obj.attr += 1`` is not atomic); the
-    facade rebinds each counted scalar to the worker's private bundle so
-    increments stay single-threaded and the gather-time fold is exact.
-    """
-
-    def __init__(self, functions: FunctionRegistry, counters: CostCounters):
-        self._functions = functions
-        self._counters = counters
-
-    def scalar(self, name: str):
-        implementation = self._functions.scalar(name)
-        if implementation.counts_as_udf and implementation.counters is not None:
-            return replace(implementation, counters=self._counters)
-        return implementation
-
-    def has_scalar(self, name: str) -> bool:
-        return self._functions.has_scalar(name)
-
-    def aggregate(self, name: str):
-        return self._functions.aggregate(name)
-
-    def is_aggregate(self, name: str) -> bool:
-        return self._functions.is_aggregate(name)
-
-
 class _WorkerQueryScope:
     """The minimal execution-context surface query listeners read.
 
@@ -898,10 +869,9 @@ class _WorkerQueryScope:
         self.extract_stats = stats
         self.use_extraction_cache = use_extraction_cache
         self.extraction_hint = extraction_hint
-        # Column-major kernels touch each batch row once per kernel, so
-        # the decode cache must hold a few full batches of headers for
-        # the decode/hit split to match row-major evaluation exactly
-        # (see the repro.rdbms.vectorized module docstring).
+        # A whole batch goes through one stage before the next, and the
+        # sort-key / grouping stages run after a morsel's last batch, so
+        # what a later stage is to find again must survive a few batches.
         self.extraction_cache_capacity = max(256, 4 * batch_rows)
 
 
@@ -975,37 +945,28 @@ class ParallelScan(PlanNode):
 
     def _make_task(self, context: ExecutionContext, post=None):
         table = self.table
-        predicates = self.predicates
-        projection = self.projection
-        scan_columns = self.scan_columns
         functions = context.functions
         use_cache = context.use_extraction_cache
         hint = context.extraction_hint
         batch_rows = self.batch_rows
+        # one program per query; each morsel binds it to its own counters
+        program = BatchProgram(
+            SchemaResolver(self.scan_columns, functions),
+            self.predicates,
+            self.projection[0] if self.projection is not None else None,
+            batch_rows=batch_rows,
+        )
 
         def run_morsel(morsel):
             counters = CostCounters()
             stats = ExtractionStats()
-            worker_functions = _WorkerFunctions(functions, counters)
             scope = _WorkerQueryScope(stats, use_cache, hint, batch_rows=batch_rows)
             functions.begin_query(scope)
             try:
-                resolver = SchemaResolver(scan_columns, worker_functions)
-                program = BatchProgram(
-                    resolver,
-                    predicates,
-                    projection[0] if projection is not None else None,
-                    batch_rows=batch_rows,
-                )
-                scan = table.scan_range(
+                chunks = table.scan_batches(
                     morsel.start_rid, morsel.end_rid, counters=counters
                 )
-                batches = list(program.run(row for _rid, row in scan))
-                n_rows = sum(len(batch) for batch in batches)
-                if post is None:
-                    payload = [row for batch in batches for row in batch.rows()]
-                else:
-                    payload = post(batches, worker_functions)
+                payload, n_rows = run_fragment(program, post, chunks, counters)
             finally:
                 functions.end_query(scope)
             return _MorselResult(
@@ -1188,91 +1149,126 @@ class _RunKey:
         return isinstance(other, _RunKey) and self.parts == other.parts
 
 
-def batch_sort_run(
-    batches: Sequence[ColumnBatch],
-    worker_functions: "_WorkerFunctions",
+#: What a fragment does with its output batches, as a two-step closure:
+#: ``post(counters)`` binds the fold's expressions for one morsel and
+#: returns ``fold(batches) -> payload``.
+Post = Callable[[CostCounters], Callable[[Sequence[list[Row]]], Any]]
+
+
+def run_fragment(
+    program: BatchProgram,
+    post: Post | None,
+    chunks: Iterable[list[Row]],
+    counters: CostCounters,
+) -> tuple[Any, int]:
+    """One morsel's work, shared by the thread and the process lane:
+    ``(payload, rows surviving scan + filter)``.
+
+    Every stage is bound before the first row flows, so each knows
+    whether another one reads what it reads.
+    """
+    fold = post(counters) if post is not None else None
+    batches = list(program.run(chunks, counters))
+    n_rows = sum(map(len, batches))
+    if fold is None:
+        return [row for batch in batches for row in batch], n_rows
+    return fold(batches), n_rows
+
+
+def sort_post(
+    functions: FunctionRegistry,
     input_columns: OutputColumns,
     keys: Sequence[tuple[Expr, bool]],
-) -> list[tuple[_RunKey, Row]]:
-    """One worker's sorted run, key columns evaluated batch-at-a-time.
+) -> Post:
+    """Fold to one worker's sorted run, ``[(_RunKey, row), ...]``.
 
-    Shared between the thread-lane post closure and the process worker
-    (:mod:`repro.rdbms.process_worker`), so both lanes decorate and sort
-    with identical key encoding and tie behaviour.
+    All sort keys of a row are evaluated in one batch stage.  Both lanes
+    build their fold here, so they decorate and sort with identical key
+    encoding and tie behaviour.
     """
-    resolver = SchemaResolver(input_columns, worker_functions)
-    compiled = [(compile_batch(expr, resolver), asc) for expr, asc in keys]
-    decorated: list[tuple[_RunKey, Row]] = []
-    for batch in batches:
-        sel = batch.selection()
-        if not sel:
-            continue
-        key_columns = [(kernel(batch, sel), asc) for kernel, asc in compiled]
-        for offset, row in enumerate(batch.rows()):
-            decorated.append(
+    resolver = SchemaResolver(input_columns, functions)
+    program = compile_batch([expr for expr, _asc in keys], resolver)
+    directions = [asc for _expr, asc in keys]
+
+    def post(counters: CostCounters):
+        key_stage = program.bind(counters)
+
+        def fold(batches: Sequence[list[Row]]) -> list[tuple[_RunKey, Row]]:
+            decorated = [
                 (
                     _RunKey(
                         tuple(
-                            (_null_aware_encode(column[offset]), asc)
-                            for column, asc in key_columns
+                            (_null_aware_encode(value), asc)
+                            for value, asc in zip(values, directions)
                         )
                     ),
                     row,
                 )
-            )
-    decorated.sort(key=lambda pair: pair[0])
-    return decorated
+                for batch in batches
+                for row, values in zip(batch, key_stage(batch))
+            ]
+            decorated.sort(key=lambda pair: pair[0])
+            return decorated
+
+        return fold
+
+    return post
 
 
-def batch_aggregate_run(
-    batches: Sequence[ColumnBatch],
-    worker_functions: "_WorkerFunctions",
+def aggregate_post(
+    functions: FunctionRegistry,
     input_columns: OutputColumns,
     group_exprs: Sequence[Expr],
     aggregates: Sequence["AggSpec"],
-) -> dict[tuple, list]:
-    """One worker's partial aggregation states, grouped in scan order.
+) -> Post:
+    """Fold to one worker's partial aggregation states, grouped in scan
+    order: ``{group key: [state, ...]}``.
 
-    Group keys and aggregate arguments evaluate as batch kernels over
-    each output batch's survivors; the per-row state transitions are the
-    same init/step machinery the serial HashAggregate runs.  Shared with
-    the process worker, like :func:`batch_sort_run`.
+    One batch stage evaluates a row's group key and then the argument of
+    every aggregate that has one (``count(*)`` has none); the per-row
+    state transitions are the same init/step machinery the serial
+    HashAggregate runs.
     """
-    resolver = SchemaResolver(input_columns, worker_functions)
-    group_kernels = [compile_batch(e, resolver) for e in group_exprs]
-    agg_kernels = [
-        None
-        if spec.argument is None or isinstance(spec.argument, Star)
-        else compile_batch(spec.argument, resolver)
-        for spec in aggregates
-    ]
-    groups: dict[tuple, list] = {}
-    for batch in batches:
-        sel = batch.selection()
-        if not sel:
-            continue
-        key_columns = [kernel(batch, sel) for kernel in group_kernels]
-        value_columns = [
-            None if kernel is None else kernel(batch, sel)
-            for kernel in agg_kernels
-        ]
-        for offset in range(len(sel)):
-            key = tuple(column[offset] for column in key_columns)
-            states = groups.get(key)
-            if states is None:
-                states = groups[key] = [
-                    spec.function.init() for spec in aggregates
-                ]
-            for index, spec in enumerate(aggregates):
-                column = value_columns[index]
-                if column is None:
-                    value: Any = 1  # count(*) counts every row
-                else:
-                    value = column[offset]
-                    if value is None and spec.function.skip_nulls:
-                        continue
-                states[index] = spec.function.step(states[index], value)
-    return groups
+    n_keys = len(group_exprs)
+    arguments: list[Expr] = []
+    # where each aggregate's argument sits in a stage tuple; None = count(*)
+    slots: list[int | None] = []
+    for spec in aggregates:
+        if spec.argument is None or isinstance(spec.argument, Star):
+            slots.append(None)
+        else:
+            slots.append(n_keys + len(arguments))
+            arguments.append(spec.argument)
+    resolver = SchemaResolver(input_columns, functions)
+    program = compile_batch([*group_exprs, *arguments], resolver)
+
+    def post(counters: CostCounters):
+        stage = program.bind(counters)
+
+        def fold(batches: Sequence[list[Row]]) -> dict[tuple, list]:
+            groups: dict[tuple, list] = {}
+            for batch in batches:
+                for values in stage(batch):
+                    key = values[:n_keys]
+                    states = groups.get(key)
+                    if states is None:
+                        states = groups[key] = [
+                            spec.function.init() for spec in aggregates
+                        ]
+                    for index, spec in enumerate(aggregates):
+                        slot = slots[index]
+                        if slot is None:
+                            value: Any = 1  # count(*) counts every row
+                        else:
+                            value = values[slot]
+                            if value is None and spec.function.skip_nulls:
+                                continue
+                        states[index] = spec.function.step(states[index], value)
+            return groups
+
+        return fold
+
+    return post
 
 
 class ParallelSort(ParallelScan):
@@ -1318,12 +1314,8 @@ class ParallelSort(ParallelScan):
         return pushed
 
     def rows(self, context: ExecutionContext) -> Iterator[Row]:
-        input_columns = self._input_columns()
         keys = self.keys
-
-        def post(batches, worker_functions):
-            return batch_sort_run(batches, worker_functions, input_columns, keys)
-
+        post = sort_post(context.functions, self._input_columns(), keys)
         results = self._gather(context, post, remote_post=("sort", tuple(keys)))
         runs = [result.payload for result in results if result.payload]
         total_rows = sum(len(run) for run in runs)
@@ -1395,15 +1387,11 @@ class ParallelHashAggregate(ParallelScan):
         return pushed
 
     def rows(self, context: ExecutionContext) -> Iterator[Row]:
-        input_columns = self._input_columns()
         group_exprs = self.group_exprs
         aggregates = self.aggregates
-
-        def post(batches, worker_functions):
-            return batch_aggregate_run(
-                batches, worker_functions, input_columns, group_exprs, aggregates
-            )
-
+        post = aggregate_post(
+            context.functions, self._input_columns(), group_exprs, aggregates
+        )
         remote_aggs = tuple(
             (
                 spec.function.name,

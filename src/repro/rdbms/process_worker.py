@@ -11,11 +11,14 @@ from the names:
 * ``("builtin", name)`` specs resolve against the fresh
   :class:`~repro.rdbms.functions.FunctionRegistry` every worker creates
   (its built-in scalars are identical in every process by construction);
-* ``("sinew_extract", method)`` specs rebind the named method onto a
-  private :class:`~repro.core.extractors.ReservoirExtractor` whose
-  catalog is restored from the spilled ``(attr_id, key_name, type)``
-  triples -- the exact dictionary the parent's documents were
-  serialized against, keyed by catalog epoch so it can never be stale.
+* a ``("sinew_extract", method)`` spec makes the worker register the
+  extraction UDFs -- through the same
+  :func:`~repro.core.extractors.register_extraction_udfs` the parent
+  used, so with the same specialised form -- on a private
+  :class:`~repro.core.extractors.ReservoirExtractor` whose catalog is
+  restored from the spilled ``(attr_id, key_name, type)`` triples: the
+  exact dictionary the parent's documents were serialized against,
+  keyed by catalog epoch so it can never be stale.
 
 Workers cache the unpickled table image and the rebuilt registry by
 spill path, so a 4-worker query pays the rebuild four times on its
@@ -43,10 +46,10 @@ from .functions import _BUILTIN_AGGREGATES, FunctionRegistry
 from .plan_nodes import (
     AggSpec,
     _MorselResult,
-    _WorkerFunctions,
     _WorkerQueryScope,
-    batch_aggregate_run,
-    batch_sort_run,
+    aggregate_post,
+    run_fragment,
+    sort_post,
 )
 from .types import SqlType
 from .vectorized import BATCH_ROWS, BatchProgram
@@ -106,11 +109,11 @@ def _table_rows(path: str) -> list:
     return rows
 
 
-def _load_extractor(catalog_path: str | None):
+def _register_extraction(registry: FunctionRegistry, catalog_path: str | None) -> None:
     # Imported lazily: plain-RDBMS queries (no extraction UDFs) must not
     # pull the Sinew layer into every worker process.
     from ..core.catalog import SinewCatalog
-    from ..core.extractors import ReservoirExtractor
+    from ..core.extractors import ReservoirExtractor, register_extraction_udfs
 
     if catalog_path is None:
         raise ExecutionError(
@@ -123,7 +126,7 @@ def _load_extractor(catalog_path: str | None):
     catalog = SinewCatalog()
     for attr_id, key_name, type_value in triples:
         catalog.ensure_attribute(attr_id, key_name, SqlType(type_value))
-    return ReservoirExtractor(catalog)
+    register_extraction_udfs(registry, ReservoirExtractor(catalog))
 
 
 def _registry_for(task: ProcessTask) -> FunctionRegistry:
@@ -131,43 +134,32 @@ def _registry_for(task: ProcessTask) -> FunctionRegistry:
     registry = _REGISTRIES.get(key)
     if registry is not None:
         return registry
-    # The registry-level counters are a placeholder: _WorkerFunctions
-    # rebinds every counted scalar to the running task's private bundle.
+    # The registry-level counters are a placeholder: every program is
+    # bound to the running task's private bundle.
     registry = FunctionRegistry(CostCounters())
-    extractor = None
-    for name, kind, target, type_value in task.function_specs:
-        if kind == "builtin":
-            continue  # a fresh registry already has the built-in scalars
-        if kind != "sinew_extract":
-            raise ExecutionError(
-                f"unknown remote function spec {kind!r} for {name}()",
-                context="process-lane worker",
-            )
-        if extractor is None:
-            extractor = _load_extractor(task.catalog_path)
-            # scope the extractor's decode cache to each task's lifetime,
-            # mirroring register_extraction_udfs on the parent side
-            registry.register_query_listener(extractor)
-        registry.register_scalar(
-            name,
-            getattr(extractor, target),
-            SqlType(type_value),
-            counts_as_udf=True,
-            remote_spec=(kind, target),
+    kinds = {kind for _name, kind, _target, _type in task.function_specs}
+    unknown = kinds - {"builtin", "sinew_extract"}
+    if unknown:
+        raise ExecutionError(
+            f"unknown remote function spec {min(unknown)!r}",
+            context="process-lane worker",
         )
+    # a fresh registry already has the built-in scalars
+    if "sinew_extract" in kinds:
+        _register_extraction(registry, task.catalog_path)
     _REGISTRIES[key] = registry
     return registry
 
 
 def _scan(task: ProcessTask, counters: CostCounters):
-    """Yield live rows of the task's rid range from the spilled image."""
+    """Yield the live rows of the task's rid range from the spilled
+    image, a batch at a time."""
     rows = _table_rows(task.table_path)
     end = min(task.end_rid, len(rows))
-    for rid in range(max(0, task.start_rid), end):
-        row = rows[rid]
-        if row is not None:
-            counters.tuples_scanned += 1
-            yield row
+    for start in range(max(0, task.start_rid), end, task.batch_rows):
+        live = [row for row in rows[start : min(start + task.batch_rows, end)] if row is not None]
+        counters.tuples_scanned += len(live)
+        yield live
 
 
 def run_process_task(task: ProcessTask | ExitTask) -> Any:
@@ -177,49 +169,40 @@ def run_process_task(task: ProcessTask | ExitTask) -> Any:
     counters = CostCounters()
     stats = ExtractionStats()
     registry = _registry_for(task)
-    worker_functions = _WorkerFunctions(registry, counters)
     scope = _WorkerQueryScope(
         stats, task.use_cache, task.hint, batch_rows=task.batch_rows
     )
     registry.begin_query(scope)
     try:
         scan_columns = list(task.scan_columns)
-        resolver = SchemaResolver(scan_columns, worker_functions)
         program = BatchProgram(
-            resolver,
+            SchemaResolver(scan_columns, registry),
             list(task.predicates),
             list(task.projection[0]) if task.projection is not None else None,
             batch_rows=task.batch_rows,
         )
-        batches = list(program.run(_scan(task, counters)))
-        n_rows = sum(len(batch) for batch in batches)
         if task.projection is not None:
             input_columns = [(None, name) for name in task.projection[1]]
         else:
             input_columns = scan_columns
         if task.post is None:
-            payload: Any = [row for batch in batches for row in batch.rows()]
+            post = None
         elif task.post[0] == "sort":
-            payload = batch_sort_run(
-                batches, worker_functions, input_columns, list(task.post[1])
-            )
+            post = sort_post(registry, input_columns, list(task.post[1]))
         elif task.post[0] == "agg":
             aggregates = [
                 AggSpec(_BUILTIN_AGGREGATES[name], argument, False, name)
                 for name, argument in task.post[2]
             ]
-            payload = batch_aggregate_run(
-                batches,
-                worker_functions,
-                input_columns,
-                list(task.post[1]),
-                aggregates,
+            post = aggregate_post(
+                registry, input_columns, list(task.post[1]), aggregates
             )
         else:
             raise ExecutionError(
                 f"unknown post spec {task.post[0]!r}",
                 context="process-lane worker",
             )
+        payload, n_rows = run_fragment(program, post, _scan(task, counters), counters)
     finally:
         registry.end_query(scope)
     return _MorselResult(task.index, payload, n_rows, counters, stats, os.getpid())

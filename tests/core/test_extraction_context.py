@@ -73,54 +73,89 @@ class TestContextUnit:
     def serialize(self, doc):
         return self.loader.serialize_document(doc)
 
-    def test_header_decoded_once_per_object(self):
+    def shared_context(self, stats=None, **options):
+        # a memo is only kept when more than one extraction site is bound
+        context = ExtractionContext(stats, **options)
+        context.sites = 2
+        return context
+
+    def test_id_run_unpacked_once_per_object(self):
         stats = ExtractionStats()
-        context = ExtractionContext(stats)
+        context = self.shared_context(stats)
         data = self.serialize({"a": 1, "b": 2})
-        first = context.header(data)
-        assert context.header(data) is first
+        first = context.ids(data)
+        assert context.ids(data) is first
         assert stats.header_decodes == 1
         assert stats.header_cache_hits == 1
 
     def test_equal_but_distinct_bytes_miss(self):
         # identity keying: equal content in a different object is a miss
         stats = ExtractionStats()
-        context = ExtractionContext(stats)
+        context = self.shared_context(stats)
         data = self.serialize({"a": 1})
         clone = bytes(bytearray(data))
         assert clone == data and clone is not data
-        context.header(data)
-        context.header(clone)
+        context.ids(data)
+        context.ids(clone)
         assert stats.header_decodes == 2
         assert stats.header_cache_hits == 0
 
     def test_disabled_context_always_decodes(self):
         stats = ExtractionStats()
-        context = ExtractionContext(stats, enabled=False)
+        context = self.shared_context(stats, enabled=False)
         data = self.serialize({"a": 1})
-        context.header(data)
-        context.header(data)
-        assert stats.header_decodes == 2
+        context.ids(data)
+        context.ids(data)
+        context.ids_of([data, None, data])
+        context.repeat(2)
+        assert stats.header_decodes == 6
         assert stats.header_cache_hits == 0
 
+    def test_single_site_keeps_nothing(self):
+        # nobody else can ask again, so nothing is remembered -- or pinned
+        stats = ExtractionStats()
+        context = ExtractionContext(stats)
+        context.sites = 1
+        data = self.serialize({"a": 1})
+        context.ids(data)
+        context.ids_of([data])
+        assert not context._headers
+        assert (stats.header_decodes, stats.header_cache_hits) == (2, 0)
+
     def test_fifo_eviction_bounds_memory(self):
-        context = ExtractionContext(capacity=4)
+        context = self.shared_context(capacity=4)
         buffers = [self.serialize({"a": i}) for i in range(10)]
         for data in buffers:
-            context.header(data)
+            context.ids(data)
         assert len(context._headers) == 4
+        context.ids_of([self.serialize({"b": i}) for i in range(10)])
+        assert len(context._headers) == 4
+
+    def test_batch_pass_shares_with_single_accesses(self):
+        stats = ExtractionStats()
+        context = self.shared_context(stats)
+        blobs = [self.serialize({"a": i}) for i in range(3)] + [None]
+        runs, live = context.ids_of(blobs)
+        assert live == 3 and runs[3] is None
+        assert context.ids(blobs[1]) is runs[1]
+        again, _live = context.ids_of(blobs[:2])
+        assert again[0] is runs[0]
+        assert (stats.header_decodes, stats.header_cache_hits) == (3, 3)
 
     def test_subdocument_cached_by_identity(self):
         stats = ExtractionStats()
-        context = ExtractionContext(stats)
+        context = self.shared_context(stats)
         data = self.serialize({"parent": {"child": 7}})
-        header = context.header(data)
+        ids = context.ids(data)
         parent_id = self.loader.catalog.attribute_id("parent", SqlType.BYTEA)
-        first = context.subdocument(header, parent_id)
-        again = context.subdocument(header, parent_id)
-        assert again is first  # same object -> nested header-cache hits
+        position = ids.index(parent_id)
+        first, first_ids = context.sub(data, len(ids), position, parent_id)
+        again, again_ids = context.sub(data, len(ids), position, parent_id)
+        assert again is first and again_ids is first_ids
         assert stats.subdoc_decodes == 1
         assert stats.subdoc_cache_hits == 1
+        # the nested document's header is the other half of each access
+        assert (stats.header_decodes, stats.header_cache_hits) == (2, 1)
 
 
 # ----------------------------------------------------------------------

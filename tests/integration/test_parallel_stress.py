@@ -10,7 +10,9 @@ FaultInjector delay plans at the materializer latch points stretch the
 latch-held windows so scans genuinely overlap row moves.
 """
 
+import itertools
 import threading
+import time
 
 import pytest
 
@@ -84,8 +86,21 @@ def _run_stress(n_docs: int, n_threads: int, n_iterations: int) -> None:
     )
     failures: list[str] = []
 
+    # at least n_iterations queries per thread, and -- however fast the
+    # engine gets through those -- more until the daemon has moved a row
+    # under them (bounded: the final assert reports a daemon that never did)
+    deadline = time.monotonic() + 30.0
+
+    def more_wanted(iteration: int) -> bool:
+        if iteration < n_iterations:
+            return True
+        raced = injector.hits.get("materializer.before_row_move", 0) > 0
+        return not raced and time.monotonic() < deadline
+
     def query_thread(thread_id: int) -> None:
-        for iteration in range(n_iterations):
+        for iteration in itertools.count():
+            if not more_wanted(iteration):
+                return
             sql = QUERIES[(thread_id + iteration) % len(QUERIES)]
             try:
                 rows = sdb.query(sql).rows

@@ -208,6 +208,57 @@ class TestBufferPool:
         assert table.counters.pages_read <= 1
 
 
+class TestRangeScans:
+    """``scan_range`` (rows with rids) and ``scan_batches`` (one list of
+    live rows per page) walk the same pages and charge the same counters."""
+
+    def table_with_holes(self) -> HeapTable:
+        table = make_table(page_bytes=256)
+        for i in range(60):
+            table.insert((i, "v" * 10))
+        assert table.n_pages > 5
+        for rid in (0, 7, 8, 9, 31, 59):
+            table.delete(rid)
+        # recovery filler: a rid whose slot was born dead
+        table.alloc_dead_slot()
+        table.insert((60, "tail"))
+        return table
+
+    @pytest.mark.parametrize(
+        "bounds", [(0, 10**6), (0, 0), (5, 6), (7, 10), (3, 33), (30, 62), (-4, 12), (61, 62)]
+    )
+    def test_same_rows_pages_and_tuple_counts(self, bounds):
+        table = self.table_with_holes()
+        start, end = bounds
+        table.counters.reset()
+        private = CostCounters()
+        by_row = list(table.scan_range(start, end, private))
+        hits_by_row = table.counters.page_cache_hits + table.counters.pages_read
+
+        table.counters.reset()
+        batched = CostCounters()
+        pages = list(table.scan_batches(start, end, batched))
+        hits_batched = table.counters.page_cache_hits + table.counters.pages_read
+
+        rows = [row for page in pages for row in page]
+        assert rows == [row for _rid, row in by_row]
+        assert all(row is not None for row in rows)
+        assert batched.tuples_scanned == private.tuples_scanned == len(rows)
+        assert hits_batched == hits_by_row == len(pages)
+        # private counters were charged, not the table's shared bundle
+        assert table.counters.tuples_scanned == 0
+        low, high = max(0, start), min(end, 62)
+        dead = {0, 7, 8, 9, 31, 59, 60}
+        assert [rid for rid, _row in by_row] == [
+            rid for rid in range(low, high) if rid not in dead
+        ]
+
+    def test_full_scan_is_the_whole_range(self):
+        table = self.table_with_holes()
+        assert list(table.scan()) == list(table.scan_range(0, table.allocated_rids))
+        assert table.counters.tuples_scanned == 2 * len(table)
+
+
 class TestDiskBudget:
     def test_budget_exhaustion_raises(self):
         table = make_table(disk_budget=3 * 8192)
