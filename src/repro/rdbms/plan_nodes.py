@@ -963,10 +963,12 @@ class ParallelScan(PlanNode):
             scope = _WorkerQueryScope(stats, use_cache, hint, batch_rows=batch_rows)
             functions.begin_query(scope)
             try:
-                chunks = table.scan_batches(
+                scan = table.scan_range(
                     morsel.start_rid, morsel.end_rid, counters=counters
                 )
-                payload, n_rows = run_fragment(program, post, chunks, counters)
+                payload, n_rows = run_fragment(
+                    program, post, (row for _rid, row in scan), counters
+                )
             finally:
                 functions.end_query(scope)
             return _MorselResult(
@@ -1158,7 +1160,7 @@ Post = Callable[[CostCounters], Callable[[Sequence[list[Row]]], Any]]
 def run_fragment(
     program: BatchProgram,
     post: Post | None,
-    chunks: Iterable[list[Row]],
+    rows: Iterable[Row],
     counters: CostCounters,
 ) -> tuple[Any, int]:
     """One morsel's work, shared by the thread and the process lane:
@@ -1168,7 +1170,7 @@ def run_fragment(
     whether another one reads what it reads.
     """
     fold = post(counters) if post is not None else None
-    batches = list(program.run(chunks, counters))
+    batches = list(program.run(rows, counters))
     n_rows = sum(map(len, batches))
     if fold is None:
         return [row for batch in batches for row in batch], n_rows
