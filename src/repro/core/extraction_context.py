@@ -3,13 +3,16 @@
 Sinew's serialization (section 4.1) makes a *single* key lookup cheap: the
 id run is unpacked, binary-searched, and one offset pair leads to the
 value.  What a query must not do is unpack the same row's id run once per
-key, per pipeline stage and per ``COALESCE`` bridge.  Where more than one
-extraction site (:class:`repro.core.extractors.BoundPath`) is bound under
-an execution -- several keys of one stage, a filter and the projection
-after it, a lazily evaluated bridge argument, the separately compiled
-closures of the row operators -- the :class:`ExtractionContext` remembers
-id runs by the *identity* of the bytes object; nested sub-documents
-reached by several dotted keys are remembered the same way.
+key, per pipeline stage and per ``COALESCE`` bridge.  Two mechanisms
+prevent that, and the :class:`ExtractionContext` is the second:
+
+* the extraction calls of one pipeline stage that read the same reservoir
+  column are compiled into one pass (:class:`repro.core.extractors.BoundPaths`)
+  that unpacks each row's id run once for all of its keys;
+* *across* stages -- a filter and the projection after it, a lazily
+  evaluated bridge argument, the separately compiled closures of the row
+  operators, nested sub-documents reached by several dotted keys -- the
+  context remembers id runs by the *identity* of the bytes object.
 
 One context lives for one execution (a query on the calling thread, a
 morsel on a worker), installed through the function registry's
@@ -25,6 +28,9 @@ one extra decode.  See DESIGN.md section 8.
 """
 
 from __future__ import annotations
+
+from itertools import islice
+from typing import Sequence
 
 from ..rdbms.cost import ExtractionStats
 from .serializer import unpack_ids, value_at
@@ -81,14 +87,59 @@ class ExtractionContext:
         headers[key] = (data, ids)
         return ids
 
-    def repeat(self) -> None:
-        """Charge one more access to an id run the caller already holds
-        (``extract_num``'s second typed attempt): a hit, unless sharing
-        is switched off."""
+    def repeat(self, count: int = 1) -> None:
+        """Charge ``count`` more accesses to id runs the caller already
+        holds: the further keys of a fused pass, ``extract_num``'s second
+        typed attempt.  Hits, unless sharing is switched off."""
         if self.enabled:
-            self.stats.header_cache_hits += 1
+            self.stats.header_cache_hits += count
         else:
-            self.stats.header_decodes += 1
+            self.stats.header_decodes += count
+
+    # -- a batch of documents -------------------------------------------------
+
+    def ids_of(
+        self, blobs: Sequence[bytes | None]
+    ) -> tuple[list[IdRun | None], int]:
+        """Id runs for a batch of reservoir values (NULL stays ``None``)
+        and how many are not NULL; one access per non-NULL value."""
+        out: list[IdRun | None] = []
+        append = out.append
+        nulls = 0
+        hits = 0
+        headers = self._headers
+        if headers and self.enabled:
+            get = headers.get
+            for data in blobs:
+                if data is None:
+                    nulls += 1
+                    append(None)
+                    continue
+                entry = get(id(data))
+                if entry is not None and entry[0] is data:
+                    hits += 1
+                    append(entry[1])
+                else:
+                    append(unpack_ids(data))
+        else:
+            for data in blobs:
+                if data is None:
+                    nulls += 1
+                    append(None)
+                else:
+                    append(unpack_ids(data))
+        live = len(out) - nulls
+        self.stats.header_cache_hits += hits
+        self.stats.header_decodes += live - hits
+        if self.enabled and self.sites > 1:
+            # re-inserting a known key keeps its place in the FIFO order
+            headers.update(zip(map(id, blobs), zip(blobs, out)))
+            headers.pop(id(None), None)
+            overflow = len(headers) - self.capacity
+            if overflow > 0:
+                for key in list(islice(headers, overflow)):
+                    del headers[key]
+        return out, live
 
     # -- nested documents -----------------------------------------------------
 

@@ -27,14 +27,14 @@ from __future__ import annotations
 import json
 import threading
 from bisect import bisect_left
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 from ..rdbms.functions import FunctionRegistry
 from ..rdbms.types import SqlType
 from . import serializer
 from .catalog import SinewCatalog
 from .extraction_context import DEFAULT_CACHE_CAPACITY, ExtractionContext
-from .serializer import DECODERS, value_at
+from .serializer import DECODERS, unpack_span, value_at
 
 #: extractor method -> the SQL types it tries, in order (``extract_num`` is
 #: INTEGER first, then REAL).  ``exists`` and ``extract_any`` are untyped:
@@ -159,11 +159,14 @@ class ReservoirExtractor:
                 path.leaf_id = leaf_id
         path.settled = settled
 
-    def bind(self, method: str, literals: tuple) -> Callable[[bytes | None], Any]:
-        """The ``ScalarFunction.specializer`` hook: ``method(data, 'key')``
-        with the literal key resolved once for the running execution; see
-        :class:`BoundPath`."""
-        return BoundPath(self, self._context(), method, literals[0]).extract
+    def bind(self, requests: Sequence[tuple[str, tuple]]) -> "BoundPaths":
+        """The ``ScalarFunction.specializer`` hook: resolve extraction
+        calls whose key is a literal, once for the running execution.
+
+        ``requests`` are ``(method, (key,))`` pairs, all applied to the
+        *same* reservoir value; see :class:`BoundPaths`.
+        """
+        return BoundPaths(self, self._context(), requests)
 
     def _walk(self, path: _Path, data: bytes, ids: tuple, context: ExtractionContext) -> Any:
         """Look ``path`` up in one document whose id run is ``ids``.
@@ -394,13 +397,29 @@ class ReservoirExtractor:
         return None
 
 
-class BoundPath:
-    """One extraction call with a literal key, resolved for one execution.
+class _Request:
+    """One extraction call of a :class:`BoundPaths`: the paths it tries in
+    order, what it returns for a NULL reservoir, and how it presents what
+    a path found (``None``: as is, the typed calls)."""
 
-    What ``ReservoirExtractor.bind`` hands the expression compiler: the
-    row form and the batch form of a statement both evaluate the call
-    through :meth:`extract`, once per row that reaches it, so results and
-    access counts are those of the plain method call.
+    __slots__ = ("paths", "absent", "present")
+
+    def __init__(self, paths: list[_Path], absent: Any, present: Callable[[Any], Any] | None):
+        self.paths = paths
+        self.absent = absent
+        self.present = present
+
+
+class BoundPaths:
+    """Extraction calls with literal keys, resolved for one execution.
+
+    What ``ReservoirExtractor.bind`` hands the expression compiler.  All
+    calls of one instance apply to the same reservoir value, so a batch
+    (:meth:`columns`) unpacks each row's id run once for all of them --
+    one header *decode* and, per further call, one *hit*; with sharing
+    switched off every call unpacks for itself and all are decodes.  The
+    access count is therefore the same either way, and the same as
+    evaluating the calls one row at a time through :meth:`one`.
 
     Attr ids are looked up when the instance is built.  A key (or a
     nested-document prefix) the dictionary does not know yet stays
@@ -412,25 +431,26 @@ class BoundPath:
         self,
         extractor: ReservoirExtractor,
         context: ExtractionContext,
-        method: str,
-        key: str,
+        requests: Sequence[tuple[str, tuple]],
     ):
         self._extractor = extractor
         self._context = context
         context.sites += 1
-        #: what a NULL reservoir gives, and how a found value is presented
-        #: (``None``: as is, the typed calls)
-        self._absent: Any = None
-        self._present: Callable[[Any], Any] | None = None
-        if method == "exists":
-            self._paths = [_Path(key, None)]
-            self._absent, self._present = False, _is_found
-        elif method == "extract_any":
-            self._paths = [_Path(key, None)]
-            self._present = lambda found: extractor._any_text(found, key)
-        else:
-            self._paths = [_Path(key, sql_type) for sql_type in TYPED_METHODS[method]]
-        self._unsettled = list(self._paths)
+        self._requests: list[_Request] = []
+        for method, (key,) in requests:
+            if method == "exists":
+                request = _Request([_Path(key, None)], False, _is_found)
+            elif method == "extract_any":
+                request = _Request(
+                    [_Path(key, None)],
+                    None,
+                    lambda found, key=key: extractor._any_text(found, key),
+                )
+            else:
+                paths = [_Path(key, sql_type) for sql_type in TYPED_METHODS[method]]
+                request = _Request(paths, None, None)
+            self._requests.append(request)
+        self._unsettled = [path for request in self._requests for path in request.paths]
         self._settle()
 
     def _settle(self) -> None:
@@ -439,22 +459,90 @@ class BoundPath:
             resolve(path)
         self._unsettled = [path for path in self._unsettled if not path.settled]
 
-    def extract(self, data: bytes | None) -> Any:
-        """The call's value for one reservoir value."""
-        if self._unsettled:
-            self._settle()
-        if data is None:
-            return self._absent
+    def _evaluate(self, request: _Request, data: bytes, ids: tuple) -> Any:
+        """One call on one document; the access to ``ids`` is the caller's."""
         context = self._context
         walk = self._extractor._walk
-        paths = self._paths
-        ids = context.ids(data)
+        paths = request.paths
         value = walk(paths[0], data, ids, context)
         if value is None and len(paths) > 1:
             # extract_num's REAL attempt is an access of its own
             context.repeat()
             value = walk(paths[1], data, ids, context)
-        return value if self._present is None else self._present(value)
+        return value if request.present is None else request.present(value)
+
+    def one(self, data: bytes | None) -> Any:
+        """The (single) call's value for one reservoir value."""
+        if self._unsettled:
+            self._settle()
+        request = self._requests[0]
+        if data is None:
+            return request.absent
+        return self._evaluate(request, data, self._context.ids(data))
+
+    def columns(self, blobs: Sequence[bytes | None]) -> list[list[Any]]:
+        """Every call's values for a batch of reservoir values."""
+        if self._unsettled:
+            self._settle()
+        context = self._context
+        requests = self._requests
+        if not context.enabled:
+            return [self._column(request, blobs, context.ids_of(blobs)[0]) for request in requests]
+        runs, live = context.ids_of(blobs)
+        context.repeat((len(requests) - 1) * live)
+        return [self._column(request, blobs, runs) for request in requests]
+
+    def _column(self, request: _Request, blobs: Sequence[bytes | None], runs: list) -> list[Any]:
+        out: list[Any] = []
+        append = out.append
+        evaluate = self._evaluate
+        if request.present is not None:
+            absent = request.absent
+            for data, ids in zip(blobs, runs):
+                append(absent if ids is None else evaluate(request, data, ids))
+            return out
+        # A typed call.  Where none of the key's nested-document prefixes
+        # is in the row's document -- always, for a top-level key -- the
+        # lookup is the binary search of section 4.1, done here in line.
+        paths = request.paths
+        parents = paths[0].parents
+        leaf_id, decode = paths[0].leaf_id, paths[0].decode
+        if len(paths) > 1:
+            other_id, other_decode = paths[1].leaf_id, paths[1].decode
+        else:
+            other_id, other_decode = -1, None
+        retried = 0
+        for data, ids in zip(blobs, runs):
+            if ids is None:
+                append(None)
+                continue
+            n = len(ids)
+            for parent_id in parents:
+                position = bisect_left(ids, parent_id)
+                if position < n and ids[position] == parent_id:
+                    # a nested document to enter: the general walk
+                    append(evaluate(request, data, ids))
+                    break
+            else:
+                position = bisect_left(ids, leaf_id)
+                if position < n and ids[position] == leaf_id:
+                    start, end = unpack_span(data, 4 + 4 * (n + position))
+                    base = 8 + 8 * n
+                    append(decode(data[base + start : base + end]))
+                elif other_decode is None:
+                    append(None)
+                else:
+                    retried += 1
+                    position = bisect_left(ids, other_id)
+                    if position < n and ids[position] == other_id:
+                        start, end = unpack_span(data, 4 + 4 * (n + position))
+                        base = 8 + 8 * n
+                        append(other_decode(data[base + start : base + end]))
+                    else:
+                        append(None)
+        if retried:
+            self._context.repeat(retried)
+        return out
 
 
 def _is_found(found: Any) -> bool:
@@ -503,7 +591,7 @@ def register_extraction_udfs(
     registers the same table on its own extractor (see
     repro.rdbms.process_worker).  The ``(data, 'literal key')`` functions
     also carry the specializer hook, through which the expression
-    compiler gets their :class:`BoundPath` form.
+    compiler gets their :class:`BoundPaths` form.
     """
     for name, (method, return_type) in EXTRACTION_UDFS.items():
         functions.register_scalar(

@@ -511,13 +511,21 @@ class _Emitter:
 
     def __init__(self, resolver: Resolver, batch: bool):
         self.resolver = resolver
+        #: a batch stage: calls with a specialised form whose value
+        #: argument is a column are hoisted out of the row loop
+        self.batch = batch
         self.lines: list[str] = []
         self.depth = 3 if batch else 2
         #: values of the factory's parameters ``a0, a1, ...``
         self.args: list[Any] = []
         self.temps = 0
-        #: calls with a specialised form, ``s<i>``: (family, tag, literals)
-        self.sites: list[tuple[Any, str, tuple]] = []
+        #: > 0 while emitting code that does not run for every row
+        self.lazy = 0
+        #: specialised calls evaluated per row: ``s<i>`` = one call
+        self.sites: list[tuple[Any, list]] = []
+        #: specialised calls evaluated per batch: (family, column position)
+        #: -> (family, position, requests); ``g<i>`` = all calls of group i
+        self.groups: dict[tuple[int, int], tuple[Any, int, list]] = {}
         self.counters: CostCounters | None = None
 
     # -- writing ------------------------------------------------------------
@@ -647,6 +655,7 @@ class _Emitter:
         self.line(f"{name} = None")
         self.line(f"if {operand[0]} is not None:")
         self.depth += 1
+        self.lazy += 1
         self.line(f"{saw_null} = False")
         # items are evaluated in order, and only until one matches
         self.line("for _ in ONCE:")
@@ -670,6 +679,7 @@ class _Emitter:
         self.depth -= 1
         self.line("else:")
         self.line(f"    {name} = None if {saw_null} else {node.negated}")
+        self.lazy -= 1
         self.depth -= 1
         return name, None
 
@@ -699,8 +709,10 @@ class _Emitter:
             if index + 1 < len(node.args):
                 self.line(f"if {name} is None:")
                 self.depth += 1
+                self.lazy += 1
                 opened += 1
         self.depth -= opened
+        self.lazy -= opened
         if not node.args:
             self.line(f"{name} = None")
         return name, None
@@ -750,8 +762,16 @@ class _Emitter:
             arguments = ", ".join([self.emit(argument)[0] for argument in node.args])
             return self.temp(f"{self.param(implementation.fn)}({arguments})"), None
         family, tag = hook
-        self.sites.append((family, tag, tuple(argument.value for argument in node.args[1:])))
-        return self.temp(f"s{len(self.sites) - 1}({self.emit(node.args[0])[0]})"), None
+        request = (tag, tuple(argument.value for argument in node.args[1:]))
+        subject = node.args[0]
+        if self.batch and not self.lazy and isinstance(subject, ColumnRef):
+            position = self.resolver.resolve(subject)
+            key = (id(family), position)
+            requests = self.groups.setdefault(key, (family, position, []))[2]
+            requests.append(request)
+            return f"x{list(self.groups).index(key)}_{len(requests) - 1}", None
+        self.sites.append((family, [request]))
+        return self.temp(f"s{len(self.sites) - 1}({self.emit(subject)[0]})"), None
 
 
 _EMITTERS: dict[type, Callable[[_Emitter, Any], Operand]] = {
@@ -779,7 +799,7 @@ class Program:
     resolve its calls against the state of that moment.
     """
 
-    __slots__ = ("_make", "_args", "_sites", "_counters")
+    __slots__ = ("_make", "_args", "_specialised", "_counters")
 
     def __init__(self, source: str, emitter: _Emitter):
         make = _FACTORIES.get(source)
@@ -797,11 +817,18 @@ class Program:
             _FACTORIES[source] = make
         self._make = make
         self._args = emitter.args
-        self._sites = emitter.sites
+        self._specialised = [(family, requests, "one") for family, requests in emitter.sites]
+        self._specialised += [
+            (family, requests, "columns")
+            for family, _position, requests in emitter.groups.values()
+        ]
         self._counters = emitter.counters
 
     def bind(self, counters: CostCounters | None = None) -> Callable:
-        bound = [family.bind(tag, literals) for family, tag, literals in self._sites]
+        bound = [
+            getattr(family.bind(requests), form)
+            for family, requests, form in self._specialised
+        ]
         if self._counters is not None:
             bound.append(self._counters if counters is None else counters)
         return self._make(*self._args, *bound)
@@ -827,6 +854,7 @@ def compile_program(exprs: Sequence[Expr], resolver: Resolver, shape: str) -> Pr
     counted = emitter.counters is not None
     names = [f"a{index}" for index in range(len(emitter.args))]
     names += [f"s{index}" for index in range(len(emitter.sites))]
+    names += [f"g{index}" for index in range(len(emitter.groups))]
     if counted:
         names.append("C")
     head = [f"def make({', '.join(names)}):"]
@@ -843,9 +871,23 @@ def compile_program(exprs: Sequence[Expr], resolver: Resolver, shape: str) -> Pr
         else:
             emitter.line(f"append(({''.join(result + ', ' for result in results)}))")
         head += ["    def run(rows):", "        out = []", "        append = out.append"]
+        # each group's calls, evaluated for the whole batch before the loop
+        # and zipped into it: ``x<group>_<call>`` is the row's value
+        feeds, targets = ["rows"], ["row"]
+        for index, (_family, position, requests) in enumerate(emitter.groups.values()):
+            calls = range(len(requests))
+            columns = [f"c{index}_{call}" for call in calls]
+            head.append(
+                f"        {', '.join(columns)}, = g{index}([row[{position}] for row in rows])"
+            )
+            feeds += columns
+            targets += [f"x{index}_{call}" for call in calls]
         if counted:
             head.append("        u = 0")
-        head.append("        for row in rows:")
+        if len(feeds) > 1:
+            head.append(f"        for {', '.join(targets)} in zip({', '.join(feeds)}):")
+        else:
+            head.append("        for row in rows:")
         tail = ["        C.udf_calls += u"] if counted else []
         tail += ["        return out", "    return run"]
     return Program("\n".join(head + emitter.lines + tail) + "\n", emitter)

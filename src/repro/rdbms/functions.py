@@ -45,11 +45,16 @@ class ScalarFunction:
     ``specializer`` is the one hook through which a function can offer the
     expression compiler something better than ``fn(*args)`` per row.  It
     is a ``(family, tag)`` pair and applies to calls of the shape
-    ``f(value, literal, ...)``.  Per execution the compiler asks
-    ``family.bind(tag, literals)`` once per such call for a callable
-    ``value -> result`` and evaluates the call through it.  Results and
-    ``udf_calls`` must be those of calling ``fn``; calls of any other
-    shape still go through ``fn``.
+    ``f(value, literal, ...)``.  Per execution the compiler hands
+    ``family.bind([(tag, literals), ...])`` the calls that share a family
+    and a first argument, and evaluates them through what it returns:
+    ``.one(value)`` for one call on one row, ``.columns(values)`` for all
+    calls on a batch (one result list per call, aligned with ``values``).
+    A batch stage uses ``.columns``, ahead of its row loop, for the calls
+    whose value is a plain column and that every row reaches; the row
+    form, a lazily evaluated ``COALESCE``/``IN`` arm and a computed value
+    use ``.one``.  Results and ``udf_calls`` must be those of calling
+    ``fn``; calls of any other shape still go through ``fn``.
     """
 
     name: str

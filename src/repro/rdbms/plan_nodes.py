@@ -254,8 +254,8 @@ class SeqScan(PlanNode):
         self.est_cost = table.n_pages * SEQ_PAGE_COST + len(table) * CPU_TUPLE_COST
 
     def rows(self, context: ExecutionContext) -> Iterator[Row]:
-        for _rid, row in self.table.scan():
-            yield row
+        for rows in self.table.scan_batches(0, self.table.allocated_rids):
+            yield from rows
 
     def node_label(self) -> str:
         name = self.table.name
@@ -701,7 +701,7 @@ class HashJoin(PlanNode):
         n_inner = 0
         for row in self.inner.run(context):
             key = tuple(fn(row) for fn in inner_key_fns)
-            if any(part is None for part in key):
+            if None in key:
                 continue
             table.setdefault(key, []).append(row)
             n_inner += 1
@@ -716,7 +716,7 @@ class HashJoin(PlanNode):
             )
             for outer_row in self.outer.run(context):
                 key = tuple(fn(outer_row) for fn in outer_key_fns)
-                if any(part is None for part in key):
+                if None in key:
                     continue
                 for inner_row in table.get(key, ()):
                     combined = outer_row + inner_row
@@ -963,12 +963,10 @@ class ParallelScan(PlanNode):
             scope = _WorkerQueryScope(stats, use_cache, hint, batch_rows=batch_rows)
             functions.begin_query(scope)
             try:
-                scan = table.scan_range(
+                chunks = table.scan_batches(
                     morsel.start_rid, morsel.end_rid, counters=counters
                 )
-                payload, n_rows = run_fragment(
-                    program, post, (row for _rid, row in scan), counters
-                )
+                payload, n_rows = run_fragment(program, post, chunks, counters)
             finally:
                 functions.end_query(scope)
             return _MorselResult(
@@ -1160,7 +1158,7 @@ Post = Callable[[CostCounters], Callable[[Sequence[list[Row]]], Any]]
 def run_fragment(
     program: BatchProgram,
     post: Post | None,
-    rows: Iterable[Row],
+    chunks: Iterable[list[Row]],
     counters: CostCounters,
 ) -> tuple[Any, int]:
     """One morsel's work, shared by the thread and the process lane:
@@ -1170,7 +1168,7 @@ def run_fragment(
     whether another one reads what it reads.
     """
     fold = post(counters) if post is not None else None
-    batches = list(program.run(rows, counters))
+    batches = list(program.run(chunks, counters))
     n_rows = sum(map(len, batches))
     if fold is None:
         return [row for batch in batches for row in batch], n_rows

@@ -152,14 +152,14 @@ def _registry_for(task: ProcessTask) -> FunctionRegistry:
 
 
 def _scan(task: ProcessTask, counters: CostCounters):
-    """Yield live rows of the task's rid range from the spilled image."""
+    """Yield the live rows of the task's rid range from the spilled
+    image, a batch at a time."""
     rows = _table_rows(task.table_path)
     end = min(task.end_rid, len(rows))
-    for rid in range(max(0, task.start_rid), end):
-        row = rows[rid]
-        if row is not None:
-            counters.tuples_scanned += 1
-            yield row
+    for start in range(max(0, task.start_rid), end, task.batch_rows):
+        live = [row for row in rows[start : min(start + task.batch_rows, end)] if row is not None]
+        counters.tuples_scanned += len(live)
+        yield live
 
 
 def run_process_task(task: ProcessTask | ExitTask) -> Any:

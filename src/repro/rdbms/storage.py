@@ -409,26 +409,31 @@ class HeapTable:
 
     # -- access -------------------------------------------------------------
 
-    def scan(self) -> Iterator[tuple[int, tuple]]:
-        """Yield ``(rid, row)`` for every live row, page by page.
+    def _page_runs(
+        self, start_rid: int, end_rid: int
+    ) -> Iterator[tuple[int, list[tuple | None]]]:
+        """``(first_rid, slots)`` per page visit of a rid range.
 
-        Each visited page is pulled through the buffer pool, so scanning a
+        Row ids are allocated in append order, so a page's slots are one
+        contiguous run of them; ``slots`` is the part of that run inside
+        the range, dead slots (``None``) included.  Each page is pulled
+        through the buffer pool once per contiguous visit, so scanning a
         table larger than the pool registers reads on the cost counters.
         """
-        rid = 0
         directory = self._rid_directory
-        n_rids = len(directory)
-        for page_no, page in enumerate(self.pages):
+        end = min(end_rid, len(directory))
+        rid = max(0, start_rid)
+        while rid < end:
+            page_no, slot_no = directory[rid]
             self.buffer_pool.access(self.name, page_no)
-            slots = page.slots
-            # rids are allocated in append order, so the directory segment
-            # for this page is contiguous; walk it without re-deriving.
-            while rid < n_rids and directory[rid][0] == page_no:
-                row = slots[directory[rid][1]]
-                if row is not None:
-                    self.counters.tuples_scanned += 1
-                    yield rid, row
-                rid += 1
+            slots = self.pages[page_no].slots
+            stop = min(len(slots), slot_no + end - rid)
+            yield rid, slots[slot_no:stop]
+            rid += stop - slot_no
+
+    def scan(self) -> Iterator[tuple[int, tuple]]:
+        """Yield ``(rid, row)`` for every live row, page by page."""
+        return self.scan_range(0, len(self._rid_directory))
 
     def scan_range(
         self,
@@ -438,29 +443,34 @@ class HeapTable:
     ) -> Iterator[tuple[int, tuple]]:
         """Yield ``(rid, row)`` for live rows with ``start_rid <= rid < end_rid``.
 
-        The morsel-scan primitive: dead slots (deleted rows, recovery
-        filler from :meth:`alloc_dead_slot`) are skipped, and each page is
-        pulled through the buffer pool once per contiguous visit.  Pass
-        ``counters`` to charge tuple accounting to a private (per-worker)
-        bundle instead of the shared one -- page accounting always goes
-        through the (locked) buffer pool.
+        Dead slots (deleted rows, recovery filler from
+        :meth:`alloc_dead_slot`) are skipped.  Pass ``counters`` to charge
+        tuple accounting to a private (per-worker) bundle instead of the
+        shared one -- page accounting always goes through the (locked)
+        buffer pool.
         """
         counters = self.counters if counters is None else counters
-        directory = self._rid_directory
-        end = min(end_rid, len(directory))
-        rid = max(0, start_rid)
-        pages = self.pages
-        last_page = -1
-        while rid < end:
-            page_no, slot_no = directory[rid]
-            if page_no != last_page:
-                self.buffer_pool.access(self.name, page_no)
-                last_page = page_no
-            row = pages[page_no].slots[slot_no]
-            if row is not None:
-                counters.tuples_scanned += 1
-                yield rid, row
-            rid += 1
+        for rid, slots in self._page_runs(start_rid, end_rid):
+            for row in slots:
+                if row is not None:
+                    counters.tuples_scanned += 1
+                    yield rid, row
+                rid += 1
+
+    def scan_batches(
+        self,
+        start_rid: int,
+        end_rid: int,
+        counters: CostCounters | None = None,
+    ) -> Iterator[list[tuple]]:
+        """The morsel-scan primitive: :meth:`scan_range` without the row
+        ids, handed over as one list of live rows per page and charged to
+        the tuple counter per page."""
+        counters = self.counters if counters is None else counters
+        for _rid, slots in self._page_runs(start_rid, end_rid):
+            rows = [row for row in slots if row is not None]
+            counters.tuples_scanned += len(rows)
+            yield rows
 
     def fetch(self, rid: int) -> tuple | None:
         """Random access to one row (through the buffer pool)."""

@@ -1,9 +1,9 @@
 """Batch execution of the scan side: Scan -> Filter -> Project over batches.
 
 The morsel workers (thread lane *and* process lane) run the pushed-down
-fragment batch-at-a-time: :class:`BatchProgram` gathers the scan's rows
-into batches of :data:`BATCH_ROWS`, and every pushed predicate and the
-projection is one
+fragment batch-at-a-time: the scan hands over page-sized lists of heap
+rows, :class:`BatchProgram` gathers them into batches of
+:data:`BATCH_ROWS`, and every pushed predicate and the projection is one
 *stage* -- one generated loop over the batch (see
 :func:`repro.rdbms.expressions.compile_program`, whose batch form
 :func:`compile_batch` is).  A batch is a plain list of row tuples; a
@@ -18,8 +18,8 @@ same generated statements around a different loop --
   predicates run over the survivors of the previous predicate, and the
   lazy forms (``COALESCE``, ``IN``) are the same ``if`` in both forms;
 * a function that offers a specialised form (the reservoir extraction
-  UDFs) is called through it once per row in both forms, and that form
-  is held to the plain call's results and access counts
+  UDFs) is evaluated per batch instead of per row, and that form is held
+  to the plain call's results and access counts
   (:class:`repro.rdbms.functions.ScalarFunction`).
 
 Only error *positions* may differ: a failing CAST in predicate three
@@ -71,8 +71,10 @@ class BatchProgram:
             self.stages.append(compile_batch(projection, resolver))
         self.batch_rows = max(1, batch_rows)
 
-    def run(self, rows: Iterable[Row], counters: CostCounters) -> Iterator[list[Row]]:
-        """Yield the non-empty output batches for a row stream.
+    def run(
+        self, chunks: Iterable[list[Row]], counters: CostCounters
+    ) -> Iterator[list[Row]]:
+        """Yield the non-empty output batches for a stream of row lists.
 
         One execution: the stages are bound here, to ``counters`` and to
         the calling thread's execution scope.
@@ -80,18 +82,16 @@ class BatchProgram:
         stages = [stage.bind(counters) for stage in self.stages]
         batch_rows = self.batch_rows
         buffer: list[Row] = []
-        append = buffer.append
-        for row in rows:
-            append(row)
-            if len(buffer) >= batch_rows:
-                out = _apply(stages, buffer)
-                if out:
-                    yield out
-                buffer = []
-                append = buffer.append
-        out = _apply(stages, buffer)
-        if out:
-            yield out
+        for chunk in chunks:
+            buffer.extend(chunk)
+            while len(buffer) >= batch_rows:
+                rows = _apply(stages, buffer[:batch_rows])
+                del buffer[:batch_rows]
+                if rows:
+                    yield rows
+        rows = _apply(stages, buffer)
+        if rows:
+            yield rows
 
 
 def _apply(stages: Sequence[Stage], rows: list[Row]) -> list[Row]:

@@ -106,8 +106,9 @@ class TestContextUnit:
         data = self.serialize({"a": 1})
         context.ids(data)
         context.ids(data)
-        context.repeat()
-        assert stats.header_decodes == 3
+        context.ids_of([data, None, data])
+        context.repeat(2)
+        assert stats.header_decodes == 6
         assert stats.header_cache_hits == 0
 
     def test_single_site_keeps_nothing(self):
@@ -117,7 +118,7 @@ class TestContextUnit:
         context.sites = 1
         data = self.serialize({"a": 1})
         context.ids(data)
-        context.ids(data)
+        context.ids_of([data])
         assert not context._headers
         assert (stats.header_decodes, stats.header_cache_hits) == (2, 0)
 
@@ -127,6 +128,19 @@ class TestContextUnit:
         for data in buffers:
             context.ids(data)
         assert len(context._headers) == 4
+        context.ids_of([self.serialize({"b": i}) for i in range(10)])
+        assert len(context._headers) == 4
+
+    def test_batch_pass_shares_with_single_accesses(self):
+        stats = ExtractionStats()
+        context = self.shared_context(stats)
+        blobs = [self.serialize({"a": i}) for i in range(3)] + [None]
+        runs, live = context.ids_of(blobs)
+        assert live == 3 and runs[3] is None
+        assert context.ids(blobs[1]) is runs[1]
+        again, _live = context.ids_of(blobs[:2])
+        assert again[0] is runs[0]
+        assert (stats.header_decodes, stats.header_cache_hits) == (3, 3)
 
     def test_subdocument_cached_by_identity(self):
         stats = ExtractionStats()

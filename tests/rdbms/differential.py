@@ -7,12 +7,13 @@ values *of the same types*, the same errors, and the same number of
 counted UDF calls.  The registry holds one plain counted UDF (``ident``),
 the built-ins, and ``spec(value, 'literal')``: a function with the
 ``ScalarFunction.specializer`` hook, backed by :class:`RecordingFamily`,
-so the compiler's use of the hook is exercised without any Sinew code.
+so the compiler's hoisting of specialised calls is exercised without any
+Sinew code.
 """
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Sequence
 
 from repro.rdbms.cost import CostCounters
 from repro.rdbms.expressions import Expr, SchemaResolver, compile_expr
@@ -34,18 +35,31 @@ class RecordingFamily:
     """A specializer family that records how it was used."""
 
     def __init__(self) -> None:
-        self.binds: list[tuple[str, tuple]] = []
-        self.calls = 0
+        self.binds: list[list] = []
+        self.one_calls = 0
+        self.column_calls = 0
 
-    def bind(self, tag: str, literals: tuple):
-        self.binds.append((tag, literals))
-        (literal,) = literals
+    def bind(self, requests: Sequence[tuple[str, tuple]]) -> "_Bound":
+        self.binds.append(list(requests))
+        return _Bound(self, list(requests))
 
-        def call(value: Any) -> Any:
-            self.calls += 1
-            return spec_value(tag, literal, value)
 
-        return call
+class _Bound:
+    def __init__(self, family: RecordingFamily, requests: list):
+        self.family = family
+        self.requests = requests
+
+    def one(self, value: Any) -> Any:
+        self.family.one_calls += 1
+        ((tag, (literal,)),) = self.requests
+        return spec_value(tag, literal, value)
+
+    def columns(self, values: Sequence[Any]) -> list[list[Any]]:
+        self.family.column_calls += 1
+        return [
+            [spec_value(tag, literal, value) for value in values]
+            for tag, (literal,) in self.requests
+        ]
 
 
 def registry(counters: CostCounters, family: RecordingFamily) -> FunctionRegistry:

@@ -3,7 +3,7 @@
 A fixed corpus covering every node type and every specialised code shape
 (literal on either side of a comparison, literal BETWEEN bounds, constant
 LIKE patterns, string needles of ``= ANY``, lazy ``COALESCE`` / ``IN``,
-strict and lazy specialised calls) over rows of deliberately mixed
+hoisted and lazy specialised calls) over rows of deliberately mixed
 types.  The property-based version of the same check is
 ``test_compiler_properties.py`` (stress lane).
 """
@@ -69,7 +69,7 @@ CORPUS = [
     # = ANY: string needle, numeric needle, column needle, not an array
     "'ab' = ANY(arr)", "1 = ANY(arr)", "2 = ANY(arr)", "true = ANY(arr)",
     "a = ANY(arr)", "s = ANY(arr)", "NULL = ANY(arr)", "'ab' = ANY(s)", "'ab' = ANY(NULL)",
-    # calls: built-in, counted, specialised (strict, lazy, nested)
+    # calls: built-in, counted, specialised (hoisted, lazy, nested)
     "length(s)", "ident(a)", "ident(ident(a)) = a", "upper(s) = 'AB'",
     "spec(s, 'k1')", "spec(s, 'k1') = spec(s, 'k2')", "COALESCE(a, spec(s, 'k1'))",
     "spec(m, 'k') IS NULL", "a IN (spec(s, 'k'), 1)", "spec(ident(s), 'k')",
@@ -112,29 +112,56 @@ class TestSpecialisedCalls:
         self.family = RecordingFamily()
         self.resolver = SchemaResolver(SCHEMA, registry(self.counters, self.family))
 
-    def test_each_call_is_bound_once_and_runs_per_row(self):
+    def test_calls_on_one_column_are_one_batch_pass(self):
         exprs = [parse_expression(f"spec(s, 'k{i}')") for i in range(3)]
         stage = compile_batch(exprs, self.resolver).bind(self.counters)
         out = stage(ROWS)
-        assert self.family.binds == [("spec", (f"k{i}",)) for i in range(3)]
-        assert self.family.calls == 3 * len(ROWS)
+        assert self.family.binds == [[("spec", (f"k{i}",)) for i in range(3)]]
+        assert (self.family.column_calls, self.family.one_calls) == (1, 0)
         assert out[0] == ("spec:k0:'ab'", "spec:k1:'ab'", "spec:k2:'ab'")
         assert out[2] == (None, None, None)
         assert self.counters.udf_calls == 3 * len(ROWS)
 
-    def test_lazy_call_runs_only_where_needed(self):
+    def test_different_columns_are_different_passes(self):
+        exprs = [parse_expression("spec(s, 'k')"), parse_expression("spec(m, 'k')")]
+        compile_batch(exprs, self.resolver).bind(self.counters)(ROWS)
+        assert self.family.binds == [[("spec", ("k",))], [("spec", ("k",))]]
+        assert self.family.column_calls == 2
+
+    def test_lazy_call_runs_per_row_and_only_where_needed(self):
         expr = parse_expression("COALESCE(a, spec(s, 'k'))")
         out = compile_batch((expr,), self.resolver).bind(self.counters)(ROWS)
         nulls = sum(1 for row in ROWS if row[0] is None)
-        assert self.family.calls == nulls
+        assert (self.family.column_calls, self.family.one_calls) == (0, nulls)
         assert self.counters.udf_calls == nulls
         assert out[2] == (None,) and out[0] == (1,)
 
-    def test_row_form_uses_the_hook_too(self):
+    @pytest.mark.parametrize(
+        "sql",
+        ["COALESCE(spec(m, 'k0'), spec(s, 'k1'))", "spec(s, 'k0') IN (spec(m, 'k1'), spec(s, 'k2'))"],
+    )
+    def test_only_the_call_every_row_reaches_is_hoisted(self, sql):
+        expr = parse_expression(sql)
+        by_row_counters = CostCounters()
+        by_row_family = RecordingFamily()
+        fn = compile_expr(
+            expr, SchemaResolver(SCHEMA, registry(by_row_counters, by_row_family))
+        )
+        by_row = [fn(row) for row in ROWS]
+        out = compile_batch((expr,), self.resolver).bind(self.counters)(ROWS)
+        assert [value for (value,) in out] == by_row
+        # the k0 call is one batch pass; a call in a later arm costs what
+        # it cost row by row, running only where the question was still open
+        later = by_row_family.one_calls - len(ROWS)
+        assert 0 < later < (len(self.family.binds) - 1) * len(ROWS)
+        assert self.family.binds[-1] == [("spec", ("k0",))]
+        assert (self.family.column_calls, self.family.one_calls) == (1, later)
+        assert self.counters.udf_calls == by_row_counters.udf_calls == len(ROWS) + later
+
+    def test_row_form_calls_per_row(self):
         fn = compile_expr(parse_expression("spec(s, 'k')"), self.resolver)
         assert [fn(row) for row in ROWS[:2]] == ["spec:k:'ab'", "spec:k:'a%'"]
-        assert self.family.binds == [("spec", ("k",))]
-        assert self.family.calls == 2
+        assert (self.family.column_calls, self.family.one_calls) == (0, 2)
 
     def test_non_literal_argument_takes_the_plain_call(self):
         expr = FunctionCall("spec", (ColumnRef(None, "s"), ColumnRef(None, "m")))
@@ -185,7 +212,8 @@ class TestSharedCode:
         )
         for _ in range(2):
             counters = CostCounters()
-            batches = list(program.run(iter(ROWS), counters))
+            chunks = [list(ROWS[:5]), [], list(ROWS[5:])]
+            batches = list(program.run(chunks, counters))
             assert [row for batch in batches for row in batch] == [("ab", 1), ("a%", 1)]
             # ident ran on the survivors of the first predicate only
             assert counters.udf_calls == sum(1 for row in ROWS if row[0] is not None)

@@ -11,11 +11,13 @@ section 14.
 
 import pytest
 
+from repro.rdbms.cost import CostCounters
 from repro.rdbms.database import Database, DatabaseConfig
 from repro.rdbms.errors import ExecutionError
+from repro.rdbms.executor import SpillStore
 from repro.rdbms.expressions import BinaryOp, ColumnRef, FunctionCall, Literal
 from repro.rdbms.planner import Planner
-from repro.rdbms.process_worker import ExitTask, run_process_task
+from repro.rdbms.process_worker import ExitTask, ProcessTask, run_process_task
 from repro.rdbms.sql.parser import parse
 from repro.rdbms.types import SqlType
 
@@ -94,6 +96,49 @@ class TestProcessEquivalence:
         assert result.exec_stats["lane"] == "process"
         per_worker = result.exec_stats["per_worker"]
         assert sum(w["tuples_scanned"] for w in per_worker) == N_ROWS
+
+
+class TestWorkerScan:
+    """A worker reads the spilled image, the thread lane the heap: the
+    same live rows and the same ``tuples_scanned`` for any morsel."""
+
+    @pytest.mark.parametrize("bounds", [(0, 10**6), (0, 0), (5, 40), (17, 18), (100, 777)])
+    def test_batches_match_the_heap_scan(self, bounds):
+        database = Database("px_scan", DatabaseConfig())
+        spill = SpillStore()
+        try:
+            database.execute("CREATE TABLE holes (a integer, b text)")
+            database.insert_rows("holes", [(i, "v" * 40) for i in range(800)])
+            database.execute("DELETE FROM holes WHERE a % 9 = 0 OR a BETWEEN 200 AND 420")
+            table = database.table("holes")
+            table.alloc_dead_slot()
+            assert table.n_pages > 3
+            start, end = bounds
+            task = ProcessTask(
+                index=0,
+                start_rid=start,
+                end_rid=end,
+                table_path=spill.path_for(
+                    "table", (table.name, table.version), table.snapshot_state
+                ),
+                scan_columns=tuple(("holes", column.name) for column in table.schema),
+                predicates=(),
+                projection=None,
+                post=None,
+                function_specs=(),
+                catalog_path=None,
+                use_cache=True,
+                hint=None,
+                batch_rows=64,
+            )
+            result = run_process_task(task)
+            heap = CostCounters()
+            pages = list(table.scan_batches(start, end, heap))
+            assert result.payload == [row for page in pages for row in page]
+            assert result.counters.tuples_scanned == heap.tuples_scanned == len(result.payload)
+        finally:
+            spill.cleanup()
+            database.close()
 
 
 class TestLaneEligibility:

@@ -209,8 +209,8 @@ class TestBufferPool:
 
 
 class TestRangeScans:
-    """``scan_range`` skips dead slots, honours its bounds and charges the
-    counters it is given."""
+    """``scan_range`` (rows with rids) and ``scan_batches`` (one list of
+    live rows per page) walk the same pages and charge the same counters."""
 
     def table_with_holes(self) -> HeapTable:
         table = make_table(page_bytes=256)
@@ -227,14 +227,24 @@ class TestRangeScans:
     @pytest.mark.parametrize(
         "bounds", [(0, 10**6), (0, 0), (5, 6), (7, 10), (3, 33), (30, 62), (-4, 12), (61, 62)]
     )
-    def test_live_rows_of_the_range(self, bounds):
+    def test_same_rows_pages_and_tuple_counts(self, bounds):
         table = self.table_with_holes()
         start, end = bounds
         table.counters.reset()
         private = CostCounters()
         by_row = list(table.scan_range(start, end, private))
-        assert all(row is not None for _rid, row in by_row)
-        assert private.tuples_scanned == len(by_row)
+        hits_by_row = table.counters.page_cache_hits + table.counters.pages_read
+
+        table.counters.reset()
+        batched = CostCounters()
+        pages = list(table.scan_batches(start, end, batched))
+        hits_batched = table.counters.page_cache_hits + table.counters.pages_read
+
+        rows = [row for page in pages for row in page]
+        assert rows == [row for _rid, row in by_row]
+        assert all(row is not None for row in rows)
+        assert batched.tuples_scanned == private.tuples_scanned == len(rows)
+        assert hits_batched == hits_by_row == len(pages)
         # private counters were charged, not the table's shared bundle
         assert table.counters.tuples_scanned == 0
         low, high = max(0, start), min(end, 62)
@@ -242,7 +252,14 @@ class TestRangeScans:
         assert [rid for rid, _row in by_row] == [
             rid for rid in range(low, high) if rid not in dead
         ]
-        assert [row for _rid, row in by_row] == [table.fetch(rid) for rid, _row in by_row]
+        assert rows == [table.fetch(rid) for rid, _row in by_row]
+
+    def test_empty_table_has_no_batches(self):
+        table = make_table()
+        assert list(table.scan_batches(0, 10)) == []
+        assert list(table.scan_range(0, 10)) == list(table.scan()) == []
+        assert table.counters.tuples_scanned == 0
+        assert table.counters.page_cache_hits + table.counters.pages_read == 0
 
     def test_full_scan_is_the_whole_range(self):
         table = self.table_with_holes()

@@ -127,6 +127,17 @@ def final_state(sdb: SinewDB) -> list[tuple[int, int]]:
     )
 
 
+def _leftovers(service: SinewService, sdb: SinewDB) -> list[str]:
+    """What a finished run may not leave behind, as held at this instant."""
+    held = {
+        "sessions": bool(service.sessions),
+        "open transactions": bool(sdb.db.txn_manager.active),
+        "catalog latch": sdb.catalog.latch_owner is not None,
+        "service write lock": service.write_lock.locked(),
+    }
+    return [what for what, is_held in held.items() if is_held]
+
+
 def run_matrix_cell(
     *,
     n_clients: int,
@@ -168,16 +179,19 @@ def run_matrix_cell(
             problem_lists = asyncio.run(drive())
             problems = [p for plist in problem_lists for p in plist]
             assert not problems, "\n".join(problems)
-            # post-run hygiene on the still-running service; the close
+            # post-run hygiene on the still-running service.  The close
             # ack is written *before* the connection task's cleanup
-            # finishes, so deregistration may trail the client by a beat
+            # finishes, so deregistration may trail the client by a beat;
+            # and the background checkpointer (write lock, then catalog
+            # latch) and the daemon's autocommit transactions legitimately
+            # come and go.  Something leaked is something never seen
+            # released, so poll for one quiet instant within the deadline.
             deadline = time.monotonic() + 10.0
-            while service.sessions and time.monotonic() < deadline:
+            leftovers = _leftovers(service, sdb)
+            while leftovers and time.monotonic() < deadline:
                 time.sleep(0.02)
-            assert not service.sessions
-            assert not sdb.db.txn_manager.active
-            assert sdb.catalog.latch_owner is None
-            assert not service.write_lock.locked()
+                leftovers = _leftovers(service, sdb)
+            assert not leftovers
         concurrent = final_state(sdb)
     finally:
         sdb.close()
