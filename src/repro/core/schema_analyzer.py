@@ -148,15 +148,17 @@ class SchemaAnalyzer:
             hot = self.policy.is_hot(state.access_count)
             wants_physical = by_policy or hot
             if wants_physical and not state.materialized:
-                if self.prepare_column is not None:
-                    self.prepare_column(table_name, state)
                 # The latch serializes the flip with in-flight materializer
                 # slices: a direction change resets the progress cursor (a
                 # stale mid-pass cursor would skip already-moved rows) and
                 # dirty becomes visible first, so concurrent query planning
                 # always sees the COALESCE bridge, never a bare read of the
-                # still-empty physical column.
+                # still-empty physical column.  ADD COLUMN widens every
+                # row, so it runs under the latch too: a slice that had
+                # fetched a row would write it back narrow.
                 with self.catalog.exclusive_latch("schema-flip"):
+                    if self.prepare_column is not None:
+                        self.prepare_column(table_name, state)
                     self.catalog.stamp_flip(state)
                     state.dirty = True
                     state.materialized = True

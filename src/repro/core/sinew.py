@@ -28,7 +28,7 @@ from ..analysis.checker import CheckReport, IntegrityChecker, validate_document
 from ..rdbms.database import Database, DatabaseConfig, DbSession, QueryResult
 from ..rdbms.errors import CatalogError, PlanningError, SemanticError
 from ..rdbms.transactions import CheckpointInfo
-from ..rdbms.expressions import Literal, SchemaResolver, Star, compile_expr
+from ..rdbms.expressions import Literal, Star
 from ..rdbms.sql.ast import (
     DeleteStatement,
     SelectItem,
@@ -328,16 +328,19 @@ class SinewDB:
             raise CatalogError(f"unknown attribute: {key_name!r} ({key_type})")
         state = self.catalog.table(table_name).state(attr_id)
         if not state.materialized:
-            # column first, flags second: once dirty is visible the daemon
-            # may start moving rows, and the rewriter must already be able
-            # to emit the COALESCE bridge over the physical column
-            self.materializer.prepare_column(table_name, state)
             # The latch serializes the flip with in-flight materializer
             # slices: a direction change must reset the progress cursor to
             # 0 (a mid-pass cursor would skip rows whose values already
             # moved the other way), and a concurrent slice would otherwise
-            # overwrite that reset when it commits its own cursor.
+            # overwrite that reset when it commits its own cursor.  ADD
+            # COLUMN widens every row, so it runs under the latch too: a
+            # slice that had fetched a row would write it back narrow.
             with self.catalog.exclusive_latch("schema-flip"):
+                # column first, flags second: once dirty is visible the
+                # daemon may start moving rows, and the rewriter must
+                # already be able to emit the COALESCE bridge over the
+                # physical column
+                self.materializer.prepare_column(table_name, state)
                 self.catalog.stamp_flip(state)
                 # dirty first: a query planned between these two writes must
                 # see the COALESCE bridge, never a bare (still empty)
@@ -473,6 +476,7 @@ class SinewDB:
                 "holder": self.catalog.latch_owner,
             },
             "executor": self.db.executor_pool.status(),
+            "counters": self.db.counters.snapshot(),
             "wal": self.db.wal_status(),
             "supervisor": (
                 self.supervisor.status() if self.supervisor is not None else None
@@ -922,27 +926,18 @@ class SinewDB:
                 )
                 reservoir_assignments.append((column_name, sql_type, value))
 
-        resolver = SchemaResolver(
-            [(table_name, c.name) for c in table.schema], self.db.functions
-        )
-        predicate = compile_expr(where, resolver) if where is not None else None
         data_position = table.schema.position_of(RESERVOIR_COLUMN)
         id_position = table.schema.position_of(ID_COLUMN)
 
         updated = 0
         touched_attrs: dict[int, tuple[str, str]] = {}
         with self.db._dml_txn(session) as txn:
-            # two phases, so an UPDATE never observes its own writes
-            matched = [
-                rid
-                for rid, row in table.scan()
-                if predicate is None or predicate(row) is True
-            ]
-            # The scan ran beside the materializer, which rewrites a row
+            matched = self.db.matching_rids(table, where)
+            # That read ran beside the materializer, which rewrites a row
             # when it moves one of its values.  Every write goes on the
             # row as it is *now*, under the latch that keeps the
             # materializer (and the loader) out -- writing back the image
-            # the scan saw would undo a move made since, or be undone by
+            # the read saw would undo a move made since, or be undone by
             # one made from an image fetched before this write.
             with self.catalog.exclusive_latch("update"):
                 for rid in matched:

@@ -29,7 +29,8 @@ class CostCounters:
     wal_fsyncs: int = 0
     checkpoints: int = 0
     spill_bytes: int = 0
-    index_lookups: int = 0
+    index_probes: int = 0
+    index_builds: int = 0
 
     def reset(self) -> None:
         """Zero every counter in place."""

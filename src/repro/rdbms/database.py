@@ -32,7 +32,7 @@ from .errors import (
     RecoveryError,
     TransactionError,
 )
-from .expressions import SchemaResolver, compile_expr
+from .expressions import Expr, SchemaResolver, compile_expr
 from .functions import FunctionRegistry
 from .plan_nodes import ExecutionContext, PlanNode
 from .planner import Planner
@@ -459,8 +459,8 @@ class Database:
 
     # -- SELECT ----------------------------------------------------------
 
-    def _plan(self, statement: SelectStatement) -> PlanNode:
-        planner = Planner(
+    def _planner(self) -> Planner:
+        return Planner(
             self.tables,
             self.table_stats,
             self.functions,
@@ -469,7 +469,9 @@ class Database:
             executor_pool=self.executor_pool,
             executor_lane=self.config.executor_lane,
         )
-        return planner.plan_select(statement)
+
+    def _plan(self, statement: SelectStatement) -> PlanNode:
+        return self._planner().plan_select(statement)
 
     def _execute_select(
         self,
@@ -613,17 +615,30 @@ class Database:
             row[table.schema.position_of(name)] = value
         return tuple(row)
 
+    def matching_rids(self, table: HeapTable, where: Expr | None) -> list[int]:
+        """Row ids of the live rows ``where`` is TRUE for, in heap order.
+
+        The read half of UPDATE and DELETE, over the access path a SELECT
+        with the same WHERE takes: a probe of a column index where the
+        planner finds one cheaper, else a scan.  Complete before the first
+        write, so a statement never observes its own writes.
+        """
+        if where is None:
+            return [rid for rid, _row in table.scan()]
+        resolver = SchemaResolver(
+            [(table.name, c.name) for c in table.schema], self.functions
+        )
+        predicate = compile_expr(where, resolver)
+        access = self._planner().index_access(table, where)
+        pairs = table.scan() if access is None else table.index_fetch(*access)
+        return [rid for rid, row in pairs if predicate(row) is True]
+
     def _execute_update(
         self, statement: UpdateStatement, session: DbSession | None = None
     ) -> QueryResult:
         table = self.table(statement.table)
         resolver = SchemaResolver(
             [(statement.table, c.name) for c in table.schema], self.functions
-        )
-        predicate = (
-            compile_expr(statement.where, resolver)
-            if statement.where is not None
-            else None
         )
         assignments: list[tuple[int, Callable]] = []
         for name, expr in statement.assignments:
@@ -632,12 +647,10 @@ class Database:
 
         updated = 0
         with self._dml_txn(session) as txn:
-            # Two phases so an UPDATE never observes its own writes.
-            matches: list[tuple[int, tuple]] = []
-            for rid, row in table.scan():
-                if predicate is None or predicate(row) is True:
-                    matches.append((rid, row))
-            for rid, row in matches:
+            for rid in self.matching_rids(table, statement.where):
+                row = table.fetch(rid)
+                if row is None:
+                    continue
                 new_row = list(row)
                 for position, value_fn in assignments:
                     new_row[position] = value_fn(row)
@@ -657,22 +670,9 @@ class Database:
         self, statement: DeleteStatement, session: DbSession | None = None
     ) -> QueryResult:
         table = self.table(statement.table)
-        resolver = SchemaResolver(
-            [(statement.table, c.name) for c in table.schema], self.functions
-        )
-        predicate = (
-            compile_expr(statement.where, resolver)
-            if statement.where is not None
-            else None
-        )
         deleted = 0
         with self._dml_txn(session) as txn:
-            victims = [
-                rid
-                for rid, row in table.scan()
-                if predicate is None or predicate(row) is True
-            ]
-            for rid in victims:
+            for rid in self.matching_rids(table, statement.where):
                 old = table.delete(rid)
                 txn.log_delete(
                     table.name,

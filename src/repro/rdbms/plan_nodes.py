@@ -8,8 +8,8 @@ Each node carries
 * ``explain_lines()`` -- PostgreSQL-flavoured EXPLAIN output.
 
 The operator inventory mirrors what the paper's Table 2 plans mention:
-Seq Scan, Filter, Project, Nested Loop / Hash Join / Merge Join, Sort,
-Unique, HashAggregate, GroupAggregate, and Limit.
+Seq Scan, Index Scan, Filter, Project, Nested Loop / Hash Join / Merge
+Join, Sort, Unique, HashAggregate, GroupAggregate, and Limit.
 
 Memory-overflow behaviour matters for the reproduction: Sort and the two
 hash operators charge scratch space against the database's
@@ -39,7 +39,7 @@ from .expressions import (
     compile_expr,
 )
 from .functions import AggregateFunction, FunctionRegistry
-from .storage import HeapTable
+from .storage import HeapTable, KeyRange
 from .vectorized import BATCH_ROWS, BatchProgram, compile_batch
 
 Row = tuple
@@ -47,6 +47,7 @@ OutputColumns = list[tuple[str | None, str]]
 
 #: Abstract cost units, PostgreSQL-style.
 SEQ_PAGE_COST = 1.0
+RANDOM_PAGE_COST = 4.0
 CPU_TUPLE_COST = 0.01
 CPU_OPERATOR_COST = 0.0025
 UDF_CALL_COST = 0.1
@@ -200,10 +201,15 @@ class PlanNode:
     def node_label(self) -> str:
         raise NotImplementedError
 
+    def _annotation_lines(self, depth: int) -> list[str]:
+        """What EXPLAIN prints under this node's own line (a condition or
+        a stage folded into the node)."""
+        return []
+
     def explain_lines(self, depth: int = 0) -> list[str]:
         prefix = "" if depth == 0 else "  " * depth + "->  "
         line = f"{prefix}{self.node_label()}  (rows={int(self.est_rows)})"
-        lines = [line]
+        lines = [line, *self._annotation_lines(depth)]
         for child in self.children():
             lines.extend(child.explain_lines(depth + 1))
         return lines
@@ -225,7 +231,8 @@ class PlanNode:
                 f"time={stats.seconds * 1000:.3f} ms)"
             )
         lines = [
-            f"{prefix}{self.node_label()}  (rows={int(self.est_rows)})  {actual}"
+            f"{prefix}{self.node_label()}  (rows={int(self.est_rows)})  {actual}",
+            *self._annotation_lines(depth),
         ]
         for child in self.children():
             lines.extend(child.explain_analyze_lines(context, depth + 1))
@@ -262,6 +269,54 @@ class SeqScan(PlanNode):
         if self.qualifier != name:
             return f"Seq Scan on {name} {self.qualifier}"
         return f"Seq Scan on {name}"
+
+
+class IndexScan(PlanNode):
+    """Fetch of the rows one ordered column index lists for a condition.
+
+    ``condition`` is the WHERE conjunct the planner read ``ranges`` from.
+    The index names candidates; every fetched row is tested against
+    ``condition`` itself (reads run beside writers, and a listed row can
+    have changed by the time it is fetched).  Rows come out in heap order,
+    like a Seq Scan's.  Never morsel-parallel: the planner takes this path
+    only where few rows match.
+    """
+
+    def __init__(
+        self,
+        table: HeapTable,
+        qualifier: str,
+        column: str,
+        ranges: Sequence[KeyRange],
+        condition: Expr,
+        selectivity: float,
+    ):
+        self.table = table
+        self.qualifier = qualifier
+        self.column = column
+        self.ranges = list(ranges)
+        self.condition = condition
+        self.output_columns = [(qualifier, c.name) for c in table.schema]
+        self.est_rows = max(1.0, len(table) * selectivity)
+        self.est_row_bytes = table.total_bytes / len(table) if len(table) else 48.0
+        # fetched in heap order, so no page is visited twice
+        self.est_cost = min(self.est_rows, table.n_pages) * RANDOM_PAGE_COST + (
+            self.est_rows * (CPU_TUPLE_COST + CPU_OPERATOR_COST)
+        )
+
+    def rows(self, context: ExecutionContext) -> Iterator[Row]:
+        recheck = compile_expr(self.condition, self.resolver(context.functions))
+        for _rid, row in self.table.index_fetch(self.column, self.ranges):
+            if recheck(row) is True:
+                yield row
+
+    def node_label(self) -> str:
+        name = self.table.name
+        alias = "" if self.qualifier == name else f" {self.qualifier}"
+        return f"Index Scan on {name}{alias} using {self.column}"
+
+    def _annotation_lines(self, depth: int) -> list[str]:
+        return [f"{'  ' * (depth + 2)}Index Cond: {self.condition}"]
 
 
 class Filter(PlanNode):
@@ -1103,18 +1158,6 @@ class ParallelScan(PlanNode):
             if len(rendered) > 160:
                 rendered = rendered[:157] + "..."
             lines.append(f"{pad}Project: {rendered}")
-        return lines
-
-    def explain_lines(self, depth: int = 0) -> list[str]:
-        lines = super().explain_lines(depth)
-        lines.extend(self._annotation_lines(depth))
-        return lines
-
-    def explain_analyze_lines(
-        self, context: ExecutionContext, depth: int = 0
-    ) -> list[str]:
-        lines = super().explain_analyze_lines(context, depth)
-        lines.extend(self._annotation_lines(depth))
         return lines
 
 

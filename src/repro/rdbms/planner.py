@@ -13,6 +13,11 @@ once Sinew materializes a virtual column into a physical one:
   depends on whether the estimated grouped state fits ``work_mem`` -- a
   200-row estimate always hashes; a realistic multi-thousand-distinct
   estimate switches to the sort-based strategy.
+* **Access path**: a conjunct comparing a plain physical column with
+  literals can be answered from that column's ordered index
+  (:class:`~repro.rdbms.plan_nodes.IndexScan`); it is taken when its cost,
+  from the same statistics, is below the sequential scan's.  A virtual
+  column (a UDF call) or a dirty one (a COALESCE) is never eligible.
 * **Join order** is chosen by exhaustive left-deep enumeration with
   cardinality estimates, so a mis-estimated virtual-column filter reorders
   the join tree exactly as the paper shows.
@@ -54,6 +59,7 @@ from .plan_nodes import (
     GroupAggregate,
     HashAggregate,
     HashJoin,
+    IndexScan,
     Limit,
     MergeJoin,
     NestedLoopJoin,
@@ -72,7 +78,7 @@ from .statistics import (
     SelectivityEstimator,
     TableStats,
 )
-from .storage import HeapTable
+from .storage import HeapTable, KeyRange, index_key_test
 
 #: PostgreSQL's default n_distinct guess when a column has no statistics.
 DEFAULT_N_DISTINCT = 200
@@ -502,15 +508,49 @@ class Planner:
         )
 
     def _scan_plan(self, relation: _Relation) -> PlanNode:
-        plan: PlanNode = SeqScan(relation.table, relation.binding)
-        if relation.filters:
-            estimator = SelectivityEstimator(
-                self._column_stats_for({relation.binding: relation}),
-                total_rows=max(1, len(relation.table)),
-            )
-            for predicate in relation.filters:
-                plan = Filter(plan, predicate, estimator.estimate(predicate))
-        return plan
+        """The cheapest access path for one relation and its conjuncts:
+        a sequential scan filtered by all of them, or an index scan for
+        one of them filtered by the rest."""
+        table, binding = relation.table, relation.binding
+        if not relation.filters:
+            return SeqScan(table, binding)
+        estimator = SelectivityEstimator(
+            self._column_stats_for({binding: relation}),
+            total_rows=max(1, len(table)),
+        )
+        filters = [(p, estimator.estimate(p)) for p in relation.filters]
+
+        def filtered(plan: PlanNode, remaining) -> PlanNode:
+            for predicate, selectivity in remaining:
+                plan = Filter(plan, predicate, selectivity)
+            return plan
+
+        best = filtered(SeqScan(table, binding), filters)
+        for position, (predicate, selectivity) in enumerate(filters):
+            sargable = _index_condition(predicate, table, binding)
+            if sargable is None:
+                continue
+            scan = IndexScan(table, binding, *sargable, predicate, selectivity)
+            plan = filtered(scan, filters[:position] + filters[position + 1 :])
+            if plan.est_cost < best.est_cost:
+                best = plan
+        return best
+
+    def index_access(
+        self, table: HeapTable, where: Expr | None
+    ) -> tuple[str, list[KeyRange]] | None:
+        """The index probe :meth:`_scan_plan` would read ``table`` with
+        under ``where``, or None where it would scan -- for statements
+        that need row ids, not a plan (UPDATE, DELETE)."""
+        relation = _Relation(
+            table.name, table, self.stats.get(table.name), _split_conjuncts(where)
+        )
+        plan = self._scan_plan(relation)
+        while isinstance(plan, Filter):
+            plan = plan.child
+        if isinstance(plan, IndexScan):
+            return plan.column, plan.ranges
+        return None
 
     # ------------------------------------------------------------------
     # join ordering
@@ -879,6 +919,66 @@ def _split_conjuncts(predicate: Expr | None) -> list[Expr]:
     if isinstance(predicate, BinaryOp) and predicate.op == "AND":
         return _split_conjuncts(predicate.left) + _split_conjuncts(predicate.right)
     return [predicate]
+
+
+_MIRRORED_COMPARISON = {"=": "=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
+
+
+def _constant(expr: Expr) -> Any:
+    """The value of a literal, signed or not; None for anything else
+    (and for NULL, which no index condition can hold)."""
+    if isinstance(expr, Literal):
+        return expr.value
+    if isinstance(expr, UnaryOp) and expr.op in ("+", "-"):
+        value = _constant(expr.operand)
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            return -value if expr.op == "-" else value
+    return None
+
+
+def _index_condition(
+    predicate: Expr, table: HeapTable, binding: str
+) -> tuple[str, list[KeyRange]] | None:
+    """Read ``predicate`` as key ranges of one column's ordered index.
+
+    Recognised: a plain column of ``table`` with an ordered type compared
+    with literals by ``=``, ``<``, ``<=``, ``>``, ``>=`` (either operand
+    order), ``BETWEEN`` or ``IN``, none negated.  Every literal must sit in
+    the column's own comparison bracket -- a number for a numeric column,
+    text for a text column -- because only then does the index order agree
+    with what the expression evaluates to; ``str1 = 5``, a NULL or NaN
+    literal, and a function or a second column as operand are left to the
+    scan.
+    """
+    if isinstance(predicate, BinaryOp) and predicate.op in _MIRRORED_COMPARISON:
+        subject, op, operands = predicate.left, predicate.op, [predicate.right]
+        if not isinstance(subject, ColumnRef):
+            subject, op, operands = predicate.right, _MIRRORED_COMPARISON[op], [predicate.left]
+    elif isinstance(predicate, Between) and not predicate.negated:
+        subject, op, operands = predicate.operand, "between", [predicate.low, predicate.high]
+    elif isinstance(predicate, InList) and not predicate.negated and predicate.items:
+        subject, op, operands = predicate.operand, "in", list(predicate.items)
+    else:
+        return None
+    if not (
+        isinstance(subject, ColumnRef)
+        and subject.table in (None, binding)
+        and subject.name in table.schema
+    ):
+        return None
+    holds = index_key_test(table.schema.column(subject.name).sql_type)
+    values = [_constant(operand) for operand in operands]
+    if holds is None or not all(map(holds, values)):
+        return None
+    if op == "between":
+        ranges = [(values[0], True, values[1], True)]
+    elif op in ("=", "in"):
+        ranges = [(value, True, value, True) for value in values]
+    elif op in ("<", "<="):
+        ranges = [(None, True, values[0], op == "<=")]
+    else:
+        ranges = [(values[0], op == ">=", None, True)]
+    return subject.name, ranges
 
 
 def _replace_subtrees(expr: Expr, mapping: list[tuple[Expr, Expr]]) -> Expr:

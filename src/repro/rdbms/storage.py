@@ -24,13 +24,17 @@ Rows are plain Python tuples; ``None`` is SQL NULL.
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left, bisect_right, insort
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
+from ..latching import TrackedLock
 from .cost import CostCounters, DiskBudget
 from .errors import ExecutionError
 from .types import (
+    NUMERIC_TYPES,
+    ORDERED_TYPES,
     NullStorageModel,
     SqlType,
     TUPLE_HEADER_BYTES,
@@ -182,6 +186,95 @@ class BufferPool:
                 del self._resident[key]
 
 
+def _numeric_key(value: Any) -> bool:
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and value == value  # NaN equals and orders against nothing
+    )
+
+
+def _text_key(value: Any) -> bool:
+    return type(value) is str
+
+
+def index_key_test(sql_type: SqlType) -> Callable[[Any], bool] | None:
+    """Which values an index on a column of ``sql_type`` holds -- and which
+    literals may probe it: those of the column's own comparison bracket
+    (numbers with numbers, text with text, the rule of ``_compare``), the
+    only ones a comparison with such a literal can be TRUE for.  None for
+    a type without an ordering to index."""
+    if sql_type not in ORDERED_TYPES:
+        return None
+    return _numeric_key if sql_type in NUMERIC_TYPES else _text_key
+
+
+#: one bound of an index probe: ``(low, low_inclusive, high, high_inclusive)``,
+#: ``None`` for an open side
+KeyRange = tuple[Any, bool, Any, bool]
+
+#: sorts after every row id, so ``(key, _LAST_RID)`` is past all of ``key``
+_LAST_RID = float("inf")
+
+
+class ColumnIndex:
+    """Ordered secondary index on one column: a sorted run of ``(key, rid)``.
+
+    It holds the values :func:`index_key_test` passes: NULLs, NaN and
+    values of another type bracket -- a plain table does not enforce its
+    column types -- are left out, because no index condition selects
+    them.  Guarded by the table's index lock.
+    """
+
+    __slots__ = ("position", "holds", "entries")
+
+    def __init__(
+        self,
+        position: int,
+        holds: Callable[[Any], bool],
+        rows: Iterable[tuple[int, tuple]],
+    ):
+        self.position = position
+        self.holds = holds
+        self.entries: list[tuple[Any, int]] = sorted(
+            (row[position], rid) for rid, row in rows if holds(row[position])
+        )
+
+    def add(self, rid: int, row: tuple) -> None:
+        key = row[self.position]
+        if self.holds(key):
+            insort(self.entries, (key, rid))
+
+    def remove(self, rid: int, row: tuple) -> None:
+        key = row[self.position]
+        if not self.holds(key):
+            return
+        at = bisect_left(self.entries, (key, rid))
+        if at == len(self.entries) or self.entries[at] != (key, rid):
+            raise ExecutionError(f"index entry of row {rid} is missing")
+        del self.entries[at]
+
+    def rids(self, ranges: Sequence[KeyRange]) -> list[int]:
+        """Row ids with a key inside any of ``ranges``, in heap order."""
+        entries = self.entries
+        found: set[int] = set()
+        for low, low_inclusive, high, high_inclusive in ranges:
+            if low is None:
+                start = 0
+            elif low_inclusive:
+                start = bisect_left(entries, (low,))
+            else:
+                start = bisect_right(entries, (low, _LAST_RID))
+            if high is None:
+                stop = len(entries)
+            elif high_inclusive:
+                stop = bisect_right(entries, (high, _LAST_RID))
+            else:
+                stop = bisect_left(entries, (high,))
+            found.update(rid for _key, rid in entries[start:stop])
+        return sorted(found)
+
+
 class HeapTable:
     """Append-mostly heap of tuples with stable row ids.
 
@@ -220,6 +313,13 @@ class HeapTable:
         #: fires "storage.write_row" *before* a row write mutates the page,
         #: so an injected crash never leaves a half-applied write.
         self.faults = None
+        #: column name -> its ordered index, built by the first probe of
+        #: that column (:meth:`index_fetch`) and kept exact by every
+        #: mutator below; a schema change or TRUNCATE drops them all
+        self._indexes: dict[str, ColumnIndex] = {}
+        #: a leaf: held over a row write together with its index entries,
+        #: over a build and over a probe, never while taking another latch
+        self._index_lock = TrackedLock("heap.index")
 
     # -- size accounting ----------------------------------------------------
 
@@ -249,14 +349,18 @@ class HeapTable:
             self.pages.append(Page(self.page_bytes))
             self.disk.charge(self.page_bytes)
         page_no = len(self.pages) - 1
-        slot_no = self.pages[page_no].append(row, size)
+        with self._index_lock:
+            slot_no = self.pages[page_no].append(row, size)
+            self._rid_directory.append((page_no, slot_no))
+            rid = len(self._rid_directory) - 1
+            for index in self._indexes.values():
+                index.add(rid, row)
         self.buffer_pool.mark_dirty_write(self.name, page_no)
         self.counters.tuples_written += 1
-        self._rid_directory.append((page_no, slot_no))
         self.live_rows += 1
         self.total_bytes += size
         self.version += 1
-        return len(self._rid_directory) - 1
+        return rid
 
     def update(self, rid: int, row: tuple) -> tuple:
         """Replace the row at ``rid`` in place; returns the old row."""
@@ -269,7 +373,12 @@ class HeapTable:
             raise ExecutionError(f"row {rid} of {self.name!r} is deleted")
         old_size = self.tuple_bytes(old)
         new_size = self.tuple_bytes(row)
-        page.slots[slot_no] = row
+        with self._index_lock:
+            page.slots[slot_no] = row
+            for index in self._indexes.values():
+                if old[index.position] is not row[index.position]:
+                    index.remove(rid, old)
+                    index.add(rid, row)
         page.used_bytes += new_size - old_size
         self.total_bytes += new_size - old_size
         if new_size > old_size:
@@ -286,7 +395,10 @@ class HeapTable:
         old = page.slots[slot_no]
         if old is None:
             raise ExecutionError(f"row {rid} of {self.name!r} is already deleted")
-        page.slots[slot_no] = None
+        with self._index_lock:
+            page.slots[slot_no] = None
+            for index in self._indexes.values():
+                index.remove(rid, old)
         size = self.tuple_bytes(old)
         page.used_bytes -= size
         self.total_bytes -= size
@@ -301,7 +413,10 @@ class HeapTable:
         page = self.pages[page_no]
         if page.slots[slot_no] is not None:
             raise ExecutionError(f"row {rid} of {self.name!r} is not deleted")
-        page.slots[slot_no] = row
+        with self._index_lock:
+            page.slots[slot_no] = row
+            for index in self._indexes.values():
+                index.add(rid, row)
         size = self.tuple_bytes(row)
         page.used_bytes += size
         self.total_bytes += size
@@ -367,11 +482,13 @@ class HeapTable:
         delta_per_row = null_overhead_bytes(
             len(self.schema), self.null_model
         ) - null_overhead_bytes(old_arity, self.null_model)
-        for page in self.pages:
-            for slot_no, row in enumerate(page.slots):
-                if row is not None:
-                    page.slots[slot_no] = row + (None,)
-                    page.used_bytes += delta_per_row
+        with self._index_lock:
+            self._indexes.clear()
+            for page in self.pages:
+                for slot_no, row in enumerate(page.slots):
+                    if row is not None:
+                        page.slots[slot_no] = row + (None,)
+                        page.used_bytes += delta_per_row
         self.total_bytes += delta_per_row * self.live_rows
         self.version += 1
 
@@ -384,25 +501,29 @@ class HeapTable:
         delta_header = null_overhead_bytes(
             old_arity, self.null_model
         ) - null_overhead_bytes(len(self.schema), self.null_model)
-        for page in self.pages:
-            for slot_no, row in enumerate(page.slots):
-                if row is None:
-                    continue
-                value = row[position]
-                page.slots[slot_no] = row[:position] + row[position + 1 :]
-                freed = delta_header
-                if value is not None:
-                    freed += value_size(value, column.sql_type)
-                page.used_bytes -= freed
-                self.total_bytes -= freed
+        with self._index_lock:
+            self._indexes.clear()
+            for page in self.pages:
+                for slot_no, row in enumerate(page.slots):
+                    if row is None:
+                        continue
+                    value = row[position]
+                    page.slots[slot_no] = row[:position] + row[position + 1 :]
+                    freed = delta_header
+                    if value is not None:
+                        freed += value_size(value, column.sql_type)
+                    page.used_bytes -= freed
+                    self.total_bytes -= freed
         self.version += 1
 
     def truncate(self) -> None:
         """Drop every row and page, releasing the disk budget."""
         self.disk.release(len(self.pages) * self.page_bytes)
         self.buffer_pool.invalidate_table(self.name)
-        self.pages.clear()
-        self._rid_directory.clear()
+        with self._index_lock:
+            self._indexes.clear()
+            self.pages.clear()
+            self._rid_directory.clear()
         self.live_rows = 0
         self.total_bytes = 0
         self.version += 1
@@ -480,6 +601,35 @@ class HeapTable:
         if row is not None:
             self.counters.tuples_scanned += 1
         return row
+
+    def index_fetch(
+        self, column: str, ranges: Sequence[KeyRange]
+    ) -> Iterator[tuple[int, tuple]]:
+        """Yield ``(rid, row)``, in heap order, for the live rows the
+        ordered index on ``column`` lists inside any of ``ranges``.
+
+        The first probe of a column builds its index with one scan.  Rows
+        are fetched after the index lock is released, so beside a writer a
+        row can have changed since it was listed: the caller evaluates its
+        predicate on the row it gets, as it would on a scanned one.
+        """
+        with self._index_lock:
+            index = self._indexes.get(column)
+            if index is None:
+                position = self.schema.position_of(column)
+                holds = index_key_test(self.schema.columns[position].sql_type)
+                if holds is None:
+                    raise ExecutionError(
+                        f"column {column!r} of {self.name!r} has no ordering to index"
+                    )
+                index = self._indexes[column] = ColumnIndex(position, holds, self.scan())
+                self.counters.index_builds += 1
+            self.counters.index_probes += 1
+            rids = index.rids(ranges)
+        for rid in rids:
+            row = self.fetch(rid)
+            if row is not None:
+                yield rid, row
 
     def _locate(self, rid: int) -> tuple[int, int]:
         if not 0 <= rid < len(self._rid_directory):

@@ -152,7 +152,8 @@ class TestLaneEligibility:
         text = database.explain("SELECT plus_one(a) FROM t WHERE a > 3")
         assert "workers=4" in text  # still parallel...
         assert "lane=thread" in text  # ...just not cross-process
-        result = database.execute("SELECT plus_one(a) FROM t WHERE a >= 8996")
+        # `a + 0`: not an index condition, so the scan fragment stays
+        result = database.execute("SELECT plus_one(a) FROM t WHERE a + 0 >= 8996")
         assert result.rows == [(8997,), (8998,), (8999,), (9000,)]
         assert result.exec_stats["lane"] == "thread"
 
@@ -162,7 +163,7 @@ class TestLaneEligibility:
         database = lanes["process"]
         database.create_function("plus_two", lambda v: v + 2, SqlType.INTEGER)
         result = database.execute(
-            "SELECT plus_two(a) FROM t WHERE a >= 8996 ORDER BY a"
+            "SELECT plus_two(a) FROM t WHERE a + 0 >= 8996 ORDER BY a"
         )
         assert result.rows == [(8998,), (8999,), (9000,), (9001,)]
         assert result.exec_stats["lane"] == "process"
