@@ -14,15 +14,16 @@ makes the protocols declarable so they can be checked mechanically:
   lexically holds or acquires the latch -- so the hot path pays nothing.
 * :class:`TrackedLock` -- a ``threading.Lock`` wrapper that reports
   acquisitions to the process-global **latch tracker** when one is
-  installed (``REPRO_DEBUG_LATCHES=1``, or a test calling
-  :func:`repro.testing.latch_tracker.enable_latch_tracking`).  With no
-  tracker installed, the overhead is one function call per acquisition.
+  installed (``REPRO_DEBUG_LATCHES=1`` when this module is imported, or a
+  test calling :func:`repro.testing.latch_tracker.enable_latch_tracking`).
+  With no tracker installed, the overhead is one function call and one
+  global read per acquisition.
 
 This module has no imports from the rest of the package, so every layer
 (``core``, ``rdbms``, ``testing``) can use it without cycles.  The
 tracker implementation itself lives in :mod:`repro.testing` -- production
 code only ever sees it through the :func:`latch_tracker` hook, and the
-lazy import below runs only when tracking is switched on.
+import in :func:`tracker_from_env` runs only when tracking is switched on.
 """
 
 from __future__ import annotations
@@ -68,7 +69,8 @@ def declared_latch(fn: Any) -> str | None:
 
 #: The installed tracker (``None`` = tracking disabled).  Installed either
 #: explicitly by :func:`repro.testing.latch_tracker.enable_latch_tracking`
-#: or lazily from the :data:`DEBUG_LATCHES_ENV` environment variable.
+#: or, once at import, from the :data:`DEBUG_LATCHES_ENV` environment
+#: variable (:func:`tracker_from_env`).
 _TRACKER: Any = None
 
 
@@ -81,17 +83,21 @@ def install_latch_tracker(tracker: Any) -> None:
 def latch_tracker() -> Any:
     """The active latch tracker, or ``None`` when tracking is disabled.
 
-    Checked on every tracked acquisition, so the disabled path is kept to
-    one global read plus one environment lookup.
+    Checked on every tracked acquisition (every heap write takes one), so
+    it is a global read and nothing else.
     """
-    if _TRACKER is not None:
-        return _TRACKER
-    if os.environ.get(DEBUG_LATCHES_ENV) == "1":
+    return _TRACKER
+
+
+def tracker_from_env() -> Any:
+    """Install a tracker if :data:`DEBUG_LATCHES_ENV` is ``1`` and none is
+    installed; returns the installed one.  Runs once when this module is
+    imported -- set the variable before that, or call this again."""
+    if _TRACKER is None and os.environ.get(DEBUG_LATCHES_ENV) == "1":
         from .testing.latch_tracker import LatchOrderTracker
 
         install_latch_tracker(LatchOrderTracker())
-        return _TRACKER
-    return None
+    return _TRACKER
 
 
 class TrackedLock:
@@ -133,3 +139,6 @@ class TrackedLock:
     def __repr__(self) -> str:  # pragma: no cover - debugging surface
         state = "locked" if self._lock.locked() else "unlocked"
         return f"<TrackedLock {self.name!r} {state}>"
+
+
+tracker_from_env()

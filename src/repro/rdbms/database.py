@@ -619,8 +619,8 @@ class Database:
         """Row ids of the live rows ``where`` is TRUE for, in heap order.
 
         The read half of UPDATE and DELETE, over the access path a SELECT
-        with the same WHERE takes: a probe of a column index where the
-        planner finds one cheaper, else a scan.  Complete before the first
+        with the same WHERE takes: a probe of the index (on a column or an
+        expression) the planner finds cheaper, else a scan.  Complete before the first
         write, so a statement never observes its own writes.
         """
         if where is None:

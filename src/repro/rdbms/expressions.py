@@ -909,8 +909,15 @@ def contains_function_call(expr: Expr) -> bool:
     predicates the statistics subsystem cannot see through -- the exact
     behaviour the paper exploits in Table 2 (virtual columns are invisible
     to the optimizer because they hide behind ``extract_key`` UDF calls).
+    The cost model asks it once more per ``Filter``, so it recurses
+    directly instead of through the generator of :meth:`Expr.walk`.
     """
-    return any(isinstance(node, FunctionCall) for node in expr.walk())
+    if isinstance(expr, FunctionCall):
+        return True
+    for child in expr.children():
+        if contains_function_call(child):
+            return True
+    return False
 
 
 def referenced_columns(expr: Expr) -> list[ColumnRef]:

@@ -22,7 +22,7 @@ from .errors import CatalogError, ExecutionError
 from .types import SqlType
 
 
-@dataclass
+@dataclass(eq=False)
 class ScalarFunction:
     """A registered scalar function.
 
@@ -54,7 +54,11 @@ class ScalarFunction:
     whose value is a plain column and that every row reaches; the row
     form, a lazily evaluated ``COALESCE``/``IN`` arm and a computed value
     use ``.one``.  Results and ``udf_calls`` must be those of calling
-    ``fn``; calls of any other shape still go through ``fn``.
+    ``fn``; calls of any other shape still go through ``fn``.  The same
+    hook computes the keys of an expression index on such a call
+    (:class:`~repro.rdbms.storage.IndexExpression`), which is why a
+    function is hashed by identity: an index on one registration is not
+    an index on a later one under the same name.
     """
 
     name: str

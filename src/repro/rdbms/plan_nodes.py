@@ -37,9 +37,10 @@ from .expressions import (
     SchemaResolver,
     Star,
     compile_expr,
+    contains_function_call,
 )
 from .functions import AggregateFunction, FunctionRegistry
-from .storage import HeapTable, KeyRange
+from .storage import HeapTable, IndexTarget, KeyRange
 from .vectorized import BATCH_ROWS, BatchProgram, compile_batch
 
 Row = tuple
@@ -272,51 +273,64 @@ class SeqScan(PlanNode):
 
 
 class IndexScan(PlanNode):
-    """Fetch of the rows one ordered column index lists for a condition.
+    """Fetch of the rows one ordered index lists for a condition.
 
-    ``condition`` is the WHERE conjunct the planner read ``ranges`` from.
-    The index names candidates; every fetched row is tested against
-    ``condition`` itself (reads run beside writers, and a listed row can
-    have changed by the time it is fetched).  Rows come out in heap order,
-    like a Seq Scan's.  Never morsel-parallel: the planner takes this path
-    only where few rows match.
+    ``condition`` is the WHERE conjunct the planner read ``target`` (a
+    column or an expression over one) and ``ranges`` from.  The index
+    names candidates; every fetched row is tested against ``condition``
+    itself (reads run beside writers, and a listed row can have changed
+    by the time it is fetched).  Rows come out in heap order, like a Seq
+    Scan's.  Never morsel-parallel: the planner takes this path only
+    where few rows match.  The row estimate is the built index's exact
+    count in ``ranges``, else the ``selectivity`` estimate.
     """
 
     def __init__(
         self,
         table: HeapTable,
         qualifier: str,
-        column: str,
+        target: IndexTarget,
         ranges: Sequence[KeyRange],
         condition: Expr,
         selectivity: float,
     ):
         self.table = table
         self.qualifier = qualifier
-        self.column = column
+        self.target = target
         self.ranges = list(ranges)
         self.condition = condition
         self.output_columns = [(qualifier, c.name) for c in table.schema]
-        self.est_rows = max(1.0, len(table) * selectivity)
+        count = table.index_count(target, self.ranges)
+        self.est_rows = max(1.0, len(table) * selectivity if count is None else count)
         self.est_row_bytes = table.total_bytes / len(table) if len(table) else 48.0
         # fetched in heap order, so no page is visited twice
         self.est_cost = min(self.est_rows, table.n_pages) * RANDOM_PAGE_COST + (
-            self.est_rows * (CPU_TUPLE_COST + CPU_OPERATOR_COST)
+            self.est_rows * (CPU_TUPLE_COST + predicate_cost(condition))
         )
 
     def rows(self, context: ExecutionContext) -> Iterator[Row]:
         recheck = compile_expr(self.condition, self.resolver(context.functions))
-        for _rid, row in self.table.index_fetch(self.column, self.ranges):
+        for _rid, row in self.table.index_fetch(self.target, self.ranges):
             if recheck(row) is True:
                 yield row
 
     def node_label(self) -> str:
         name = self.table.name
         alias = "" if self.qualifier == name else f" {self.qualifier}"
-        return f"Index Scan on {name}{alias} using {self.column}"
+        return f"Index Scan on {name}{alias} using {self.target}"
 
     def _annotation_lines(self, depth: int) -> list[str]:
         return [f"{'  ' * (depth + 2)}Index Cond: {self.condition}"]
+
+
+def predicate_cost(predicate: Expr) -> float:
+    """Cost of evaluating ``predicate`` on one row.  One that calls a
+    function is charged a ``UDF_CALL_COST`` on top of the operator cost:
+    that is what evaluating ``extract_key_*(data, 'k')`` over every row of
+    a scan costs, and what an index on the expression saves."""
+    if contains_function_call(predicate):
+        return CPU_OPERATOR_COST + UDF_CALL_COST
+    return CPU_OPERATOR_COST
 
 
 class Filter(PlanNode):
@@ -328,7 +342,7 @@ class Filter(PlanNode):
         self.output_columns = list(child.output_columns)
         self.est_rows = max(1.0, child.est_rows * selectivity)
         self.est_row_bytes = child.est_row_bytes
-        self.est_cost = child.est_cost + child.est_rows * CPU_OPERATOR_COST
+        self.est_cost = child.est_cost + child.est_rows * predicate_cost(predicate)
 
     def children(self) -> Sequence[PlanNode]:
         return (self.child,)

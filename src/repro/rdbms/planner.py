@@ -13,11 +13,15 @@ once Sinew materializes a virtual column into a physical one:
   depends on whether the estimated grouped state fits ``work_mem`` -- a
   200-row estimate always hashes; a realistic multi-thousand-distinct
   estimate switches to the sort-based strategy.
-* **Access path**: a conjunct comparing a plain physical column with
-  literals can be answered from that column's ordered index
-  (:class:`~repro.rdbms.plan_nodes.IndexScan`); it is taken when its cost,
-  from the same statistics, is below the sequential scan's.  A virtual
-  column (a UDF call) or a dirty one (a COALESCE) is never eligible.
+* **Access path**: a conjunct comparing a plain physical column -- or a
+  call ``f(column, 'literal', ...)`` of a function with a specializer
+  hook, Sinew's ``extract_key_*(data, 'k')`` for a virtual column -- with
+  literals can be answered from an ordered index on it
+  (:class:`~repro.rdbms.plan_nodes.IndexScan`); it is taken when its cost
+  is below the sequential scan's.  A built index counts its rows exactly;
+  an unbuilt one gets the statistics' estimate, which for a UDF predicate
+  is the fixed 200-row default.  A dirty column (a COALESCE) is never
+  eligible.
 * **Join order** is chosen by exhaustive left-deep enumeration with
   cardinality estimates, so a mis-estimated virtual-column filter reorders
   the join tree exactly as the paper shows.
@@ -78,7 +82,13 @@ from .statistics import (
     SelectivityEstimator,
     TableStats,
 )
-from .storage import HeapTable, KeyRange, index_key_test
+from .storage import (
+    HeapTable,
+    IndexExpression,
+    IndexTarget,
+    KeyRange,
+    index_key_test,
+)
 
 #: PostgreSQL's default n_distinct guess when a column has no statistics.
 DEFAULT_N_DISTINCT = 200
@@ -527,7 +537,7 @@ class Planner:
 
         best = filtered(SeqScan(table, binding), filters)
         for position, (predicate, selectivity) in enumerate(filters):
-            sargable = _index_condition(predicate, table, binding)
+            sargable = _index_condition(predicate, table, binding, self.functions)
             if sargable is None:
                 continue
             scan = IndexScan(table, binding, *sargable, predicate, selectivity)
@@ -538,7 +548,7 @@ class Planner:
 
     def index_access(
         self, table: HeapTable, where: Expr | None
-    ) -> tuple[str, list[KeyRange]] | None:
+    ) -> tuple[IndexTarget, list[KeyRange]] | None:
         """The index probe :meth:`_scan_plan` would read ``table`` with
         under ``where``, or None where it would scan -- for statements
         that need row ids, not a plan (UPDATE, DELETE)."""
@@ -549,7 +559,7 @@ class Planner:
         while isinstance(plan, Filter):
             plan = plan.child
         if isinstance(plan, IndexScan):
-            return plan.column, plan.ranges
+            return plan.target, plan.ranges
         return None
 
     # ------------------------------------------------------------------
@@ -936,23 +946,61 @@ def _constant(expr: Expr) -> Any:
     return None
 
 
-def _index_condition(
-    predicate: Expr, table: HeapTable, binding: str
-) -> tuple[str, list[KeyRange]] | None:
-    """Read ``predicate`` as key ranges of one column's ordered index.
+def _index_target(
+    subject: Expr, table: HeapTable, binding: str, functions: FunctionRegistry | None
+) -> tuple[IndexTarget, Callable[[Any], bool] | None] | None:
+    """The index ``subject`` can be read from and its key test, or None.
 
-    Recognised: a plain column of ``table`` with an ordered type compared
-    with literals by ``=``, ``<``, ``<=``, ``>``, ``>=`` (either operand
-    order), ``BETWEEN`` or ``IN``, none negated.  Every literal must sit in
-    the column's own comparison bracket -- a number for a numeric column,
-    text for a text column -- because only then does the index order agree
-    with what the expression evaluates to; ``str1 = 5``, a NULL or NaN
-    literal, and a function or a second column as operand are left to the
+    A plain column of ``table``, or a call of a non-volatile function
+    with a specializer hook on such a column and literals -- the shape the
+    compiler hands that hook, ``extract_key_num(data, 'dyn1')``.
+    """
+    def own_column(expr: Expr) -> bool:
+        return (
+            isinstance(expr, ColumnRef)
+            and expr.table in (None, binding)
+            and expr.name in table.schema
+        )
+
+    if own_column(subject):
+        return subject.name, index_key_test(table.schema.column(subject.name).sql_type)
+    if not (
+        isinstance(subject, FunctionCall)
+        and functions is not None
+        and functions.has_scalar(subject.name)
+        and len(subject.args) >= 2
+        and own_column(subject.args[0])
+        and all(isinstance(arg, Literal) for arg in subject.args[1:])
+    ):
+        return None
+    function = functions.scalar(subject.name)
+    if function.volatile or function.specializer is None:
+        return None
+    args = tuple(arg.value for arg in subject.args[1:])
+    target = IndexExpression(function, subject.args[0].name, args)
+    return target, index_key_test(function.return_type)
+
+
+def _index_condition(
+    predicate: Expr,
+    table: HeapTable,
+    binding: str,
+    functions: FunctionRegistry | None = None,
+) -> tuple[IndexTarget, list[KeyRange]] | None:
+    """Read ``predicate`` as key ranges of an ordered index of ``table``.
+
+    Recognised: an indexable subject (:func:`_index_target`) with an
+    ordered type compared with literals by ``=``, ``<``, ``<=``, ``>``,
+    ``>=`` (either operand order), ``BETWEEN`` or ``IN``, none negated.
+    Every literal must sit in the subject's own comparison bracket -- a
+    number for a numeric one, text for text -- because only then does the
+    index order agree with what the expression evaluates to; ``str1 = 5``,
+    a NULL or NaN literal, and a second column as operand are left to the
     scan.
     """
     if isinstance(predicate, BinaryOp) and predicate.op in _MIRRORED_COMPARISON:
         subject, op, operands = predicate.left, predicate.op, [predicate.right]
-        if not isinstance(subject, ColumnRef):
+        if _constant(subject) is not None:
             subject, op, operands = predicate.right, _MIRRORED_COMPARISON[op], [predicate.left]
     elif isinstance(predicate, Between) and not predicate.negated:
         subject, op, operands = predicate.operand, "between", [predicate.low, predicate.high]
@@ -960,13 +1008,10 @@ def _index_condition(
         subject, op, operands = predicate.operand, "in", list(predicate.items)
     else:
         return None
-    if not (
-        isinstance(subject, ColumnRef)
-        and subject.table in (None, binding)
-        and subject.name in table.schema
-    ):
+    found = _index_target(subject, table, binding, functions)
+    if found is None:
         return None
-    holds = index_key_test(table.schema.column(subject.name).sql_type)
+    target, holds = found
     values = [_constant(operand) for operand in operands]
     if holds is None or not all(map(holds, values)):
         return None
@@ -978,7 +1023,7 @@ def _index_condition(
         ranges = [(None, True, values[0], op == "<=")]
     else:
         ranges = [(values[0], op == ">=", None, True)]
-    return subject.name, ranges
+    return target, ranges
 
 
 def _replace_subtrees(expr: Expr, mapping: list[tuple[Expr, Expr]]) -> Expr:

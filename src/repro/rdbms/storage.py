@@ -27,11 +27,12 @@ import threading
 from bisect import bisect_left, bisect_right, insort
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterator, Sequence, Union
 
 from ..latching import TrackedLock
 from .cost import CostCounters, DiskBudget
 from .errors import ExecutionError
+from .expressions import Literal
 from .types import (
     NUMERIC_TYPES,
     ORDERED_TYPES,
@@ -217,47 +218,91 @@ KeyRange = tuple[Any, bool, Any, bool]
 _LAST_RID = float("inf")
 
 
-class ColumnIndex:
-    """Ordered secondary index on one column: a sorted run of ``(key, rid)``.
+@dataclass(frozen=True)
+class IndexExpression:
+    """What an expression index orders rows by: ``function(column, *args)``.
 
-    It holds the values :func:`index_key_test` passes: NULLs, NaN and
-    values of another type bracket -- a plain table does not enforce its
-    column types -- are left out, because no index condition selects
-    them.  Guarded by the table's index lock.
+    ``function`` is a non-volatile scalar with a ``specializer`` hook and
+    ``args`` are literals -- the calls the expression compiler hands the
+    hook, so a build and every maintained write evaluate keys through the
+    same batch kernel a scan's filter uses.  Sinew's
+    ``extract_key_num(data, 'k')`` over the reservoir is the case this
+    exists for.  Identity is the function object, the column and the args.
     """
 
-    __slots__ = ("position", "holds", "entries")
+    function: Any
+    column: str
+    args: tuple
+
+    def key_function(self) -> Callable[[list], list]:
+        family, tag = self.function.specializer
+        request = [(tag, self.args)]
+        return lambda values: family.bind(request).columns(values)[0]
+
+    def __str__(self) -> str:
+        args = "".join(f", {Literal(arg)}" for arg in self.args)
+        return f"{self.function.name}({self.column}{args})"
+
+
+#: what an index is on: a column name, or an expression over one column
+IndexTarget = Union[str, IndexExpression]
+
+
+class ColumnIndex:
+    """Ordered secondary index over one column: a sorted run of ``(key, rid)``.
+
+    A row's key is its value at ``position`` -- or, for an expression
+    index, ``function`` applied to a list of such values.  Keys
+    :func:`index_key_test` rejects (NULLs, NaN, values of another type
+    bracket; a plain table does not enforce its column types, an
+    extraction returns NULL for an absent or mistyped key) are left out,
+    because no index condition selects them.
+
+    ``entries`` is None while the index is being built; writes made
+    meanwhile are kept in ``pending`` as ``(rid, key)`` and folded in by
+    the build.  Both are guarded by the table's index lock.
+    """
+
+    __slots__ = ("position", "holds", "function", "entries", "pending")
 
     def __init__(
         self,
         position: int,
         holds: Callable[[Any], bool],
-        rows: Iterable[tuple[int, tuple]],
+        function: Callable[[list], list] | None = None,
     ):
         self.position = position
         self.holds = holds
-        self.entries: list[tuple[Any, int]] = sorted(
-            (row[position], rid) for rid, row in rows if holds(row[position])
-        )
+        self.function = function
+        self.entries: list[tuple[Any, int]] | None = None
+        self.pending: list[tuple[int, Any]] = []
 
-    def add(self, rid: int, row: tuple) -> None:
-        key = row[self.position]
-        if self.holds(key):
-            insort(self.entries, (key, rid))
+    def keys(self, values: list) -> list:
+        """The key of each value, None where the index leaves it out.
+        Evaluated outside the index lock: an extraction may consult the
+        catalog, and that lock is a leaf."""
+        if self.function is not None:
+            values = self.function(values)
+        holds = self.holds
+        return [value if holds(value) else None for value in values]
 
-    def remove(self, rid: int, row: tuple) -> None:
-        key = row[self.position]
-        if not self.holds(key):
-            return
-        at = bisect_left(self.entries, (key, rid))
-        if at == len(self.entries) or self.entries[at] != (key, rid):
-            raise ExecutionError(f"index entry of row {rid} is missing")
-        del self.entries[at]
-
-    def rids(self, ranges: Sequence[KeyRange]) -> list[int]:
-        """Row ids with a key inside any of ``ranges``, in heap order."""
+    def write(self, rid: int, before: Any, after: Any) -> None:
+        """Move row ``rid`` from key ``before`` to key ``after`` (either
+        None: not listed)."""
         entries = self.entries
-        found: set[int] = set()
+        if entries is None:
+            self.pending.append((rid, after))
+            return
+        if before is not None:
+            at = bisect_left(entries, (before, rid))
+            if at == len(entries) or entries[at] != (before, rid):
+                raise ExecutionError(f"index entry of row {rid} is missing")
+            del entries[at]
+        if after is not None:
+            insort(entries, (after, rid))
+
+    def _spans(self, ranges: Sequence[KeyRange]) -> Iterator[tuple[int, int]]:
+        entries = self.entries
         for low, low_inclusive, high, high_inclusive in ranges:
             if low is None:
                 start = 0
@@ -271,6 +316,17 @@ class ColumnIndex:
                 stop = bisect_right(entries, (high, _LAST_RID))
             else:
                 stop = bisect_left(entries, (high,))
+            yield start, stop
+
+    def count(self, ranges: Sequence[KeyRange]) -> int:
+        """Entries inside ``ranges`` (an entry in two of them counts twice)."""
+        return sum(max(0, stop - start) for start, stop in self._spans(ranges))
+
+    def rids(self, ranges: Sequence[KeyRange]) -> list[int]:
+        """Row ids with a key inside any of ``ranges``, in heap order."""
+        entries = self.entries
+        found: set[int] = set()
+        for start, stop in self._spans(ranges):
             found.update(rid for _key, rid in entries[start:stop])
         return sorted(found)
 
@@ -313,13 +369,18 @@ class HeapTable:
         #: fires "storage.write_row" *before* a row write mutates the page,
         #: so an injected crash never leaves a half-applied write.
         self.faults = None
-        #: column name -> its ordered index, built by the first probe of
-        #: that column (:meth:`index_fetch`) and kept exact by every
-        #: mutator below; a schema change or TRUNCATE drops them all
-        self._indexes: dict[str, ColumnIndex] = {}
+        #: index target -> its ordered index, built by the first probe of
+        #: that target (:meth:`index_fetch`) and kept exact by every
+        #: mutator below; a schema change or TRUNCATE drops them all.
+        #: Replaced, never changed in place, so a writer can tell whether
+        #: the set it computed keys for is still the live one.
+        self._indexes: dict[IndexTarget, ColumnIndex] = {}
         #: a leaf: held over a row write together with its index entries,
-        #: over a build and over a probe, never while taking another latch
+        #: over the two ends of a build and over a probe, never while
+        #: taking another latch (or evaluating a key)
         self._index_lock = TrackedLock("heap.index")
+        #: one build at a time; held over a build's scan, never by a writer
+        self._build_lock = TrackedLock("heap.index_build")
 
     # -- size accounting ----------------------------------------------------
 
@@ -349,12 +410,13 @@ class HeapTable:
             self.pages.append(Page(self.page_bytes))
             self.disk.charge(self.page_bytes)
         page_no = len(self.pages) - 1
-        with self._index_lock:
+
+        def place() -> int:
             slot_no = self.pages[page_no].append(row, size)
             self._rid_directory.append((page_no, slot_no))
-            rid = len(self._rid_directory) - 1
-            for index in self._indexes.values():
-                index.add(rid, row)
+            return len(self._rid_directory) - 1
+
+        rid = self._write(None, row, place)
         self.buffer_pool.mark_dirty_write(self.name, page_no)
         self.counters.tuples_written += 1
         self.live_rows += 1
@@ -373,12 +435,7 @@ class HeapTable:
             raise ExecutionError(f"row {rid} of {self.name!r} is deleted")
         old_size = self.tuple_bytes(old)
         new_size = self.tuple_bytes(row)
-        with self._index_lock:
-            page.slots[slot_no] = row
-            for index in self._indexes.values():
-                if old[index.position] is not row[index.position]:
-                    index.remove(rid, old)
-                    index.add(rid, row)
+        self._write(old, row, lambda: self._place(page, slot_no, row, rid))
         page.used_bytes += new_size - old_size
         self.total_bytes += new_size - old_size
         if new_size > old_size:
@@ -395,10 +452,7 @@ class HeapTable:
         old = page.slots[slot_no]
         if old is None:
             raise ExecutionError(f"row {rid} of {self.name!r} is already deleted")
-        with self._index_lock:
-            page.slots[slot_no] = None
-            for index in self._indexes.values():
-                index.remove(rid, old)
+        self._write(old, None, lambda: self._place(page, slot_no, None, rid))
         size = self.tuple_bytes(old)
         page.used_bytes -= size
         self.total_bytes -= size
@@ -413,15 +467,45 @@ class HeapTable:
         page = self.pages[page_no]
         if page.slots[slot_no] is not None:
             raise ExecutionError(f"row {rid} of {self.name!r} is not deleted")
-        with self._index_lock:
-            page.slots[slot_no] = row
-            for index in self._indexes.values():
-                index.add(rid, row)
+        self._write(None, row, lambda: self._place(page, slot_no, row, rid))
         size = self.tuple_bytes(row)
         page.used_bytes += size
         self.total_bytes += size
         self.live_rows += 1
         self.version += 1
+
+    @staticmethod
+    def _place(page: Page, slot_no: int, row: tuple | None, rid: int) -> int:
+        page.slots[slot_no] = row
+        return rid
+
+    def _write(
+        self, old: tuple | None, row: tuple | None, place: Callable[[], int]
+    ) -> int:
+        """Run ``place`` (the slot write, which returns the row id) under
+        the index lock together with the entry changes it makes.
+
+        The keys are computed first, without the lock.  If an index
+        appeared or went away meanwhile they are computed again, so a
+        write racing a build still reaches the new index.  A column
+        whose value object the write keeps keeps its key.
+        """
+        while True:
+            indexes = self._indexes
+            changes = []
+            for index in indexes.values():
+                position = index.position
+                if old is not None and row is not None and old[position] is row[position]:
+                    continue
+                before = None if old is None else index.keys([old[position]])[0]
+                after = None if row is None else index.keys([row[position]])[0]
+                changes.append((index, before, after))
+            with self._index_lock:
+                if self._indexes is indexes:
+                    rid = place()
+                    for index, before, after in changes:
+                        index.write(rid, before, after)
+                    return rid
 
     def alloc_dead_slot(self) -> int:
         """Allocate a row id whose slot is born dead.
@@ -483,7 +567,7 @@ class HeapTable:
             len(self.schema), self.null_model
         ) - null_overhead_bytes(old_arity, self.null_model)
         with self._index_lock:
-            self._indexes.clear()
+            self._indexes = {}
             for page in self.pages:
                 for slot_no, row in enumerate(page.slots):
                     if row is not None:
@@ -502,7 +586,7 @@ class HeapTable:
             old_arity, self.null_model
         ) - null_overhead_bytes(len(self.schema), self.null_model)
         with self._index_lock:
-            self._indexes.clear()
+            self._indexes = {}
             for page in self.pages:
                 for slot_no, row in enumerate(page.slots):
                     if row is None:
@@ -521,7 +605,7 @@ class HeapTable:
         self.disk.release(len(self.pages) * self.page_bytes)
         self.buffer_pool.invalidate_table(self.name)
         with self._index_lock:
-            self._indexes.clear()
+            self._indexes = {}
             self.pages.clear()
             self._rid_directory.clear()
         self.live_rows = 0
@@ -603,33 +687,79 @@ class HeapTable:
         return row
 
     def index_fetch(
-        self, column: str, ranges: Sequence[KeyRange]
+        self, target: IndexTarget, ranges: Sequence[KeyRange]
     ) -> Iterator[tuple[int, tuple]]:
         """Yield ``(rid, row)``, in heap order, for the live rows the
-        ordered index on ``column`` lists inside any of ``ranges``.
+        ordered index on ``target`` lists inside any of ``ranges``.
 
-        The first probe of a column builds its index with one scan.  Rows
+        The first probe of a target builds its index with one scan.  Rows
         are fetched after the index lock is released, so beside a writer a
         row can have changed since it was listed: the caller evaluates its
         predicate on the row it gets, as it would on a scanned one.
         """
+        index = self._indexes.get(target)
+        if index is None or index.entries is None:
+            with self._build_lock:
+                index = self._indexes.get(target) or self._build(target)
         with self._index_lock:
-            index = self._indexes.get(column)
-            if index is None:
-                position = self.schema.position_of(column)
-                holds = index_key_test(self.schema.columns[position].sql_type)
-                if holds is None:
-                    raise ExecutionError(
-                        f"column {column!r} of {self.name!r} has no ordering to index"
-                    )
-                index = self._indexes[column] = ColumnIndex(position, holds, self.scan())
-                self.counters.index_builds += 1
             self.counters.index_probes += 1
             rids = index.rids(ranges)
         for rid in rids:
             row = self.fetch(rid)
             if row is not None:
                 yield rid, row
+
+    def index_count(self, target: IndexTarget, ranges: Sequence[KeyRange]) -> int | None:
+        """How many entries the index on ``target`` has inside ``ranges``;
+        None while it is not built."""
+        index = self._indexes.get(target)
+        if index is None:
+            return None
+        with self._index_lock:
+            return None if index.entries is None else index.count(ranges)
+
+    def _build(self, target: IndexTarget) -> ColumnIndex:
+        """Build the index on ``target`` with one scan (build lock held).
+
+        The index is registered first, so every write from then on is
+        kept in its ``pending`` list; the scan evaluates keys page by page
+        without the index lock, and the writes it may have missed or seen
+        half of replace its keys for their rows at the end.
+        """
+        if isinstance(target, IndexExpression):
+            column, sql_type = target.column, target.function.return_type
+            function = target.key_function()
+        else:
+            column, function = target, None
+            sql_type = self.schema.column(column).sql_type
+        position = self.schema.position_of(column)
+        holds = index_key_test(sql_type)
+        if holds is None:
+            raise ExecutionError(f"{target} on {self.name!r} has no ordering to index")
+        index = ColumnIndex(position, holds, function)
+        with self._index_lock:
+            self._indexes = {**self._indexes, target: index}
+            end = len(self._rid_directory)
+        pairs: list[tuple[int, Any]] = []
+        try:
+            for rid, slots in self._page_runs(0, end):
+                rids = [rid + offset for offset, row in enumerate(slots) if row is not None]
+                self.counters.tuples_scanned += len(rids)
+                values = [row[position] for row in slots if row is not None]
+                pairs.extend(zip(rids, index.keys(values)))
+        except BaseException:
+            with self._index_lock:  # a key that raised: no half-built index
+                self._indexes = {t: i for t, i in self._indexes.items() if i is not index}
+            raise
+        with self._index_lock:
+            if index.pending:
+                keys = dict(pairs)
+                keys.update(index.pending)
+                pairs = list(keys.items())
+            index.entries = sorted((key, rid) for rid, key in pairs if key is not None)
+            index.pending = []
+            self.counters.index_builds += 1
+        return index
 
     def _locate(self, rid: int) -> tuple[int, int]:
         if not 0 <= rid < len(self._rid_directory):

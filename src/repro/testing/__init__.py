@@ -4,8 +4,8 @@ Production code never imports this package at module load time; the
 components hold an optional ``faults`` attribute (duck-typed, default
 ``None``) that tests populate with a :class:`~repro.testing.faults.FaultInjector`,
 and latch call sites consult the :func:`repro.latching.latch_tracker`
-hook, which lazily pulls in :mod:`.latch_tracker` only when tracking is
-switched on (``REPRO_DEBUG_LATCHES=1`` or an explicit enable).
+hook; :mod:`.latch_tracker` is imported by production code only when
+tracking is switched on (``REPRO_DEBUG_LATCHES=1`` or an explicit enable).
 """
 
 from .faults import (  # noqa: F401

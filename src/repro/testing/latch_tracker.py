@@ -24,7 +24,9 @@ Production call sites (``SinewCatalog.exclusive_latch`` and every
 :func:`repro.latching.latch_tracker` on each acquisition; it returns
 ``None`` -- tracking disabled, no work done -- unless a tracker was
 installed via :func:`enable_latch_tracking` (tests) or the
-``REPRO_DEBUG_LATCHES=1`` environment variable (the CI stress lane).
+``REPRO_DEBUG_LATCHES=1`` environment variable (the CI stress lane), which
+is read when :mod:`repro.latching` is imported and again by
+:func:`disable_latch_tracking`.
 
 A raised violation behaves like any other engine error: the daemon
 transitions to ``crashed`` with the message in ``last_error``, a loader
@@ -36,7 +38,7 @@ from __future__ import annotations
 
 import threading
 
-from ..latching import install_latch_tracker
+from ..latching import install_latch_tracker, tracker_from_env
 
 __all__ = [
     "LatchOrderError",
@@ -191,5 +193,8 @@ def enable_latch_tracking() -> LatchOrderTracker:
 
 
 def disable_latch_tracking() -> None:
-    """Remove the installed tracker (acquisitions stop being recorded)."""
+    """Remove the installed tracker (acquisitions stop being recorded) --
+    unless ``REPRO_DEBUG_LATCHES=1``, which installs a fresh one, so a
+    test that brought its own tracker leaves that lane armed."""
     install_latch_tracker(None)
+    tracker_from_env()

@@ -16,7 +16,8 @@ def indexed_sdb(prefilter=True):
     sdb.create_collection("t")
     documents = []
     for index in range(400):
-        document = {"n": index, "color": ["red", "green", "blue"][index % 3]}
+        # wide enough rows that a scan beats an expression index on `rare`
+        document = {"n": index, "color": ["red", "green", "blue"][index % 3], "pad": "x" * 200}
         if index % 50 == 0:
             document["rare"] = "needle" if index % 100 == 0 else "hay"
         documents.append(document)

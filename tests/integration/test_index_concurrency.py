@@ -1,8 +1,10 @@
 """Concurrency: index builds and probes beside writers.
 
-An index is built by the first lookup that wants it, with one scan, while
-a loader may be appending rows and the materializer daemon moving values
-into the very column being indexed; afterwards every writer maintains it.
+An index -- on a column, or on an extraction from the reservoir -- is
+built by the first lookup that wants it, with one scan, while a loader may
+be appending rows and the materializer daemon moving values into the very
+column being indexed (or out of the reservoir the expression reads);
+afterwards every writer maintains it.
 Build and maintenance must exclude each other -- a row written during the
 build is in the index either because the scan saw it or because its
 writer added it afterwards -- so no acknowledged row may ever be missing
@@ -18,6 +20,7 @@ import pytest
 
 from repro.core.sinew import SinewConfig, SinewDB
 from repro.rdbms.database import Database, DatabaseConfig
+from repro.rdbms.storage import IndexExpression
 from repro.rdbms.types import SqlType
 from repro.testing import disable_latch_tracking, enable_latch_tracking
 from repro.testing.faults import FaultInjector
@@ -201,5 +204,103 @@ def test_lookups_race_loader_and_materializer_daemon():
         assert rows == [(f"n{wanted}",)], wanted
     assert sdb.query(f"SELECT count(*) FROM {TABLE} WHERE tag = 't3'").scalar() == 48
     assert {"_id", "num"} <= set(table._indexes)
+    assert_indexes_exact(table, typed=True)
+    sdb.close()
+
+
+def _mixed_document(i: int) -> dict:
+    """``dyn1`` holds an int, a string or a boolean, as in NoBench."""
+    dyn1 = (i, f"s{i}", i % 2 == 0)[i % 3]
+    return {"num": i, "dyn1": dyn1, "note": f"n{i}"}
+
+
+def test_first_expression_lookup_races_loader_and_daemon():
+    BASE = 1500  # a build long enough for loads to land inside it
+    """The first ``dyn1`` lookup builds the index on
+    ``extract_key_num(data, 'dyn1')`` while a loader appends rows with
+    numeric ``dyn1`` values -- each insert keys its row outside the index
+    lock, and one that lands during the build reaches it through the
+    build's pending writes -- and the daemon moves ``num`` out of the
+    reservoir, rewriting ``data`` and so re-keying every row it moves.
+    Marking ``note`` for materialization mid-race drops the index, so it
+    is built again beside the writers.  No acknowledged row may be missing
+    from a later lookup."""
+    sdb = SinewDB(
+        "expression_race",
+        SinewConfig(
+            database=DatabaseConfig(parallel_workers=2),
+            daemon_step_rows=50,
+            daemon_idle_sleep=0.001,
+        ),
+    )
+    sdb.create_collection(TABLE)
+    sdb.load(TABLE, [_mixed_document(i) for i in range(BASE)])
+    sdb.materialize(TABLE, "num", SqlType.INTEGER)  # dirty: the daemon moves it
+    injector = FaultInjector()
+    sdb.attach_faults(injector)
+    injector.plan("materializer.before_row_move", "delay", delay=0.0002, at=1, count=None)
+
+    acknowledged: list[int] = list(range(0, BASE, 3))
+    failures: list[str] = []
+    loading = threading.Event()
+    done = threading.Event()
+
+    def loader() -> None:
+        try:
+            for batch in range(30):
+                low = BASE + batch * 5
+                numbers = range(low, low + 5)
+                sdb.load(TABLE, [{"num": i, "dyn1": i, "note": f"n{i}"} for i in numbers])
+                acknowledged.extend(numbers)
+                loading.set()
+                if batch == 15:
+                    sdb.materialize(TABLE, "note", SqlType.TEXT)
+        except Exception as exc:  # noqa: BLE001 - reported below
+            failures.append(f"loader raised {exc!r}")
+        finally:
+            loading.set()
+            done.set()
+
+    def lookups(thread_id: int) -> None:
+        try:
+            loading.wait(timeout=30)
+            iteration = 0
+            while not done.is_set() or iteration < 20:
+                iteration += 1
+                wanted = acknowledged[-1 - (iteration * (thread_id + 1)) % 40]
+                rows = sdb.query(f"SELECT num FROM {TABLE} WHERE dyn1 = {wanted}").rows
+                if rows != [(wanted,)]:
+                    failures.append(f"dyn1 {wanted} acknowledged, lookup gave {rows}")
+        except Exception as exc:  # noqa: BLE001
+            failures.append(f"lookup thread raised {exc!r}")
+
+    sdb.start_daemon()
+    try:
+        threads = [
+            threading.Thread(target=lookups, args=(i,), daemon=True) for i in range(3)
+        ]
+        threads.append(threading.Thread(target=loader, daemon=True))
+        for thread in threads:
+            thread.start()
+        _join(threads)
+        deadline = time.monotonic() + 60
+        while sdb.catalog.table(TABLE).dirty_columns() and time.monotonic() < deadline:
+            sdb.daemon.kick()
+            time.sleep(0.01)
+    finally:
+        sdb.stop_daemon()
+    assert not failures, "\n".join(failures[:5])
+    assert injector.fired("materializer.before_row_move") > 0
+    assert sdb.db.counters.index_builds >= 2  # before and after the ADD COLUMN
+
+    sql = f"SELECT num FROM {TABLE} WHERE dyn1 = 3"
+    assert f"Index Scan on {TABLE} using extract_key_num(data, 'dyn1')" in sdb.explain(sql)
+    for wanted in acknowledged[::20]:
+        rows = sdb.query(f"SELECT num FROM {TABLE} WHERE dyn1 = {wanted}").rows
+        assert rows == [(wanted,)], wanted
+    rows = sdb.query(f"SELECT num FROM {TABLE} WHERE dyn1 >= 0").rows
+    assert sorted(num for (num,) in rows) == sorted(acknowledged)
+    table = sdb.db.table(TABLE)
+    assert any(isinstance(target, IndexExpression) for target in table._indexes)
     assert_indexes_exact(table, typed=True)
     sdb.close()

@@ -18,6 +18,7 @@ from repro.latching import (
     TrackedLock,
     install_latch_tracker,
     latch_tracker,
+    tracker_from_env,
 )
 from repro.rdbms.executor import ExecutorPool, partition_morsels
 from repro.testing import (
@@ -129,10 +130,14 @@ class TestTrackedLock:
         install_latch_tracker(None)
         monkeypatch.setenv(DEBUG_LATCHES_ENV, "1")
         try:
-            installed = latch_tracker()
+            # read once at import; a later change takes an explicit re-read
+            assert latch_tracker() is None
+            installed = tracker_from_env()
             assert isinstance(installed, LatchOrderTracker)
             assert latch_tracker() is installed
+            assert tracker_from_env() is installed
         finally:
+            monkeypatch.undo()  # the lane's own setting decides what is left
             disable_latch_tracking()
 
 
