@@ -355,30 +355,6 @@ class ReservoirExtractor:
             data, attr_id, sql_type, value, self.catalog.type_of
         )
 
-    # -- process-lane support -------------------------------------------------
-
-    def remote_token(self) -> tuple:
-        """Cache key for the catalog snapshot shipped to worker processes.
-
-        Epochs move on every DDL / DML batch, so a worker never extracts
-        against attribute ids the parent has since reassigned.
-        """
-        catalog = self.catalog
-        return (catalog.schema_epoch, catalog.data_epoch, len(catalog))
-
-    def remote_payload(self) -> list[tuple[int, str, str]]:
-        """Picklable catalog image: ``(attr_id, key_name, type value)``.
-
-        Worker processes rebuild a :class:`SinewCatalog` from these
-        triples with ``ensure_attribute`` (forced ids), giving their
-        private extractor the exact dictionary the parent's documents
-        were serialized against.
-        """
-        return [
-            (attribute.attr_id, attribute.key_name, attribute.key_type.value)
-            for attribute in self.catalog.all_attributes()
-        ]
-
     def _rewrite_parent(
         self, data: bytes, key: str, transform: Callable[[bytes], bytes]
     ) -> bytes | None:
@@ -562,9 +538,6 @@ EXTRACT_FUNCTION_FOR_TYPE = {
 
 
 #: The extraction UDF surface: SQL name -> (extractor method, return type).
-#: Shared with the process-lane worker (repro.rdbms.process_worker), which
-#: re-registers the same methods on its private extractor from the same
-#: table -- the two registries cannot drift apart.
 EXTRACTION_UDFS: dict[str, tuple[str, SqlType]] = {
     "extract_key_text": ("extract_text", SqlType.TEXT),
     "extract_key_int": ("extract_int", SqlType.INTEGER),
@@ -585,23 +558,16 @@ def register_extraction_udfs(
     """Register Sinew's extraction functions on the underlying RDBMS,
     exactly as the prototype installs its UDF extension (paper section 5).
 
-    Each function carries a ``("sinew_extract", method)`` remote spec: the
-    bound methods themselves are unpicklable (they close over the catalog
-    and its latches), so the process lane ships the *name* and the worker
-    registers the same table on its own extractor (see
-    repro.rdbms.process_worker).  The ``(data, 'literal key')`` functions
-    also carry the specializer hook, through which the expression
-    compiler gets their :class:`BoundPaths` form.
+    The ``(data, 'literal key')`` functions carry the specializer hook,
+    through which the expression compiler gets their :class:`BoundPaths`
+    form.
     """
     for name, (method, return_type) in EXTRACTION_UDFS.items():
         functions.register_scalar(
             name,
             getattr(extractor, method),
             return_type,
-            remote_spec=("sinew_extract", method),
             specializer=(extractor, method) if method != "to_json" else None,
         )
     # scope the extractor's id-run memo to each execution's lifetime
     functions.register_query_listener(extractor)
-    # and let the planner/process lane snapshot the catalog for workers
-    functions.remote_catalog = extractor

@@ -44,28 +44,12 @@ class ScaleConfig:
     mongo_headroom_bytes: int | None
     use_effective_time: bool
 
-    def database_config(
-        self,
-        parallel_workers: int | None = None,
-        executor_lane: str | None = None,
-    ) -> DatabaseConfig:
-        """Database tunables for this scale.
-
-        ``parallel_workers`` overrides the executor width (else the
-        REPRO_PARALLEL_WORKERS / cpu-count default applies) and
-        ``executor_lane`` the lane (else REPRO_EXECUTOR_LANE / "thread");
-        the bench gate uses both to compare serial, thread, and process
-        runs at one scale.
-        """
-        config = DatabaseConfig(
+    def database_config(self) -> DatabaseConfig:
+        """Database tunables for this scale."""
+        return DatabaseConfig(
             buffer_pool_pages=self.buffer_pool_pages,
             io_model=IoCostModel(),
         )
-        if parallel_workers is not None:
-            config.parallel_workers = max(1, parallel_workers)
-        if executor_lane is not None:
-            config.executor_lane = executor_lane
-        return config
 
 
 def _scaled(base: int) -> int:

@@ -93,22 +93,6 @@ def default_parallel_workers() -> int:
     return min(effective_cpu_count(), 8)
 
 
-#: The executor lanes a database can be configured with.
-EXECUTOR_LANES = ("serial", "thread", "process")
-
-
-def default_executor_lane() -> str:
-    """Default lane: REPRO_EXECUTOR_LANE, else the shared-memory threads."""
-    env = os.environ.get("REPRO_EXECUTOR_LANE", "").strip().lower()
-    if env:
-        if env not in EXECUTOR_LANES:
-            raise ValueError(
-                f"REPRO_EXECUTOR_LANE must be one of {EXECUTOR_LANES}, got {env!r}"
-            )
-        return env
-    return "thread"
-
-
 @dataclass
 class DatabaseConfig:
     """Tunables for one database instance."""
@@ -124,11 +108,15 @@ class DatabaseConfig:
     wal_group_commit: int = 1
     #: morsel-executor width; 1 = fully serial (no threads are created)
     parallel_workers: int = field(default_factory=default_parallel_workers)
-    #: which executor lane parallel fragments run on: "serial" disables
-    #: the morsel rewrite, "thread" shares memory under the GIL, and
-    #: "process" ships pickled batch programs to a spawn pool (falling
-    #: back to threads per fragment when expressions cannot pickle)
-    executor_lane: str = field(default_factory=default_executor_lane)
+
+    @property
+    def executor_lane(self) -> str:
+        """``"serial"`` when ``parallel_workers`` is 1, else ``"thread"``.
+
+        Derived and read-only; its one reader is the benchmark suite's
+        record of the run environment (``benchmarks/suite/run.py``).
+        """
+        return "serial" if self.parallel_workers == 1 else "thread"
 
 
 class DbSession:
@@ -362,23 +350,14 @@ class Database:
         return_type: SqlType,
         counts_as_udf: bool = True,
         volatile: bool = False,
-        remote_spec: tuple[str, str] | None = None,
     ) -> None:
         """Register a UDF, like PostgreSQL's CREATE FUNCTION.
 
         ``volatile`` excludes the function from parallel morsel execution
-        (PostgreSQL's PARALLEL UNSAFE).  ``remote_spec`` tells the process
-        executor lane how a worker process can rebuild the function
-        without pickling ``fn``; without one the function is thread-lane
-        only (see :class:`repro.rdbms.functions.ScalarFunction`).
+        (PostgreSQL's PARALLEL UNSAFE).
         """
         self.functions.register_scalar(
-            name,
-            fn,
-            return_type,
-            counts_as_udf,
-            volatile=volatile,
-            remote_spec=remote_spec,
+            name, fn, return_type, counts_as_udf, volatile=volatile
         )
 
     # ------------------------------------------------------------------
@@ -467,7 +446,6 @@ class Database:
             self.config.work_mem_bytes,
             parallel_workers=self.config.parallel_workers,
             executor_pool=self.executor_pool,
-            executor_lane=self.config.executor_lane,
         )
 
     def _plan(self, statement: SelectStatement) -> PlanNode:
@@ -520,8 +498,7 @@ class Database:
         if parallel is not None:
             lines.append(
                 f"Parallel: workers={parallel['workers']} "
-                f"morsels={parallel['morsels']} "
-                f"lane={parallel['lane']}"
+                f"morsels={parallel['morsels']}"
             )
             for worker in parallel["per_worker"]:
                 lines.append(

@@ -18,38 +18,19 @@ The pool is deliberately dumb: it owns threads and a stable-order map
 primitive, nothing else.  Everything semantic (per-worker extraction
 contexts, counter merging, SQL ordering guarantees) lives with the plan
 operators in :mod:`repro.rdbms.plan_nodes`.
-
-The **process lane** extends the same shape across the GIL: pickle-safe
-task objects (rid ranges + serialized expression programs + a spill-file
-reference for the heap pages) are shipped to a lazily-created
-``ProcessPoolExecutor`` and gathered in task order.  The pool again stays
-dumb -- what a task *means* is defined entirely by the submitted callable
-(:func:`repro.rdbms.process_worker.run_process_task`).
 """
 
 from __future__ import annotations
 
-import hashlib
 import os
-import pickle
-import shutil
-import sys
-import tempfile
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from multiprocessing import get_context
 from typing import Any, Callable, Sequence
 
 from ..latching import TrackedLock
-from .errors import ExecutionError
 
 #: Rows per morsel.  See module docstring for the sizing argument.
 MORSEL_ROWS = 4096
-
-#: Floor for adaptive morsel sizing: below this, per-morsel fixed costs
-#: (context install, expression compile, task pickling) stop amortising.
-MIN_MORSEL_ROWS = 256
 
 
 def effective_cpu_count() -> int:
@@ -74,21 +55,6 @@ def effective_cpu_count() -> int:
         if mask:
             return len(mask)
     return os.cpu_count() or 1
-
-
-def morsel_rows_for(n_rids: int, workers: int) -> int:
-    """Adaptive morsel size: split benchmark-scale tables across workers.
-
-    The fixed :data:`MORSEL_ROWS` is tuned for large tables; at bench
-    scale (a few thousand rows) it yields a *single* morsel and therefore
-    zero parallelism.  Target ~4 morsels per worker so the pool can
-    load-balance skewed predicates, clamped to
-    [:data:`MIN_MORSEL_ROWS`, :data:`MORSEL_ROWS`].
-    """
-    if n_rids <= 0 or workers <= 1:
-        return MORSEL_ROWS
-    target = -(-n_rids // (workers * 4))  # ceil division
-    return max(MIN_MORSEL_ROWS, min(MORSEL_ROWS, target))
 
 
 @dataclass(frozen=True)
@@ -123,69 +89,6 @@ def partition_morsels(n_rids: int, morsel_rows: int = MORSEL_ROWS) -> list[Morse
     ]
 
 
-class SpillStore:
-    """Write-once pickle spill area shared with worker processes.
-
-    The process lane cannot hand workers live ``HeapTable`` objects (they
-    hold buffer-pool locks and counter references), so scan input is
-    spilled once per ``(kind, token)`` to a pickle file that every worker
-    process reads and caches by path.  Tokens embed a version/epoch, so a
-    mutated table spills to a *new* path and workers never see stale rows;
-    stale files are cleaned up with the pool at :meth:`ExecutorPool.shutdown`.
-    """
-
-    def __init__(self) -> None:
-        self._dir: str | None = None
-        self._written: set[str] = set()
-        # Leaf mutex: guards directory creation + the written-set; never
-        # held together with executor.pool.
-        self._lock = TrackedLock("executor.spill")
-
-    def path_for(self, kind: str, token: Any, builder: Callable[[], Any]) -> str:
-        """Path of the spill file for ``(kind, token)``, writing it once.
-
-        ``builder`` produces the picklable payload; it runs outside the
-        lock (spilling a bench-scale table takes milliseconds, but there
-        is no reason to serialize unrelated spills behind it).  Concurrent
-        builders of the same token write identical bytes and race only on
-        an atomic ``os.replace``.
-        """
-        digest = hashlib.sha1(repr((kind, token)).encode()).hexdigest()[:16]
-        with self._lock:
-            if self._dir is None:
-                self._dir = tempfile.mkdtemp(prefix="repro-spill-")
-            path = os.path.join(self._dir, f"{kind}-{digest}.pkl")
-            if path in self._written:
-                return path
-        payload = pickle.dumps(builder(), protocol=pickle.HIGHEST_PROTOCOL)
-        fd, tmp_path = tempfile.mkstemp(dir=self._dir, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(payload)
-            os.replace(tmp_path, path)
-        except BaseException:
-            if os.path.exists(tmp_path):  # pragma: no cover - cleanup path
-                os.unlink(tmp_path)
-            raise
-        with self._lock:
-            self._written.add(path)
-        return path
-
-    def cleanup(self) -> None:
-        """Delete the spill directory (idempotent)."""
-        with self._lock:
-            directory, self._dir = self._dir, None
-            self._written.clear()
-        if directory is not None:
-            shutil.rmtree(directory, ignore_errors=True)
-
-
-def _package_root() -> str:
-    """Directory that must be on ``sys.path`` for ``import repro``."""
-    package_dir = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    return os.path.dirname(package_dir)
-
-
 class ExecutorPool:
     """A shared pool of worker threads for morsel-driven operators.
 
@@ -194,31 +97,17 @@ class ExecutorPool:
     created lazily on the first parallel query, so a database configured
     with workers > 1 that only ever runs serial-eligible queries pays
     nothing.
-
-    The same object also owns the **process lane**: a lazily-spawned
-    ``ProcessPoolExecutor`` (:meth:`map_tasks`) plus the :class:`SpillStore`
-    its tasks read scan input from.  ``spawn`` is mandatory -- the engine
-    runs a materializer daemon thread, and forking a multi-threaded
-    process leaves cloned locks in undefined states.
     """
 
     def __init__(self, workers: int):
         self.workers = max(1, int(workers))
         self._executor: ThreadPoolExecutor | None = None
-        self._process_executor: ProcessPoolExecutor | None = None
         # Leaf mutex guarding pool lifecycle + stats; named so the runtime
         # latch-order tracker can place it in the global order graph.
         self._lock = TrackedLock("executor.pool")
-        self.spill = SpillStore()
         #: lifetime accounting (surfaced through ``SinewDB.status()``)
         self.parallel_queries = 0
         self.morsels_executed = 0
-        self.process_queries = 0
-        self.process_tasks = 0
-
-    @property
-    def parallel(self) -> bool:
-        return self.workers > 1
 
     def map_morsels(
         self, fn: Callable[[Morsel], Any], morsels: Sequence[Morsel]
@@ -249,53 +138,6 @@ class ExecutorPool:
             self.morsels_executed += len(morsels)
         return results
 
-    def map_tasks(self, fn: Callable[[Any], Any], tasks: Sequence[Any]) -> list[Any]:
-        """Ship picklable tasks to the process pool, results in task order.
-
-        Unlike :meth:`map_morsels` there is no inline shortcut: even a
-        single task crosses the process boundary, so the pickle round-trip
-        and worker-side rebuild are exercised on every process-lane query
-        (small tables in tests take the same code path as the benchmark).
-
-        A worker process dying (OOM-killed, ``os._exit`` under fault
-        injection) breaks the whole pool; that surfaces here as a clean
-        :class:`ExecutionError` and the broken pool is discarded so the
-        *next* query spawns a fresh one instead of failing forever.
-        """
-        if not tasks:
-            return []
-        executor = self._ensure_process_executor()
-        futures = [executor.submit(fn, task) for task in tasks]
-        results: list[Any] = []
-        error: BaseException | None = None
-        broken = False
-        for future in futures:
-            try:
-                results.append(future.result())
-            except BrokenProcessPool as exc:
-                broken = True
-                if error is None:
-                    error = exc
-            except BaseException as exc:  # noqa: BLE001 - re-raised below
-                if error is None:
-                    error = exc
-        if broken:
-            with self._lock:
-                dead, self._process_executor = self._process_executor, None
-            if dead is not None:
-                dead.shutdown(wait=False)
-            raise ExecutionError(
-                "a parallel worker process died mid-query; the process pool "
-                "was reset and the next query will spawn a fresh one",
-                context="process-lane gather",
-            ) from error
-        if error is not None:
-            raise error
-        with self._lock:
-            self.process_queries += 1
-            self.process_tasks += len(tasks)
-        return results
-
     def _ensure_executor(self) -> ThreadPoolExecutor:
         with self._lock:
             if self._executor is None:
@@ -304,43 +146,17 @@ class ExecutorPool:
                 )
             return self._executor
 
-    def _ensure_process_executor(self) -> ProcessPoolExecutor:
-        # Spawned children re-import the task module from scratch; make
-        # sure they can resolve ``repro`` even when the parent got it from
-        # a runtime sys.path entry rather than an installed package.
-        root = _package_root()
-        python_path = os.environ.get("PYTHONPATH", "")
-        if root not in python_path.split(os.pathsep):
-            os.environ["PYTHONPATH"] = (
-                f"{root}{os.pathsep}{python_path}" if python_path else root
-            )
-        if root not in sys.path:  # pragma: no cover - defensive
-            sys.path.insert(0, root)
-        with self._lock:
-            if self._process_executor is None:
-                self._process_executor = ProcessPoolExecutor(
-                    max_workers=self.workers, mp_context=get_context("spawn")
-                )
-            return self._process_executor
-
     def shutdown(self) -> None:
-        """Join and release worker threads and processes (idempotent)."""
+        """Join and release the worker threads (idempotent)."""
         with self._lock:
             executor, self._executor = self._executor, None
-            process_executor, self._process_executor = self._process_executor, None
         if executor is not None:
             executor.shutdown(wait=True)
-        if process_executor is not None:
-            process_executor.shutdown(wait=True)
-        self.spill.cleanup()
 
     def status(self) -> dict[str, int | bool]:
         return {
             "workers": self.workers,
             "started": self._executor is not None,
-            "process_started": self._process_executor is not None,
             "parallel_queries": self.parallel_queries,
             "morsels_executed": self.morsels_executed,
-            "process_queries": self.process_queries,
-            "process_tasks": self.process_tasks,
         }

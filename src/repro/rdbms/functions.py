@@ -35,13 +35,6 @@ class ScalarFunction:
     to push volatile calls into parallel morsel workers, where evaluation
     order and per-worker state would make results nondeterministic.
 
-    ``remote_spec`` describes how a worker *process* can rebuild this
-    function without pickling ``fn`` (closures and bound methods don't
-    pickle): ``("builtin", name)`` for the built-in scalars,
-    ``("sinew_extract", method)`` for the reservoir-extraction UDFs.
-    ``None`` -- the default for user closures -- keeps any query calling
-    the function off the process lane (it falls back to threads).
-
     ``specializer`` is the one hook through which a function can offer the
     expression compiler something better than ``fn(*args)`` per row.  It
     is a ``(family, tag)`` pair and applies to calls of the shape
@@ -67,7 +60,6 @@ class ScalarFunction:
     counts_as_udf: bool = False
     counters: CostCounters | None = None
     volatile: bool = False
-    remote_spec: tuple[str, str] | None = None
     specializer: tuple[Any, str] | None = None
 
 
@@ -201,7 +193,7 @@ def _builtin_scalars() -> dict[str, ScalarFunction]:
             raise ExecutionError("array_length expects an array")
         return len(value)
 
-    scalars = {
+    return {
         "length": ScalarFunction("length", length, SqlType.INTEGER),
         "abs": ScalarFunction("abs", absolute, SqlType.REAL),
         "lower": ScalarFunction("lower", lower, SqlType.TEXT),
@@ -210,11 +202,6 @@ def _builtin_scalars() -> dict[str, ScalarFunction]:
         "round": ScalarFunction("round", round_fn, SqlType.REAL),
         "array_length": ScalarFunction("array_length", array_length, SqlType.INTEGER),
     }
-    # every build of the builtins is identical, so worker processes can
-    # rebuild any of them from the name alone
-    for key, implementation in scalars.items():
-        implementation.remote_spec = ("builtin", key)
-    return scalars
 
 
 class FunctionRegistry:
@@ -225,11 +212,6 @@ class FunctionRegistry:
         self._scalars: dict[str, ScalarFunction] = _builtin_scalars()
         self._aggregates: dict[str, AggregateFunction] = dict(_BUILTIN_AGGREGATES)
         self._query_listeners: list[Any] = []
-        # The Sinew layer installs its reservoir extractor here so the
-        # process executor lane can snapshot the attribute catalog for
-        # worker processes.  ``None`` means extraction UDFs (if any) keep
-        # queries on the thread lane.
-        self.remote_catalog: Any = None
 
     # -- query lifecycle -----------------------------------------------------
 
@@ -261,7 +243,6 @@ class FunctionRegistry:
         return_type: SqlType,
         counts_as_udf: bool = True,
         volatile: bool = False,
-        remote_spec: tuple[str, str] | None = None,
         specializer: tuple[Any, str] | None = None,
     ) -> ScalarFunction:
         """Register a user-defined scalar function (CREATE FUNCTION)."""
@@ -273,7 +254,6 @@ class FunctionRegistry:
             counts_as_udf=counts_as_udf,
             counters=self.counters,
             volatile=volatile,
-            remote_spec=remote_spec,
             specializer=specializer,
         )
         self._scalars[key] = implementation

@@ -29,11 +29,10 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .cost import CostCounters, DiskBudget, ExtractionStats
 from .errors import ExecutionError
-from .executor import ExecutorPool, morsel_rows_for, partition_morsels
+from .executor import ExecutorPool, partition_morsels
 from .expressions import (
     CompiledExpr,
     Expr,
-    FunctionCall,
     SchemaResolver,
     Star,
     compile_expr,
@@ -89,9 +88,6 @@ class ExecutionContext:
         #: operators' gather phase; see :meth:`record_parallel`)
         self.parallel_workers = 0
         self.parallel_morsels = 0
-        #: which executor lane the parallel fragment ran on
-        #: ("thread" | "process"); None until a parallel gather happens
-        self.parallel_lane: str | None = None
         self._worker_stats: dict[int, dict[str, int]] = {}
 
     def record_parallel(self, workers: int, results: Sequence[Any]) -> None:
@@ -100,8 +96,13 @@ class ExecutionContext:
         Runs single-threaded after the gather, so the shared counters and
         extraction stats stay exact without per-increment locking.  Also
         accumulates a per-OS-thread breakdown for EXPLAIN ANALYZE.
+        ``workers`` is the configured width; what is recorded is the
+        number of threads that ran, at most one per morsel (a single
+        morsel runs inline on the calling thread).
         """
-        self.parallel_workers = max(self.parallel_workers, workers)
+        self.parallel_workers = max(
+            self.parallel_workers, min(workers, len(results))
+        )
         self.parallel_morsels += len(results)
         for result in results:
             self.counters.accumulate(result.counters)
@@ -139,7 +140,6 @@ class ExecutionContext:
         return {
             "workers": self.parallel_workers,
             "morsels": self.parallel_morsels,
-            "lane": self.parallel_lane or "thread",
             "per_worker": per_worker,
         }
 
@@ -933,7 +933,6 @@ class _WorkerQueryScope:
         stats: ExtractionStats,
         use_extraction_cache: bool,
         extraction_hint: int | None,
-        batch_rows: int = BATCH_ROWS,
     ):
         self.extract_stats = stats
         self.use_extraction_cache = use_extraction_cache
@@ -941,7 +940,7 @@ class _WorkerQueryScope:
         # A whole batch goes through one stage before the next, and the
         # sort-key / grouping stages run after a morsel's last batch, so
         # what a later stage is to find again must survive a few batches.
-        self.extraction_cache_capacity = max(256, 4 * batch_rows)
+        self.extraction_cache_capacity = max(256, 4 * BATCH_ROWS)
 
 
 @dataclass
@@ -976,8 +975,6 @@ class ParallelScan(PlanNode):
         workers: int,
         pool: ExecutorPool,
         template: PlanNode,
-        lane: str = "thread",
-        batch_rows: int = BATCH_ROWS,
     ):
         self.table = table
         self.qualifier = qualifier
@@ -989,10 +986,6 @@ class ParallelScan(PlanNode):
         )
         self.workers = workers
         self.pool = pool
-        #: "thread" (shared-memory morsel workers) or "process" (pickled
-        #: tasks over a spawn pool); the planner picks per fragment
-        self.lane = lane
-        self.batch_rows = batch_rows
         self.scan_columns: OutputColumns = [
             (qualifier, c.name) for c in table.schema
         ]
@@ -1017,19 +1010,17 @@ class ParallelScan(PlanNode):
         functions = context.functions
         use_cache = context.use_extraction_cache
         hint = context.extraction_hint
-        batch_rows = self.batch_rows
         # one program per query; each morsel binds it to its own counters
         program = BatchProgram(
             SchemaResolver(self.scan_columns, functions),
             self.predicates,
             self.projection[0] if self.projection is not None else None,
-            batch_rows=batch_rows,
         )
 
         def run_morsel(morsel):
             counters = CostCounters()
             stats = ExtractionStats()
-            scope = _WorkerQueryScope(stats, use_cache, hint, batch_rows=batch_rows)
+            scope = _WorkerQueryScope(stats, use_cache, hint)
             functions.begin_query(scope)
             try:
                 chunks = table.scan_batches(
@@ -1049,103 +1040,10 @@ class ParallelScan(PlanNode):
 
         return run_morsel
 
-    # -- remote (process-lane) task building ---------------------------------
-
-    def _pushed_expressions(self) -> list[Expr]:
-        """Every expression a worker evaluates (for remote function specs)."""
-        pushed = list(self.predicates)
-        if self.projection is not None:
-            pushed.extend(self.projection[0])
-        return pushed
-
-    def _remote_function_specs(
-        self, functions: FunctionRegistry
-    ) -> tuple[tuple[str, str, str, str], ...]:
-        """``(name, kind, target, return_type)`` for every called scalar.
-
-        The planner only routes a fragment to the process lane when every
-        scalar carries a remote spec, so a missing one here is a protocol
-        bug, not a user error.
-        """
-        specs: dict[str, tuple[str, str, str, str]] = {}
-        for expr in self._pushed_expressions():
-            for node in expr.walk():
-                if not isinstance(node, FunctionCall):
-                    continue
-                name = node.name.lower()
-                if name in specs or not functions.has_scalar(name):
-                    continue
-                implementation = functions.scalar(name)
-                remote = implementation.remote_spec
-                if remote is None:
-                    raise ExecutionError(
-                        f"function {name}() has no remote spec; the planner "
-                        "must not route it to the process lane",
-                        context="process-lane task build",
-                    )
-                specs[name] = (
-                    name,
-                    remote[0],
-                    remote[1],
-                    implementation.return_type.value,
-                )
-        return tuple(specs.values())
-
-    def _gather_process(
-        self, context: ExecutionContext, remote_post
-    ) -> list[_MorselResult]:
-        from .process_worker import ProcessTask, run_process_task
-
-        table = self.table
-        pool = self.pool
-        functions = context.functions
-        table_path = pool.spill.path_for(
-            "table", (table.name, table.version), table.snapshot_state
-        )
-        specs = self._remote_function_specs(functions)
-        catalog_path = None
-        if any(kind == "sinew_extract" for _n, kind, _t, _rt in specs):
-            extractor = functions.remote_catalog
-            catalog_path = pool.spill.path_for(
-                "catalog", extractor.remote_token(), extractor.remote_payload
-            )
-        n_rids = table.allocated_rids
-        morsels = partition_morsels(n_rids, morsel_rows_for(n_rids, self.workers))
-        projection = (
-            (tuple(self.projection[0]), tuple(self.projection[1]))
-            if self.projection is not None
-            else None
-        )
-        tasks = [
-            ProcessTask(
-                index=morsel.index,
-                start_rid=morsel.start_rid,
-                end_rid=morsel.end_rid,
-                table_path=table_path,
-                scan_columns=tuple(self.scan_columns),
-                predicates=tuple(self.predicates),
-                projection=projection,
-                post=remote_post,
-                function_specs=specs,
-                catalog_path=catalog_path,
-                use_cache=context.use_extraction_cache,
-                hint=context.extraction_hint,
-                batch_rows=self.batch_rows,
-            )
-            for morsel in morsels
-        ]
-        return pool.map_tasks(run_process_task, tasks)
-
-    def _gather(
-        self, context: ExecutionContext, post=None, remote_post=None
-    ) -> list[_MorselResult]:
-        if self.lane == "process":
-            results = self._gather_process(context, remote_post)
-        else:
-            morsels = partition_morsels(self.table.allocated_rids)
-            results = self.pool.map_morsels(self._make_task(context, post), morsels)
+    def _gather(self, context: ExecutionContext, post=None) -> list[_MorselResult]:
+        morsels = partition_morsels(self.table.allocated_rids)
+        results = self.pool.map_morsels(self._make_task(context, post), morsels)
         context.record_parallel(self.workers, results)
-        context.parallel_lane = self.lane
         return results
 
     def rows(self, context: ExecutionContext) -> Iterator[Row]:
@@ -1159,10 +1057,7 @@ class ParallelScan(PlanNode):
         scan = f"Parallel Seq Scan on {name}"
         if self.qualifier != name:
             scan = f"{scan} {self.qualifier}"
-        return f"{scan}  (workers={self.workers}){self._lane_label()}"
-
-    def _lane_label(self) -> str:
-        return f" [lane={self.lane} batch={self.batch_rows}]"
+        return f"{scan}  (workers={self.workers})"
 
     def _annotation_lines(self, depth: int) -> list[str]:
         pad = "  " * (depth + 2)
@@ -1218,8 +1113,7 @@ def run_fragment(
     chunks: Iterable[list[Row]],
     counters: CostCounters,
 ) -> tuple[Any, int]:
-    """One morsel's work, shared by the thread and the process lane:
-    ``(payload, rows surviving scan + filter)``.
+    """One morsel's work: ``(payload, rows surviving scan + filter)``.
 
     Every stage is bound before the first row flows, so each knows
     whether another one reads what it reads.
@@ -1239,9 +1133,7 @@ def sort_post(
 ) -> Post:
     """Fold to one worker's sorted run, ``[(_RunKey, row), ...]``.
 
-    All sort keys of a row are evaluated in one batch stage.  Both lanes
-    build their fold here, so they decorate and sort with identical key
-    encoding and tie behaviour.
+    All sort keys of a row are evaluated in one batch stage.
     """
     resolver = SchemaResolver(input_columns, functions)
     program = compile_batch([expr for expr, _asc in keys], resolver)
@@ -1348,32 +1240,17 @@ class ParallelSort(ParallelScan):
         pool: ExecutorPool,
         keys: Sequence[tuple[Expr, bool]],
         template: PlanNode,
-        lane: str = "thread",
-        batch_rows: int = BATCH_ROWS,
     ):
         super().__init__(
-            table,
-            qualifier,
-            predicates,
-            projection,
-            workers,
-            pool,
-            template,
-            lane=lane,
-            batch_rows=batch_rows,
+            table, qualifier, predicates, projection, workers, pool, template
         )
         self.keys = list(keys)
         self.output_columns = list(template.output_columns)
 
-    def _pushed_expressions(self) -> list[Expr]:
-        pushed = super()._pushed_expressions()
-        pushed.extend(expr for expr, _asc in self.keys)
-        return pushed
-
     def rows(self, context: ExecutionContext) -> Iterator[Row]:
         keys = self.keys
         post = sort_post(context.functions, self._input_columns(), keys)
-        results = self._gather(context, post, remote_post=("sort", tuple(keys)))
+        results = self._gather(context, post)
         runs = [result.payload for result in results if result.payload]
         total_rows = sum(len(run) for run in runs)
         spilled = charge_spill(context, total_rows, self.est_row_bytes)
@@ -1387,10 +1264,7 @@ class ParallelSort(ParallelScan):
         rendered = ", ".join(
             f"{expr}{'' if asc else ' DESC'}" for expr, asc in self.keys
         )
-        return (
-            f"Parallel Sort  Key: {rendered}  "
-            f"(workers={self.workers}){self._lane_label()}"
-        )
+        return f"Parallel Sort  Key: {rendered}  (workers={self.workers})"
 
 
 class ParallelHashAggregate(ParallelScan):
@@ -1415,33 +1289,13 @@ class ParallelHashAggregate(ParallelScan):
         group_exprs: Sequence[Expr],
         aggregates: Sequence[AggSpec],
         template: PlanNode,
-        lane: str = "thread",
-        batch_rows: int = BATCH_ROWS,
     ):
         super().__init__(
-            table,
-            qualifier,
-            predicates,
-            projection,
-            workers,
-            pool,
-            template,
-            lane=lane,
-            batch_rows=batch_rows,
+            table, qualifier, predicates, projection, workers, pool, template
         )
         self.group_exprs = list(group_exprs)
         self.aggregates = list(aggregates)
         self.output_columns = list(template.output_columns)
-
-    def _pushed_expressions(self) -> list[Expr]:
-        pushed = super()._pushed_expressions()
-        pushed.extend(self.group_exprs)
-        pushed.extend(
-            spec.argument
-            for spec in self.aggregates
-            if spec.argument is not None and not isinstance(spec.argument, Star)
-        )
-        return pushed
 
     def rows(self, context: ExecutionContext) -> Iterator[Row]:
         group_exprs = self.group_exprs
@@ -1449,18 +1303,7 @@ class ParallelHashAggregate(ParallelScan):
         post = aggregate_post(
             context.functions, self._input_columns(), group_exprs, aggregates
         )
-        remote_aggs = tuple(
-            (
-                spec.function.name,
-                None
-                if spec.argument is None or isinstance(spec.argument, Star)
-                else spec.argument,
-            )
-            for spec in aggregates
-        )
-        results = self._gather(
-            context, post, remote_post=("agg", tuple(group_exprs), remote_aggs)
-        )
+        results = self._gather(context, post)
         merged: dict[tuple, list] = {}
         for result in results:
             for key, states in result.payload.items():
@@ -1488,7 +1331,4 @@ class ParallelHashAggregate(ParallelScan):
             release_spill(context, spilled)
 
     def node_label(self) -> str:
-        return (
-            f"Parallel HashAggregate  (workers={self.workers})"
-            f"{self._lane_label()}"
-        )
+        return f"Parallel HashAggregate  (workers={self.workers})"

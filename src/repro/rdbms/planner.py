@@ -32,7 +32,6 @@ once Sinew materializes a virtual column into a physical one:
 from __future__ import annotations
 
 import itertools
-import pickle
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
@@ -55,7 +54,7 @@ from .expressions import (
     contains_function_call,
     referenced_columns,
 )
-from .functions import _BUILTIN_AGGREGATES, FunctionRegistry
+from .functions import FunctionRegistry
 from .executor import ExecutorPool
 from .plan_nodes import (
     AggSpec,
@@ -129,7 +128,6 @@ class Planner:
         work_mem_bytes: int,
         parallel_workers: int = 1,
         executor_pool: ExecutorPool | None = None,
-        executor_lane: str = "thread",
     ):
         self.tables = tables
         self.stats = stats
@@ -137,12 +135,6 @@ class Planner:
         self.work_mem_bytes = work_mem_bytes
         self.parallel_workers = max(1, parallel_workers)
         self.executor_pool = executor_pool
-        #: configured lane preference: "serial" disables the morsel
-        #: rewrite entirely, "thread" is the shared-memory default, and
-        #: "process" routes each eligible fragment across the GIL --
-        #: falling back to threads per fragment when its expressions
-        #: cannot cross a process boundary (see :meth:`_process_safe`).
-        self.executor_lane = executor_lane
 
     # ------------------------------------------------------------------
     # entry point
@@ -191,8 +183,6 @@ class Planner:
         """
         if self.parallel_workers <= 1 or self.executor_pool is None:
             return plan
-        if self.executor_lane == "serial":
-            return plan
         if statement.limit is not None and not statement.order_by:
             return plan
         return self._parallel_rewrite(plan)
@@ -229,7 +219,6 @@ class Planner:
                 workers,
                 pool,
                 node,
-                lane=self._fragment_lane(pushed),
             )
         if isinstance(node, Filter):
             chain = self._match_scan_chain(node)
@@ -246,7 +235,6 @@ class Planner:
                 workers,
                 pool,
                 node,
-                lane=self._fragment_lane(predicates),
             )
         if isinstance(node, Sort):
             chain, projection = self._match_projected_chain(node.child)
@@ -268,7 +256,6 @@ class Planner:
                 pool,
                 node.keys,
                 node,
-                lane=self._fragment_lane(pushed),
             )
         if isinstance(node, HashAggregate):
             specs = node.aggregates
@@ -298,7 +285,6 @@ class Planner:
                 node.group_exprs,
                 specs,
                 node,
-                lane=self._fragment_lane(pushed, specs),
             )
         return None
 
@@ -339,63 +325,6 @@ class Planner:
                     return False
                 if self.functions.scalar(sub.name).volatile:
                     return False
-        return True
-
-    def _fragment_lane(
-        self, expressions: Iterable[Expr], aggregates: Iterable[AggSpec] = ()
-    ) -> str:
-        """Pick the executor lane for one already-parallel-safe fragment.
-
-        ``process`` is a per-fragment *preference*, not a mandate: a
-        fragment whose expressions cannot cross the process boundary
-        silently runs on the thread lane instead (never an error --
-        EXPLAIN surfaces the chosen lane).  Volatile functions never get
-        here; :meth:`_parallel_safe` already kept them serial.
-        """
-        expressions = list(expressions)
-        if self.executor_lane != "process":
-            return "thread"
-        if not self._process_safe(expressions, aggregates):
-            return "thread"
-        return "process"
-
-    def _process_safe(
-        self, expressions: list[Expr], aggregates: Iterable[AggSpec]
-    ) -> bool:
-        """True when the fragment's programs survive the pickle boundary.
-
-        Three gates: every aggregate must be a built-in carrying a
-        ``merge`` (workers rebuild them by name); every scalar must carry
-        a ``remote_spec`` -- with a live ``remote_catalog`` when the spec
-        is a Sinew extraction method; and the expression trees themselves
-        must pickle (a ``Literal`` can wrap an arbitrary Python object
-        when a statement is built from a raw AST).
-        """
-        for spec in aggregates:
-            function = spec.function
-            if _BUILTIN_AGGREGATES.get(function.name) is not function:
-                return False
-            if function.merge is None:
-                return False
-        for expr in expressions:
-            for sub in expr.walk():
-                if not isinstance(sub, FunctionCall):
-                    continue
-                if self.functions.is_aggregate(sub.name):
-                    continue
-                implementation = self.functions.scalar(sub.name)
-                remote = implementation.remote_spec
-                if remote is None:
-                    return False
-                if (
-                    remote[0] == "sinew_extract"
-                    and getattr(self.functions, "remote_catalog", None) is None
-                ):
-                    return False
-        try:
-            pickle.dumps(tuple(expressions), protocol=pickle.HIGHEST_PROTOCOL)
-        except Exception:
-            return False
         return True
 
     # ------------------------------------------------------------------

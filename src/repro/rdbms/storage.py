@@ -361,10 +361,6 @@ class HeapTable:
         self._rid_directory: list[tuple[int, int]] = []  # rid -> (page, slot)
         self.live_rows = 0
         self.total_bytes = 0
-        #: monotonic mutation counter: bumped on every row or schema
-        #: change, so the process-lane spill store can key its immutable
-        #: scan snapshots by ``(name, version)`` and never serve stale rows
-        self.version = 0
         #: optional FaultInjector (duck-typed, see repro.testing.faults);
         #: fires "storage.write_row" *before* a row write mutates the page,
         #: so an injected crash never leaves a half-applied write.
@@ -421,7 +417,6 @@ class HeapTable:
         self.counters.tuples_written += 1
         self.live_rows += 1
         self.total_bytes += size
-        self.version += 1
         return rid
 
     def update(self, rid: int, row: tuple) -> tuple:
@@ -442,7 +437,6 @@ class HeapTable:
             self.disk.charge(new_size - old_size)
         self.buffer_pool.mark_dirty_write(self.name, page_no)
         self.counters.tuples_written += 1
-        self.version += 1
         return old
 
     def delete(self, rid: int) -> tuple:
@@ -458,7 +452,6 @@ class HeapTable:
         self.total_bytes -= size
         self.live_rows -= 1
         self.buffer_pool.mark_dirty_write(self.name, page_no)
-        self.version += 1
         return old
 
     def undo_delete(self, rid: int, row: tuple) -> None:
@@ -472,7 +465,6 @@ class HeapTable:
         page.used_bytes += size
         self.total_bytes += size
         self.live_rows += 1
-        self.version += 1
 
     @staticmethod
     def _place(page: Page, slot_no: int, row: tuple | None, rid: int) -> int:
@@ -523,7 +515,6 @@ class HeapTable:
         page.slots.append(None)
         slot_no = len(page.slots) - 1
         self._rid_directory.append((page_no, slot_no))
-        self.version += 1
         return len(self._rid_directory) - 1
 
     # -- checkpointing --------------------------------------------------------
@@ -574,7 +565,6 @@ class HeapTable:
                         page.slots[slot_no] = row + (None,)
                         page.used_bytes += delta_per_row
         self.total_bytes += delta_per_row * self.live_rows
-        self.version += 1
 
     def drop_column(self, name: str) -> None:
         """``ALTER TABLE DROP COLUMN``: physically narrow every row."""
@@ -598,7 +588,6 @@ class HeapTable:
                         freed += value_size(value, column.sql_type)
                     page.used_bytes -= freed
                     self.total_bytes -= freed
-        self.version += 1
 
     def truncate(self) -> None:
         """Drop every row and page, releasing the disk budget."""
@@ -610,7 +599,6 @@ class HeapTable:
             self._rid_directory.clear()
         self.live_rows = 0
         self.total_bytes = 0
-        self.version += 1
 
     # -- access -------------------------------------------------------------
 

@@ -1,6 +1,6 @@
 """Batch execution of the scan side: Scan -> Filter -> Project over batches.
 
-The morsel workers (thread lane *and* process lane) run the pushed-down
+The morsel workers run the pushed-down
 fragment batch-at-a-time: the scan hands over page-sized lists of heap
 rows, :class:`BatchProgram` gathers them into batches of
 :data:`BATCH_ROWS`, and every pushed predicate and the projection is one

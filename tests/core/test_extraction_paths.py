@@ -4,8 +4,8 @@ The specialised form of the extraction UDFs must be the plain call in
 every observable respect: the same values and the same extraction
 accounting, whether the calls run per batch (``columns``), per row
 (``one``) or through the UDF itself -- over multi-typed keys, nested and
-literal dotted keys, keys the dictionary learns about later, NULL
-reservoirs, and in a process-lane worker.
+literal dotted keys, keys the dictionary learns about later, and NULL
+reservoirs.
 """
 
 import pytest
@@ -15,12 +15,8 @@ from repro.core.catalog import SinewCatalog
 from repro.core.extractors import EXTRACTION_UDFS, ReservoirExtractor
 from repro.core.loader import SinewLoader
 from repro.core.sinew import SinewConfig
-from repro.rdbms import process_worker
 from repro.rdbms.cost import ExtractionStats
 from repro.rdbms.database import Database, DatabaseConfig
-from repro.rdbms.executor import SpillStore
-from repro.rdbms.expressions import ColumnRef, FunctionCall, Literal
-from repro.rdbms.process_worker import ProcessTask, run_process_task
 
 #: every extractor method that takes ``(data, key)``
 METHODS = [method for method, _type in EXTRACTION_UDFS.values() if method != "to_json"]
@@ -177,13 +173,14 @@ def test_null_reservoir(setup):
 
 
 def test_sql_and_specialised_form_agree_on_every_lane():
-    """The rewritten statement runs through the hook on the batch lanes and
-    through row closures on the serial lane: same rows, same accounting."""
+    """The rewritten statement runs through the hook in the batch pipeline
+    (two workers) and through row closures on one: same rows, same
+    accounting."""
     results = {}
-    for lane in ("serial", "thread", "process"):
+    for lane, workers in (("serial", 1), ("thread", 2)):
         sdb = SinewDB(
             f"paths_{lane}",
-            SinewConfig(database=DatabaseConfig(parallel_workers=2, executor_lane=lane)),
+            SinewConfig(database=DatabaseConfig(parallel_workers=workers)),
         )
         try:
             sdb.create_collection("t")
@@ -195,11 +192,11 @@ def test_sql_and_specialised_form_agree_on_every_lane():
             sdb.close()
     base = results["serial"]
     assert len(base.rows) == 4 * 40
-    for lane in ("thread", "process"):
-        assert results[lane].rows == base.rows
-        assert results[lane].exec_stats["udf_calls"] == base.exec_stats["udf_calls"]
-        assert signature_of(results[lane].exec_stats) == signature_of(base.exec_stats)
-    assert results["process"].exec_stats["lane"] == "process"
+    other = results["thread"]
+    assert other.rows == base.rows
+    assert other.exec_stats["udf_calls"] == base.exec_stats["udf_calls"]
+    assert signature_of(other.exec_stats) == signature_of(base.exec_stats)
+    assert other.exec_stats["morsels"] == 1 and "morsels" not in base.exec_stats
 
 
 def signature_of(exec_stats: dict) -> tuple[int, int]:
@@ -208,63 +205,3 @@ def signature_of(exec_stats: dict) -> tuple[int, int]:
         exec_stats["subdoc_decodes"] + exec_stats["subdoc_cache_hits"],
     )
 
-
-def test_process_worker_registers_and_uses_the_hook():
-    """A worker registers the extraction UDFs from the same table as the
-    parent, hook included; its batch program then never calls the plain
-    functions."""
-    sdb = SinewDB("paths_worker")
-    spill = SpillStore()
-    try:
-        sdb.create_collection("t")
-        sdb.load("t", DOCUMENTS * 3)
-        table = sdb.db.table("t")
-        data = ColumnRef("t", "data")
-        task = ProcessTask(
-            index=0,
-            start_rid=0,
-            end_rid=table.allocated_rids,
-            table_path=spill.path_for("table", (table.name, table.version), table.snapshot_state),
-            scan_columns=tuple(("t", column.name) for column in table.schema),
-            predicates=(),
-            projection=(
-                (
-                    FunctionCall("extract_key_num", (data, Literal("dyn1"))),
-                    FunctionCall("extract_key_text", (data, Literal("u.lang"))),
-                ),
-                ("dyn1", "lang"),
-            ),
-            post=None,
-            function_specs=(
-                ("extract_key_num", "sinew_extract", "extract_num", "real"),
-                ("extract_key_text", "sinew_extract", "extract_text", "text"),
-            ),
-            catalog_path=spill.path_for(
-                "catalog", sdb.extractor.remote_token(), sdb.extractor.remote_payload
-            ),
-            use_cache=True,
-            hint=None,
-        )
-        registry = process_worker._registry_for(task)
-
-        def plain_call(*_args):
-            raise AssertionError("the worker fell back to the plain UDF")
-
-        for name in EXTRACTION_UDFS:
-            implementation = registry.scalar(name)
-            parent = sdb.db.functions.scalar(name)
-            assert (implementation.specializer is None) == (parent.specializer is None)
-            assert implementation.remote_spec == parent.remote_spec
-            implementation.fn = plain_call
-
-        result = run_process_task(task)
-        assert result.payload == [
-            (7, "en"), (None, "de"), (7.5, None), (None, None), (None, None),
-        ] * 3
-        assert result.counters.udf_calls == 2 * 15
-        # one unpack per row, shared by the two keys
-        assert result.stats.header_decodes == 15 + 6  # + the nested "u" documents
-    finally:
-        process_worker._REGISTRIES.clear()
-        spill.cleanup()
-        sdb.close()

@@ -1,11 +1,12 @@
-"""Serial vs thread vs process executor lanes over the Figure 6 suite.
+"""Row iterators vs the batch pipeline over the Figure 6 suite.
 
-The bench gate (benchmarks/run_bench_gate.py) compares all three lanes
-at full scale in CI; this is the tier-1 version of the same contract at
-test scale: every lane returns identical rows in identical order, with
-the identical extraction *access* signature (UDF calls plus the sum of
-decodes and cache hits -- the splits may differ with cache locality, the
-totals may not).  See DESIGN.md section 14.
+``parallel_workers=1`` plans the serial row iterators; ``parallel_workers=4``
+rewrites every eligible fragment into the morsel operators, which run the
+batch pipeline (at this size in one morsel, on the calling thread).  Both
+return identical rows in identical order, with the identical extraction
+*access* signature (UDF calls plus the sum of decodes and cache hits --
+the splits may differ with cache locality, the totals may not).  See
+DESIGN.md sections 10 and 14.
 """
 
 import pytest
@@ -16,6 +17,7 @@ from repro.rdbms.database import DatabaseConfig
 
 N = 1500
 FIG6_QUERIES = ["q1", "q2", "q3", "q4", "q5", "q6", "q7", "q8", "q9", "q10"]
+WORKERS = {"serial": 1, "parallel": 4}
 
 
 def _access_signature(exec_stats: dict) -> tuple:
@@ -34,16 +36,14 @@ def matrix():
     documents = list(generator.documents())
     params = generator.params()
     adapters = {}
-    for lane in ("serial", "thread", "process"):
+    for name, workers in WORKERS.items():
         adapter = SinewNoBench(
             params,
-            SinewConfig(
-                database=DatabaseConfig(parallel_workers=4, executor_lane=lane)
-            ),
+            SinewConfig(database=DatabaseConfig(parallel_workers=workers)),
         )
         adapter.load(documents)
         adapter.prepare()
-        adapters[lane] = adapter
+        adapters[name] = adapter
     yield adapters
     for adapter in adapters.values():
         adapter.sdb.close()
@@ -52,38 +52,28 @@ def matrix():
 class TestLaneMatrix:
     @pytest.mark.parametrize("query_id", FIG6_QUERIES)
     def test_rows_order_and_extraction_accesses_agree(self, matrix, query_id):
-        results = {
-            lane: adapter.sdb.query(adapter.sql_for(query_id))
-            for lane, adapter in matrix.items()
-        }
-        base = results["serial"]
-        for lane in ("thread", "process"):
-            assert results[lane].rows == base.rows, f"{query_id} rows ({lane})"
-            assert _access_signature(results[lane].exec_stats) == (
-                _access_signature(base.exec_stats)
-            ), f"{query_id} extraction accesses ({lane})"
+        base, other = (
+            matrix[name].sdb.query(matrix[name].sql_for(query_id))
+            for name in ("serial", "parallel")
+        )
+        assert other.rows == base.rows, f"{query_id} rows"
+        assert _access_signature(other.exec_stats) == (
+            _access_signature(base.exec_stats)
+        ), f"{query_id} extraction accesses"
 
-    def test_extraction_queries_actually_cross_the_process_boundary(self, matrix):
-        adapter = matrix["process"]
-        lanes_used = {
-            query_id: adapter.sdb.query(adapter.sql_for(query_id)).exec_stats.get(
-                "lane"
-            )
+    def test_parallel_side_runs_the_batch_pipeline(self, matrix):
+        adapter = matrix["parallel"]
+        pipelined = [
+            query_id
             for query_id in FIG6_QUERIES
-        }
-        # every parallelized query runs on the configured lane or falls
-        # back to threads (e.g. sinew_matches has no remote spec); none
-        # may end up anywhere else
-        assert set(lanes_used.values()) <= {"process", "thread", None}
-        process_queries = [
-            query_id for query_id, lane in lanes_used.items() if lane == "process"
+            if "morsels" in adapter.sdb.query(adapter.sql_for(query_id)).exec_stats
         ]
-        # the extraction-UDF scans (the CPU-bound queries the speedup
-        # gate judges) must genuinely leave the parent process
-        assert len(process_queries) >= 3, lanes_used
+        # the extraction-UDF scans must really take the morsel operators,
+        # or the comparison above compares the row iterators with themselves
+        assert len(pipelined) >= 3, pipelined
 
     def test_serial_lane_reports_no_parallel_stats(self, matrix):
         adapter = matrix["serial"]
         result = adapter.sdb.query(adapter.sql_for("q2"))
-        assert "lane" not in result.exec_stats
         assert "workers" not in result.exec_stats
+        assert "morsels" not in result.exec_stats

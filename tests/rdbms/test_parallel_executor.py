@@ -138,6 +138,15 @@ EQUIVALENCE_QUERIES = [
     "SELECT DISTINCT b FROM t",
     "SELECT a FROM t ORDER BY a DESC LIMIT 25",
     "SELECT b, avg(c) FROM t GROUP BY b ORDER BY b",
+    "SELECT a + c FROM t WHERE c IS NOT NULL",
+    "SELECT a, b, c FROM t WHERE b = 's3' ORDER BY c, a DESC",
+    "SELECT b, count(*), sum(a), min(c), max(c), avg(a) FROM t GROUP BY b ORDER BY b",
+    "SELECT count(*) FROM t WHERE a BETWEEN 100 AND 4000",
+    "SELECT upper(b), length(b) FROM t WHERE a < 500 ORDER BY a",
+    "SELECT a FROM t WHERE b LIKE 's%' AND c IN (1, 2, 3) ORDER BY a LIMIT 50",
+    "SELECT coalesce(c, -1), count(*) FROM t GROUP BY coalesce(c, -1) ORDER BY 1",
+    "SELECT min(a), max(a) FROM t",
+    "SELECT a, b FROM t WHERE c IS NULL ORDER BY a DESC LIMIT 25",
 ]
 
 
@@ -264,13 +273,31 @@ class TestExplainSurface:
             parse("SELECT a, b FROM t WHERE a % 2 = 0"), analyze=True
         )
         assert "workers=4" in result.plan_text
-        assert "Parallel: workers=4 morsels=3" in result.plan_text
+        # three morsels keep three of the four configured threads busy
+        assert "Parallel: workers=3 morsels=3" in result.plan_text
         assert "Worker 0:" in result.plan_text
-        assert result.exec_stats["workers"] == 4
+        assert result.exec_stats["workers"] == 3
         assert result.exec_stats["morsels"] == 3
         per_worker = result.exec_stats["per_worker"]
         assert sum(w["rows"] for w in per_worker) == len(result.rows)
         assert sum(w["tuples_scanned"] for w in per_worker) == 9000
+        database.close()
+
+    def test_single_morsel_reports_the_one_thread_that_ran(self):
+        """One morsel runs inline on the calling thread: ANALYZE and
+        exec_stats say one worker, not the two configured."""
+        database = Database("x1", DatabaseConfig(parallel_workers=2))
+        database.execute("CREATE TABLE t (a integer, b text)")
+        database.insert_rows("t", [(i, f"s{i % 5}") for i in range(3000)])
+        database.analyze()
+        result = database.execute_statement(
+            parse("SELECT b, count(*) FROM t GROUP BY b"), analyze=True
+        )
+        assert "Parallel HashAggregate  (workers=2)" in result.plan_text
+        assert "Parallel: workers=1 morsels=1" in result.plan_text
+        assert result.exec_stats["workers"] == 1
+        status = database.executor_pool.status()
+        assert status["started"] is False and status["parallel_queries"] == 0
         database.close()
 
     def test_plain_explain_shows_workers_and_filter(self):
