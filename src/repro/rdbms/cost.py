@@ -54,16 +54,6 @@ class CostCounters:
             setattr(merged, name, getattr(self, name) + getattr(other, name))
         return merged
 
-    def accumulate(self, other: "CostCounters") -> None:
-        """Add another counter bundle into this one in place.
-
-        The parallel executor gives each worker its own private bundle and
-        folds them into the shared counters here, single-threaded at gather
-        time, so totals stay exact without any per-increment locking.
-        """
-        for name in self.__dataclass_fields__:
-            setattr(self, name, getattr(self, name) + getattr(other, name))
-
 
 @dataclass
 class ExtractionStats:
@@ -84,11 +74,6 @@ class ExtractionStats:
 
     def as_dict(self) -> dict[str, int]:
         return {name: getattr(self, name) for name in self.__dataclass_fields__}
-
-    def merge(self, other: "ExtractionStats") -> None:
-        """Fold another stats bundle into this one (per-worker merge)."""
-        for name in self.__dataclass_fields__:
-            setattr(self, name, getattr(self, name) + getattr(other, name))
 
     def summary(self) -> str:
         """One-line rendering used as the EXPLAIN ANALYZE footer."""

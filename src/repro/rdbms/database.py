@@ -16,14 +16,12 @@ never modifies engine code, only creates tables, registers UDFs
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterator, Sequence
 
 from .cost import CostCounters, DiskBudget, IoCostModel
-from .executor import ExecutorPool, effective_cpu_count
 from .errors import (
     CatalogError,
     DegradedError,
@@ -83,16 +81,6 @@ DEFAULT_WORK_MEM_BYTES = 256 * 1024
 DEFAULT_BUFFER_POOL_PAGES = 4096
 
 
-def default_parallel_workers() -> int:
-    """Default executor width: REPRO_PARALLEL_WORKERS, else the *effective*
-    CPU count (<=8) -- affinity masks and cgroup quotas often grant fewer
-    cores than ``os.cpu_count()`` advertises."""
-    env = os.environ.get("REPRO_PARALLEL_WORKERS")
-    if env:
-        return max(1, int(env))
-    return min(effective_cpu_count(), 8)
-
-
 @dataclass
 class DatabaseConfig:
     """Tunables for one database instance."""
@@ -106,17 +94,17 @@ class DatabaseConfig:
     wal_segment_bytes: int = DEFAULT_SEGMENT_BYTES
     #: fsync once per this many commits (group commit); 1 = every commit
     wal_group_commit: int = 1
-    #: morsel-executor width; 1 = fully serial (no threads are created)
-    parallel_workers: int = field(default_factory=default_parallel_workers)
+
+    # Read-only; their one reader is the run environment that
+    # ``benchmarks/suite/run.py`` records (ROADMAP item 2f removes it).
+    # Every query runs on the calling thread.
+    @property
+    def parallel_workers(self) -> int:
+        return 1
 
     @property
     def executor_lane(self) -> str:
-        """``"serial"`` when ``parallel_workers`` is 1, else ``"thread"``.
-
-        Derived and read-only; its one reader is the benchmark suite's
-        record of the run environment (``benchmarks/suite/run.py``).
-        """
-        return "serial" if self.parallel_workers == 1 else "thread"
+        return "serial"
 
 
 class DbSession:
@@ -205,9 +193,6 @@ class Database:
         self.disk = DiskBudget(self.config.disk_budget_bytes)
         self.buffer_pool = BufferPool(self.config.buffer_pool_pages, self.counters)
         self.functions = FunctionRegistry(self.counters)
-        #: shared morsel-executor pool (threads are created lazily, and
-        #: never when ``parallel_workers == 1``)
-        self.executor_pool = ExecutorPool(self.config.parallel_workers)
         #: durability root (``<path>/wal/*.wal`` + ``<path>/checkpoint.bin``);
         #: None keeps the engine fully in-memory (the historical behaviour)
         self.path = Path(path) if path is not None else None
@@ -353,8 +338,7 @@ class Database:
     ) -> None:
         """Register a UDF, like PostgreSQL's CREATE FUNCTION.
 
-        ``volatile`` excludes the function from parallel morsel execution
-        (PostgreSQL's PARALLEL UNSAFE).
+        ``volatile`` (PostgreSQL's VOLATILE) keeps indexes off the function.
         """
         self.functions.register_scalar(
             name, fn, return_type, counts_as_udf, volatile=volatile
@@ -444,8 +428,6 @@ class Database:
             self.table_stats,
             self.functions,
             self.config.work_mem_bytes,
-            parallel_workers=self.config.parallel_workers,
-            executor_pool=self.executor_pool,
         )
 
     def _plan(self, statement: SelectStatement) -> PlanNode:
@@ -478,9 +460,6 @@ class Database:
         exec_stats: dict[str, Any] = dict(context.extract_stats.as_dict())
         exec_stats["execution_seconds"] = elapsed
         exec_stats["rows"] = len(rows)
-        parallel = context.parallel_summary()
-        if parallel is not None:
-            exec_stats.update(parallel)
         if analyze:
             plan_text = self._render_analyze(plan, context, elapsed, len(rows))
         else:
@@ -494,20 +473,6 @@ class Database:
         plan: PlanNode, context: ExecutionContext, elapsed: float, n_rows: int
     ) -> str:
         lines = plan.explain_analyze_lines(context)
-        parallel = context.parallel_summary()
-        if parallel is not None:
-            lines.append(
-                f"Parallel: workers={parallel['workers']} "
-                f"morsels={parallel['morsels']}"
-            )
-            for worker in parallel["per_worker"]:
-                lines.append(
-                    f"  Worker {worker['worker']}: rows={worker['rows']} "
-                    f"morsels={worker['morsels']} "
-                    f"header_decodes={worker['header_decodes']} "
-                    f"cache_hits={worker['header_cache_hits']} "
-                    f"udf_calls={worker['udf_calls']}"
-                )
         lines.append(context.extract_stats.summary())
         if context.extraction_hint:
             lines.append(
@@ -905,8 +870,7 @@ class Database:
         return self.checkpointer.write(state, wal)
 
     def close(self, checkpoint: bool = True) -> None:
-        """Release worker threads; flush and close the durable log."""
-        self.executor_pool.shutdown()
+        """Flush and close the durable log."""
         if self.path is None:
             return
         if checkpoint and self.wal.active and not self.wal.degraded:

@@ -793,8 +793,8 @@ _EMITTERS: dict[type, Callable[[_Emitter, Any], Operand]] = {
 class Program:
     """Compiled expressions, built once per statement.
 
-    :meth:`bind` makes the callable for one execution -- the calling
-    thread's query, one worker's morsel: it charges UDF calls to that
+    :meth:`bind` makes the callable for one execution -- a query on its
+    calling thread: it charges UDF calls to that
     execution's counters and lets each specialised function family
     resolve its calls against the state of that moment.
     """

@@ -31,9 +31,8 @@ class ScalarFunction:
     exempt to keep the counter meaningful as "reservoir extraction work".
 
     ``volatile`` declares that repeated calls with the same arguments may
-    return different values (PostgreSQL's VOLATILE).  The planner refuses
-    to push volatile calls into parallel morsel workers, where evaluation
-    order and per-worker state would make results nondeterministic.
+    return different values (PostgreSQL's VOLATILE).  No index is built
+    over a volatile call: its keys would not stay true.
 
     ``specializer`` is the one hook through which a function can offer the
     expression compiler something better than ``fn(*args)`` per row.  It
@@ -64,12 +63,7 @@ class ScalarFunction:
 
 
 class AggregateFunction:
-    """Streaming aggregate: ``init() -> state``, ``step``, ``final``.
-
-    ``merge`` combines two partial states into one (must not mutate its
-    second argument); aggregates without a merge cannot be computed as
-    per-worker partials, so the planner keeps them on the serial path.
-    """
+    """Streaming aggregate: ``init() -> state``, ``step``, ``final``."""
 
     def __init__(
         self,
@@ -78,14 +72,12 @@ class AggregateFunction:
         step: Callable[[Any, Any], Any],
         final: Callable[[Any], Any],
         skip_nulls: bool = True,
-        merge: Callable[[Any, Any], Any] | None = None,
     ):
         self.name = name
         self.init = init
         self.step = step
         self.final = final
         self.skip_nulls = skip_nulls
-        self.merge = merge
 
 
 def _sum_step(state: Any, value: Any) -> Any:
@@ -114,46 +106,17 @@ def _avg_final(state: list) -> float | None:
     return None if state[1] == 0 else state[0] / state[1]
 
 
-def _sum_merge(left: Any, right: Any) -> Any:
-    if left is None:
-        return right
-    if right is None:
-        return left
-    return left + right
-
-
-def _min_merge(left: Any, right: Any) -> Any:
-    if left is None:
-        return right
-    if right is None:
-        return left
-    return right if right < left else left
-
-
-def _max_merge(left: Any, right: Any) -> Any:
-    if left is None:
-        return right
-    if right is None:
-        return left
-    return right if right > left else left
-
-
-def _avg_merge(left: list, right: list) -> list:
-    return [left[0] + right[0], left[1] + right[1]]
-
-
 _BUILTIN_AGGREGATES = {
     "count": AggregateFunction(
         "count",
         init=lambda: 0,
         step=lambda state, _value: state + 1,
         final=lambda state: state,
-        merge=lambda left, right: left + right,
     ),
-    "sum": AggregateFunction("sum", lambda: None, _sum_step, lambda s: s, merge=_sum_merge),
-    "min": AggregateFunction("min", lambda: None, _min_step, lambda s: s, merge=_min_merge),
-    "max": AggregateFunction("max", lambda: None, _max_step, lambda s: s, merge=_max_merge),
-    "avg": AggregateFunction("avg", _avg_init, _avg_step, _avg_final, merge=_avg_merge),
+    "sum": AggregateFunction("sum", lambda: None, _sum_step, lambda s: s),
+    "min": AggregateFunction("min", lambda: None, _min_step, lambda s: s),
+    "max": AggregateFunction("max", lambda: None, _max_step, lambda s: s),
+    "avg": AggregateFunction("avg", _avg_init, _avg_step, _avg_final),
 }
 
 

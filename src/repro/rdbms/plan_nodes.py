@@ -11,6 +11,14 @@ The operator inventory mirrors what the paper's Table 2 plans mention:
 Seq Scan, Index Scan, Filter, Project, Nested Loop / Hash Join / Merge
 Join, Sort, Unique, HashAggregate, GroupAggregate, and Limit.
 
+The scan side has one body.  :func:`fuse` turns every maximal
+``Filter* -> Project? -> (Sort | HashAggregate)?`` chain of a planned tree
+into a :class:`BatchFragment`, which runs the chain batch-at-a-time
+(:mod:`repro.rdbms.vectorized`) on the calling thread; Seq Scan, Index
+Scan, Filter, Project, Sort and HashAggregate describe a fragment's source
+and stages and have no row body of their own.  Joins, Limit, Unique and
+GroupAggregate iterate rows.
+
 Memory-overflow behaviour matters for the reproduction: Sort and the two
 hash operators charge scratch space against the database's
 :class:`~repro.rdbms.cost.DiskBudget` whenever their input exceeds
@@ -21,17 +29,15 @@ Q11, exactly as reported in paper sections 6.4-6.5.
 
 from __future__ import annotations
 
-import heapq
-import threading
+import math
 import time
 from dataclasses import dataclass
+from itertools import islice
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .cost import CostCounters, DiskBudget, ExtractionStats
 from .errors import ExecutionError
-from .executor import ExecutorPool, partition_morsels
 from .expressions import (
-    CompiledExpr,
     Expr,
     SchemaResolver,
     Star,
@@ -40,7 +46,7 @@ from .expressions import (
 )
 from .functions import AggregateFunction, FunctionRegistry
 from .storage import HeapTable, IndexTarget, KeyRange
-from .vectorized import BATCH_ROWS, BatchProgram, compile_batch
+from .vectorized import BATCH_ROWS, BatchProgram, Stage, compile_batch, rebatch, staged
 
 Row = tuple
 OutputColumns = list[tuple[str | None, str]]
@@ -84,64 +90,10 @@ class ExecutionContext:
         #: rewriter hint: max distinct keys extracted per row (multi-key
         #: queries are the ones the decode cache pays off on)
         self.extraction_hint = extraction_hint
-        #: parallel-execution bookkeeping (populated by the morsel
-        #: operators' gather phase; see :meth:`record_parallel`)
-        self.parallel_workers = 0
-        self.parallel_morsels = 0
-        self._worker_stats: dict[int, dict[str, int]] = {}
-
-    def record_parallel(self, workers: int, results: Sequence[Any]) -> None:
-        """Fold per-morsel worker results into the query-wide totals.
-
-        Runs single-threaded after the gather, so the shared counters and
-        extraction stats stay exact without per-increment locking.  Also
-        accumulates a per-OS-thread breakdown for EXPLAIN ANALYZE.
-        ``workers`` is the configured width; what is recorded is the
-        number of threads that ran, at most one per morsel (a single
-        morsel runs inline on the calling thread).
-        """
-        self.parallel_workers = max(
-            self.parallel_workers, min(workers, len(results))
-        )
-        self.parallel_morsels += len(results)
-        for result in results:
-            self.counters.accumulate(result.counters)
-            self.extract_stats.merge(result.stats)
-            bucket = self._worker_stats.setdefault(
-                result.thread_ident,
-                {
-                    "rows": 0,
-                    "morsels": 0,
-                    "tuples_scanned": 0,
-                    "udf_calls": 0,
-                    "header_decodes": 0,
-                    "header_cache_hits": 0,
-                    "subdoc_decodes": 0,
-                    "subdoc_cache_hits": 0,
-                },
-            )
-            bucket["rows"] += result.rows
-            bucket["morsels"] += 1
-            bucket["tuples_scanned"] += result.counters.tuples_scanned
-            bucket["udf_calls"] += result.counters.udf_calls
-            bucket["header_decodes"] += result.stats.header_decodes
-            bucket["header_cache_hits"] += result.stats.header_cache_hits
-            bucket["subdoc_decodes"] += result.stats.subdoc_decodes
-            bucket["subdoc_cache_hits"] += result.stats.subdoc_cache_hits
-
-    def parallel_summary(self) -> dict[str, Any] | None:
-        """Workers/morsels/per-worker counters, or None for serial plans."""
-        if not self.parallel_workers:
-            return None
-        per_worker = [
-            {"worker": index, **bucket}
-            for index, bucket in enumerate(self._worker_stats.values())
-        ]
-        return {
-            "workers": self.parallel_workers,
-            "morsels": self.parallel_morsels,
-            "per_worker": per_worker,
-        }
+        #: header memo size the reservoir extractor gives this query: a
+        #: stage runs over a whole batch before the next stage, and the
+        #: sort-key or grouping stage, read the same documents
+        self.extraction_cache_capacity = BATCH_ROWS
 
 
 @dataclass
@@ -203,8 +155,8 @@ class PlanNode:
         raise NotImplementedError
 
     def _annotation_lines(self, depth: int) -> list[str]:
-        """What EXPLAIN prints under this node's own line (a condition or
-        a stage folded into the node)."""
+        """What EXPLAIN prints under this node's own line (an index
+        condition)."""
         return []
 
     def explain_lines(self, depth: int = 0) -> list[str]:
@@ -249,7 +201,8 @@ class PlanNode:
 
 
 class SeqScan(PlanNode):
-    """Full scan of a heap table through the buffer pool."""
+    """Full scan of a heap table through the buffer pool: a fragment's
+    page walk."""
 
     def __init__(self, table: HeapTable, qualifier: str, est_rows: float | None = None):
         self.table = table
@@ -260,10 +213,6 @@ class SeqScan(PlanNode):
             table.total_bytes / max(1, len(table)) if len(table) else 48.0
         )
         self.est_cost = table.n_pages * SEQ_PAGE_COST + len(table) * CPU_TUPLE_COST
-
-    def rows(self, context: ExecutionContext) -> Iterator[Row]:
-        for rows in self.table.scan_batches(0, self.table.allocated_rids):
-            yield from rows
 
     def node_label(self) -> str:
         name = self.table.name
@@ -278,11 +227,10 @@ class IndexScan(PlanNode):
     ``condition`` is the WHERE conjunct the planner read ``target`` (a
     column or an expression over one) and ``ranges`` from.  The index
     names candidates; every fetched row is tested against ``condition``
-    itself (reads run beside writers, and a listed row can have changed
-    by the time it is fetched).  Rows come out in heap order, like a Seq
-    Scan's.  Never morsel-parallel: the planner takes this path only
-    where few rows match.  The row estimate is the built index's exact
-    count in ``ranges``, else the ``selectivity`` estimate.
+    itself, as a fragment's first stage (reads run beside writers, and a
+    listed row can have changed by the time it is fetched).  Rows come
+    out in heap order, like a Seq Scan's.  The row estimate is the built
+    index's exact count in ``ranges``, else the ``selectivity`` estimate.
     """
 
     def __init__(
@@ -307,12 +255,6 @@ class IndexScan(PlanNode):
         self.est_cost = min(self.est_rows, table.n_pages) * RANDOM_PAGE_COST + (
             self.est_rows * (CPU_TUPLE_COST + predicate_cost(condition))
         )
-
-    def rows(self, context: ExecutionContext) -> Iterator[Row]:
-        recheck = compile_expr(self.condition, self.resolver(context.functions))
-        for _rid, row in self.table.index_fetch(self.target, self.ranges):
-            if recheck(row) is True:
-                yield row
 
     def node_label(self) -> str:
         name = self.table.name
@@ -346,12 +288,6 @@ class Filter(PlanNode):
 
     def children(self) -> Sequence[PlanNode]:
         return (self.child,)
-
-    def rows(self, context: ExecutionContext) -> Iterator[Row]:
-        compiled = compile_expr(self.predicate, self.resolver(context.functions))
-        for row in self.child.run(context):
-            if compiled(row) is True:
-                yield row
 
     def node_label(self) -> str:
         return f"Filter: {self.predicate}"
@@ -388,12 +324,6 @@ class Project(PlanNode):
     def children(self) -> Sequence[PlanNode]:
         return (self.child,)
 
-    def rows(self, context: ExecutionContext) -> Iterator[Row]:
-        resolver = self.child.resolver(context.functions)
-        compiled = [compile_expr(e, resolver) for e in self.expressions]
-        for row in self.child.run(context):
-            yield tuple(fn(row) for fn in compiled)
-
     def node_label(self) -> str:
         rendered = ", ".join(str(e) for e in self.expressions)
         if len(rendered) > 160:
@@ -415,7 +345,15 @@ class Limit(PlanNode):
 
     def rows(self, context: ExecutionContext) -> Iterator[Row]:
         produced = 0
-        for row in self.child.run(context):
+        child = self.child
+        if isinstance(child, BatchFragment):
+            # a fragment evaluates no row this loop would not pull: the
+            # rows still to pass, plus the one that ends the loop
+            batches = child.batches(context, lambda: self.limit - produced + 1)
+            source: Iterable[Row] = (row for batch in batches for row in batch)
+        else:
+            source = child.run(context)
+        for row in source:
             if produced >= self.limit:
                 return
             produced += 1
@@ -452,10 +390,9 @@ def _encode_sort_value(value: Any) -> tuple:
     return (6, type(value).__name__, repr(value))
 
 
-def sort_rows(
-    buffered: list[Row], compiled_keys: list[tuple[CompiledExpr, bool]]
-) -> None:
-    """In-place multi-key sort with explicit NULL placement.
+def sort_rows(decorated: list[tuple[tuple, Row]], ascending: Sequence[bool]) -> None:
+    """In-place multi-key sort of ``(key values, row)`` pairs with explicit
+    NULL placement.
 
     NULLs sort *last* ascending and *first* descending (PostgreSQL's
     defaults).  One stable pass per key, applied last-key-first, gives
@@ -463,15 +400,15 @@ def sort_rows(
     flag leads the key tuple, so ``reverse=True`` flips it along with the
     value.
     """
-    for fn, ascending in reversed(compiled_keys):
+    for index in reversed(range(len(ascending))):
 
-        def key(row: Row, fn=fn) -> tuple:
-            value = fn(row)
+        def key(pair: tuple[tuple, Row], index=index) -> tuple:
+            value = pair[0][index]
             if value is None:
                 return (1, ())
             return (0, _encode_sort_value(value))
 
-        buffered.sort(key=key, reverse=not ascending)
+        decorated.sort(key=key, reverse=not ascending[index])
 
 
 class Sort(PlanNode):
@@ -484,23 +421,27 @@ class Sort(PlanNode):
         self.est_rows = child.est_rows
         self.est_row_bytes = child.est_row_bytes
         n = max(2.0, child.est_rows)
-        import math
-
         self.est_cost = child.est_cost + SORT_COST_FACTOR * n * math.log2(n)
 
     def children(self) -> Sequence[PlanNode]:
         return (self.child,)
 
-    def rows(self, context: ExecutionContext) -> Iterator[Row]:
-        resolver = self.child.resolver(context.functions)
-        compiled = [(compile_expr(e, resolver), asc) for e, asc in self.keys]
-        buffered = list(self.child.run(context))
-        spilled = charge_spill(
-            context, len(buffered), self.child.est_row_bytes
-        )
-        sort_rows(buffered, compiled)
+    def fold_exprs(self) -> list[Expr]:
+        """What the fragment's last stage evaluates per row: the keys."""
+        return [expr for expr, _asc in self.keys]
+
+    def fold(
+        self, context: ExecutionContext, batches: Iterable[list[Row]], stage: Stage
+    ) -> Iterator[list[Row]]:
+        """Sort the fragment's output; ``stage`` maps a batch to its keys."""
+        decorated: list[tuple[tuple, Row]] = []
+        for batch in batches:
+            decorated.extend(zip(stage(batch), batch))
+        spilled = charge_spill(context, len(decorated), self.child.est_row_bytes)
+        sort_rows(decorated, [asc for _expr, asc in self.keys])
         release_spill(context, spilled)
-        yield from buffered
+        if decorated:
+            yield [row for _values, row in decorated]
 
     def node_label(self) -> str:
         rendered = ", ".join(
@@ -566,7 +507,13 @@ class AggSpec:
 
 
 class _AggregateBase(PlanNode):
-    """Shared machinery for hash and sorted grouping."""
+    """Shared machinery for hash and sorted grouping.
+
+    A row is folded from one tuple of values: its group key, then the
+    argument of every aggregate that has one (``count(*)`` has none).  A
+    group is its aggregate states plus, for each DISTINCT aggregate, the
+    set of values it has seen.
+    """
 
     def __init__(
         self,
@@ -590,68 +537,85 @@ class _AggregateBase(PlanNode):
     def children(self) -> Sequence[PlanNode]:
         return (self.child,)
 
-    def _compile(self, context: ExecutionContext):
-        resolver = self.child.resolver(context.functions)
-        group_fns = [compile_expr(e, resolver) for e in self.group_exprs]
-        agg_fns: list[CompiledExpr | None] = []
-        for spec in self.aggregates:
-            if spec.argument is None or isinstance(spec.argument, Star):
-                agg_fns.append(None)
-            else:
-                agg_fns.append(compile_expr(spec.argument, resolver))
-        return group_fns, agg_fns
+    def fold_exprs(self) -> list[Expr]:
+        """What one row is folded from, in value-tuple order."""
+        arguments = [spec.argument for spec in self.aggregates if not _counts_rows(spec)]
+        return [*self.group_exprs, *arguments]
 
-    def _finalise(self, key: tuple, states: list[Any]) -> Row:
-        finals = [
+    def _new_group(self) -> tuple[list, list]:
+        return (
+            [spec.function.init() for spec in self.aggregates],
+            [set() if spec.distinct else None for spec in self.aggregates],
+        )
+
+    def _stepper(self) -> Callable[[tuple[list, list], tuple], None]:
+        """``step(group, values)``: fold one row's values into a group."""
+        aggregates = self.aggregates
+        slots: list[int | None] = []  # where each argument sits in values
+        position = len(self.group_exprs)
+        for spec in aggregates:
+            if _counts_rows(spec):
+                slots.append(None)
+            else:
+                slots.append(position)
+                position += 1
+
+        def step(group: tuple[list, list], values: tuple) -> None:
+            states, seen = group
+            for index, spec in enumerate(aggregates):
+                slot = slots[index]
+                if slot is None:
+                    value: Any = 1  # count(*) counts every row
+                else:
+                    value = values[slot]
+                    if value is None and spec.function.skip_nulls:
+                        continue
+                if spec.distinct:
+                    if value in seen[index]:
+                        continue
+                    seen[index].add(value)
+                states[index] = spec.function.step(states[index], value)
+
+        return step
+
+    def _finalise(self, key: tuple, group: tuple[list, list]) -> Row:
+        return key + tuple(
             spec.function.final(state)
-            for spec, state in zip(self.aggregates, states)
-        ]
-        return key + tuple(finals)
+            for spec, state in zip(self.aggregates, group[0])
+        )
 
-    def _step_all(self, specs_states, agg_fns, row, distinct_seen) -> None:
-        for index, (spec, _state) in enumerate(specs_states):
-            fn = agg_fns[index]
-            if fn is None:
-                value: Any = 1  # count(*) counts every row
-            else:
-                value = fn(row)
-                if value is None and spec.function.skip_nulls:
-                    continue
-            if spec.distinct:
-                seen = distinct_seen[index]
-                if value in seen:
-                    continue
-                seen.add(value)
-            specs_states[index] = (spec, spec.function.step(specs_states[index][1], value))
+
+def _counts_rows(spec: AggSpec) -> bool:
+    return spec.argument is None or isinstance(spec.argument, Star)
 
 
 class HashAggregate(_AggregateBase):
     """Hash-based grouping; also implements hash DISTINCT when it has no
-    aggregate specs (each group key is the full distinct row)."""
+    aggregate specs (each group key is the full distinct row).  Groups
+    come out in the order their first row arrived."""
 
-    def rows(self, context: ExecutionContext) -> Iterator[Row]:
-        group_fns, agg_fns = self._compile(context)
-        groups: dict[tuple, list] = {}
-        distinct_sets: dict[tuple, list[set]] = {}
-        n_buffered = 0
-        for row in self.child.run(context):
-            key = tuple(fn(row) for fn in group_fns)
-            if key not in groups:
-                groups[key] = [
-                    (spec, spec.function.init()) for spec in self.aggregates
-                ]
-                distinct_sets[key] = [set() for _ in self.aggregates]
-                n_buffered += 1
-            self._step_all(groups[key], agg_fns, row, distinct_sets[key])
+    def fold(
+        self, context: ExecutionContext, batches: Iterable[list[Row]], stage: Stage
+    ) -> Iterator[list[Row]]:
+        """Aggregate the fragment's output; ``stage`` maps a batch to the
+        rows' :meth:`fold_exprs` values."""
+        step = self._stepper()
+        n_keys = len(self.group_exprs)
+        groups: dict[tuple, tuple[list, list]] = {}
+        for batch in batches:
+            for values in stage(batch):
+                key = values[:n_keys]
+                group = groups.get(key)
+                if group is None:
+                    group = groups[key] = self._new_group()
+                step(group, values)
         if not groups and not self.group_exprs:
             # SQL: a global aggregate always yields exactly one row.
-            states = [(spec, spec.function.init()) for spec in self.aggregates]
-            yield self._finalise((), [state for _spec, state in states])
+            yield [self._finalise((), self._new_group())]
             return
-        spilled = charge_spill(context, n_buffered, self.est_row_bytes)
+        spilled = charge_spill(context, len(groups), self.est_row_bytes)
         try:
-            for key, specs_states in groups.items():
-                yield self._finalise(key, [state for _spec, state in specs_states])
+            yield [self._finalise(key, group) for key, group in groups.items()]
         finally:
             release_spill(context, spilled)
 
@@ -663,26 +627,24 @@ class GroupAggregate(_AggregateBase):
     """Sort-based grouping over input already sorted on the group keys."""
 
     def rows(self, context: ExecutionContext) -> Iterator[Row]:
-        group_fns, agg_fns = self._compile(context)
-        current_key: tuple | None = None
-        states: list | None = None
-        distinct_seen: list[set] = []
+        resolver = self.child.resolver(context.functions)
+        fns = [compile_expr(expr, resolver) for expr in self.fold_exprs()]
+        step = self._stepper()
+        n_keys = len(self.group_exprs)
+        current_key: tuple = ()
+        group: tuple[list, list] | None = None
         for row in self.child.run(context):
-            key = tuple(fn(row) for fn in group_fns)
-            if key != current_key:
-                if states is not None:
-                    yield self._finalise(
-                        current_key, [state for _spec, state in states]
-                    )
-                current_key = key
-                states = [(spec, spec.function.init()) for spec in self.aggregates]
-                distinct_seen = [set() for _ in self.aggregates]
-            self._step_all(states, agg_fns, row, distinct_seen)
-        if states is not None:
-            yield self._finalise(current_key, [state for _spec, state in states])
+            values = tuple(fn(row) for fn in fns)
+            key = values[:n_keys]
+            if group is None or key != current_key:
+                if group is not None:
+                    yield self._finalise(current_key, group)
+                current_key, group = key, self._new_group()
+            step(group, values)
+        if group is not None:
+            yield self._finalise(current_key, group)
         elif not self.group_exprs:
-            empty = [(spec, spec.function.init()) for spec in self.aggregates]
-            yield self._finalise((), [state for _spec, state in empty])
+            yield self._finalise((), self._new_group())
 
     def node_label(self) -> str:
         return "GroupAggregate"
@@ -813,8 +775,8 @@ class MergeJoin(PlanNode):
         est_rows: float,
         residual: Expr | None = None,
     ):
-        self.outer = Sort(outer, [(k, True) for k in outer_keys])
-        self.inner = Sort(inner, [(k, True) for k in inner_keys])
+        self.outer: PlanNode = Sort(outer, [(k, True) for k in outer_keys])
+        self.inner: PlanNode = Sort(inner, [(k, True) for k in inner_keys])
         self.outer_keys = list(outer_keys)
         self.inner_keys = list(inner_keys)
         self.residual = residual
@@ -914,421 +876,197 @@ def _compare_keys(left: tuple, right: tuple) -> int:
     return 0
 
 
+
+
 # ---------------------------------------------------------------------------
-# morsel-driven parallel operators
+# the batch pipeline
 # ---------------------------------------------------------------------------
 
 
-class _WorkerQueryScope:
-    """The minimal execution-context surface query listeners read.
+#: ``need()``: how many more rows the consumer of a fragment may pull.
+Need = Callable[[], int]
 
-    Each morsel task passes one of these to ``FunctionRegistry.begin_query``
-    so the reservoir extractor installs a *per-worker* extraction context
-    (its context stack is a ``threading.local``) whose decode counters land
-    in the task's private :class:`ExtractionStats`.
+#: The planned nodes a fragment runs as stages.
+Chained = Filter | Project | Sort | HashAggregate
+
+
+class BatchFragment(PlanNode):
+    """One ``Filter* -> Project? -> (Sort | HashAggregate)?`` chain, run
+    batch-at-a-time on the calling thread.
+
+    ``chain`` lists the planned nodes top-down, ``source`` is what the
+    last of them reads: a Seq Scan (a page walk), an Index Scan (an index
+    fetch, whose condition is then the first stage) or any other node.
+    Each batch passes every filter, the projection and then the sort-key
+    or grouping stage before the next batch is cut, so the extraction memo
+    only has to span a batch.  EXPLAIN prints the chain as planned.  The
+    node holds no per-execution state: a cached plan may run in several
+    sessions at once.
     """
 
-    def __init__(
-        self,
-        stats: ExtractionStats,
-        use_extraction_cache: bool,
-        extraction_hint: int | None,
-    ):
-        self.extract_stats = stats
-        self.use_extraction_cache = use_extraction_cache
-        self.extraction_hint = extraction_hint
-        # A whole batch goes through one stage before the next, and the
-        # sort-key / grouping stages run after a morsel's last batch, so
-        # what a later stage is to find again must survive a few batches.
-        self.extraction_cache_capacity = max(256, 4 * BATCH_ROWS)
+    def __init__(self, chain: list[Chained], source: PlanNode, streamed: bool):
+        self.chain = chain
+        self.source = source
+        #: a consumer above may stop after any row, and cannot say how
+        #: many it still needs (the outer side of a join under a LIMIT)
+        self.streamed = streamed
+        top = self.top
+        self.output_columns = top.output_columns
+        self.est_rows = top.est_rows
+        self.est_row_bytes = top.est_row_bytes
+        self.est_cost = top.est_cost
 
+    @property
+    def top(self) -> PlanNode:
+        return self.chain[0] if self.chain else self.source
 
-@dataclass
-class _MorselResult:
-    """One morsel task's payload plus its private counter bundles."""
+    def children(self) -> Sequence[PlanNode]:
+        return (self.top,)
 
-    index: int
-    payload: Any
-    rows: int  # rows surviving the scan + filter stage
-    counters: CostCounters
-    stats: ExtractionStats
-    thread_ident: int
+    def node_label(self) -> str:
+        return self.top.node_label()
 
+    def explain_lines(self, depth: int = 0) -> list[str]:
+        return self.top.explain_lines(depth)
 
-class ParallelScan(PlanNode):
-    """Morsel-parallel Seq Scan with pushed-down filters and projection.
+    def explain_analyze_lines(
+        self, context: ExecutionContext, depth: int = 0
+    ) -> list[str]:
+        return self.top.explain_analyze_lines(context, depth)
 
-    Each worker installs its own extraction context, compiles the pushed
-    predicates (and, when folded, the projection) against its private UDF
-    counters, and scans one contiguous rid morsel.  The gather walks
-    results in morsel order -- rids are allocated in append order, so the
-    output row order is identical to the serial Filter/Project chain this
-    node replaces.
-    """
+    def run(self, context: ExecutionContext) -> Iterator[Row]:
+        # ANALYZE figures are kept per planned node, by batches()
+        return self.rows(context)
 
-    def __init__(
-        self,
-        table: HeapTable,
-        qualifier: str,
-        predicates: Sequence[Expr],
-        projection: tuple[Sequence[Expr], Sequence[str]] | None,
-        workers: int,
-        pool: ExecutorPool,
-        template: PlanNode,
-    ):
-        self.table = table
-        self.qualifier = qualifier
-        self.predicates = list(predicates)
-        self.projection = (
-            (list(projection[0]), list(projection[1]))
-            if projection is not None
-            else None
-        )
-        self.workers = workers
-        self.pool = pool
-        self.scan_columns: OutputColumns = [
-            (qualifier, c.name) for c in table.schema
-        ]
-        if self.projection is not None:
-            self.output_columns = [(None, name) for name in self.projection[1]]
-        else:
-            self.output_columns = list(self.scan_columns)
-        self.est_rows = template.est_rows
-        self.est_row_bytes = template.est_row_bytes
-        self.est_cost = template.est_cost
+    def rows(self, context: ExecutionContext) -> Iterator[Row]:
+        for batch in self.batches(context):
+            yield from batch
 
-    # -- worker pipeline -----------------------------------------------------
+    def batches(
+        self, context: ExecutionContext, need: Need | None = None
+    ) -> Iterator[list[Row]]:
+        """The output batches of one execution.
 
-    def _input_columns(self) -> OutputColumns:
-        """Row layout seen by post-processing stages (sort keys, grouping)."""
-        if self.projection is not None:
-            return [(None, name) for name in self.projection[1]]
-        return self.scan_columns
-
-    def _make_task(self, context: ExecutionContext, post=None):
-        table = self.table
-        functions = context.functions
-        use_cache = context.use_extraction_cache
-        hint = context.extraction_hint
-        # one program per query; each morsel binds it to its own counters
+        Every stage is bound before the first row flows, so each knows
+        whether another one reads what it reads.
+        """
+        source = self.source
+        top = self.chain[0] if self.chain else None
+        fold = top if isinstance(top, (Sort, HashAggregate)) else None
+        size = _batch_size(None if fold else need, self.streamed and fold is None)
+        functions, counters = context.functions, context.counters
+        # the stages, source side first: the index condition, the filters
+        # innermost first, the projection; all read the source's rows
+        filters = [node for node in reversed(self.chain) if isinstance(node, Filter)]
+        predicates = [node.predicate for node in filters]
+        staged_nodes: list[PlanNode] = list(filters)
+        if isinstance(source, IndexScan):
+            predicates.insert(0, source.condition)
+            staged_nodes.insert(0, source)
+        project = next((node for node in self.chain if isinstance(node, Project)), None)
+        if project is not None:
+            staged_nodes.append(project)
         program = BatchProgram(
-            SchemaResolver(self.scan_columns, functions),
-            self.predicates,
-            self.projection[0] if self.projection is not None else None,
+            SchemaResolver(source.output_columns, functions),
+            predicates,
+            None if project is None else project.expressions,
         )
+        stages = program.bind(counters)
 
-        def run_morsel(morsel):
-            counters = CostCounters()
-            stats = ExtractionStats()
-            scope = _WorkerQueryScope(stats, use_cache, hint)
-            functions.begin_query(scope)
-            try:
-                chunks = table.scan_batches(
-                    morsel.start_rid, morsel.end_rid, counters=counters
-                )
-                payload, n_rows = run_fragment(program, post, chunks, counters)
-            finally:
-                functions.end_query(scope)
-            return _MorselResult(
-                morsel.index,
-                payload,
-                n_rows,
-                counters,
-                stats,
-                threading.get_ident(),
-            )
+        flow = self._chunks(context, size)
+        if isinstance(source, SeqScan):
+            flow = _measured(context, source, flow)
+        flow = rebatch(flow, size)
+        for node, stage in zip(staged_nodes, stages):
+            flow = _measured(context, node, staged(stage, flow))
+        if fold is not None:
+            resolver = SchemaResolver(fold.child.output_columns, functions)
+            fold_stage = compile_batch(fold.fold_exprs(), resolver).bind(counters)
+            flow = _measured(context, fold, fold.fold(context, flow, fold_stage))
+        return flow
 
-        return run_morsel
-
-    def _gather(self, context: ExecutionContext, post=None) -> list[_MorselResult]:
-        morsels = partition_morsels(self.table.allocated_rids)
-        results = self.pool.map_morsels(self._make_task(context, post), morsels)
-        context.record_parallel(self.workers, results)
-        return results
-
-    def rows(self, context: ExecutionContext) -> Iterator[Row]:
-        for result in self._gather(context):
-            yield from result.payload
-
-    # -- explain -------------------------------------------------------------
-
-    def node_label(self) -> str:
-        name = self.table.name
-        scan = f"Parallel Seq Scan on {name}"
-        if self.qualifier != name:
-            scan = f"{scan} {self.qualifier}"
-        return f"{scan}  (workers={self.workers})"
-
-    def _annotation_lines(self, depth: int) -> list[str]:
-        pad = "  " * (depth + 2)
-        lines = [f"{pad}Filter: {predicate}" for predicate in self.predicates]
-        if self.projection is not None:
-            rendered = ", ".join(str(e) for e in self.projection[0])
-            if len(rendered) > 160:
-                rendered = rendered[:157] + "..."
-            lines.append(f"{pad}Project: {rendered}")
-        return lines
-
-
-def _null_aware_encode(value: Any) -> tuple:
-    """Sort-key encoding matching :func:`sort_rows` NULL placement."""
-    return (1, ()) if value is None else (0, _encode_sort_value(value))
-
-
-class _RunKey:
-    """Comparison wrapper for k-way merging per-worker sorted runs.
-
-    Encodes the multi-key NULL placement of :func:`sort_rows` (NULLs last
-    ascending, first descending) as one total order, which is what
-    ``heapq.merge`` and single-pass ``list.sort`` need to reproduce the
-    serial multi-pass stable sort exactly.
-    """
-
-    __slots__ = ("parts",)
-
-    def __init__(self, parts: tuple):
-        #: tuple of ``(encoded_value, ascending)`` pairs, one per sort key
-        self.parts = parts
-
-    def __lt__(self, other: "_RunKey") -> bool:
-        for (left, ascending), (right, _asc) in zip(self.parts, other.parts):
-            if left == right:
-                continue
-            return (left < right) if ascending else (right < left)
-        return False
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _RunKey) and self.parts == other.parts
-
-
-#: What a fragment does with its output batches, as a two-step closure:
-#: ``post(counters)`` binds the fold's expressions for one morsel and
-#: returns ``fold(batches) -> payload``.
-Post = Callable[[CostCounters], Callable[[Sequence[list[Row]]], Any]]
-
-
-def run_fragment(
-    program: BatchProgram,
-    post: Post | None,
-    chunks: Iterable[list[Row]],
-    counters: CostCounters,
-) -> tuple[Any, int]:
-    """One morsel's work: ``(payload, rows surviving scan + filter)``.
-
-    Every stage is bound before the first row flows, so each knows
-    whether another one reads what it reads.
-    """
-    fold = post(counters) if post is not None else None
-    batches = list(program.run(chunks, counters))
-    n_rows = sum(map(len, batches))
-    if fold is None:
-        return [row for batch in batches for row in batch], n_rows
-    return fold(batches), n_rows
-
-
-def sort_post(
-    functions: FunctionRegistry,
-    input_columns: OutputColumns,
-    keys: Sequence[tuple[Expr, bool]],
-) -> Post:
-    """Fold to one worker's sorted run, ``[(_RunKey, row), ...]``.
-
-    All sort keys of a row are evaluated in one batch stage.
-    """
-    resolver = SchemaResolver(input_columns, functions)
-    program = compile_batch([expr for expr, _asc in keys], resolver)
-    directions = [asc for _expr, asc in keys]
-
-    def post(counters: CostCounters):
-        key_stage = program.bind(counters)
-
-        def fold(batches: Sequence[list[Row]]) -> list[tuple[_RunKey, Row]]:
-            decorated = [
-                (
-                    _RunKey(
-                        tuple(
-                            (_null_aware_encode(value), asc)
-                            for value, asc in zip(values, directions)
-                        )
-                    ),
-                    row,
-                )
-                for batch in batches
-                for row, values in zip(batch, key_stage(batch))
-            ]
-            decorated.sort(key=lambda pair: pair[0])
-            return decorated
-
-        return fold
-
-    return post
-
-
-def aggregate_post(
-    functions: FunctionRegistry,
-    input_columns: OutputColumns,
-    group_exprs: Sequence[Expr],
-    aggregates: Sequence["AggSpec"],
-) -> Post:
-    """Fold to one worker's partial aggregation states, grouped in scan
-    order: ``{group key: [state, ...]}``.
-
-    One batch stage evaluates a row's group key and then the argument of
-    every aggregate that has one (``count(*)`` has none); the per-row
-    state transitions are the same init/step machinery the serial
-    HashAggregate runs.
-    """
-    n_keys = len(group_exprs)
-    arguments: list[Expr] = []
-    # where each aggregate's argument sits in a stage tuple; None = count(*)
-    slots: list[int | None] = []
-    for spec in aggregates:
-        if spec.argument is None or isinstance(spec.argument, Star):
-            slots.append(None)
+    def _chunks(self, context: ExecutionContext, size: Need) -> Iterator[list[Row]]:
+        source = self.source
+        if isinstance(source, SeqScan):
+            return source.table.scan_batches(0, source.table.allocated_rids)
+        if isinstance(source, BatchFragment):
+            return source.batches(context, size)
+        if isinstance(source, IndexScan):
+            fetched = source.table.index_fetch(source.target, source.ranges)
+            rows: Iterator[Row] = (row for _rid, row in fetched)
         else:
-            slots.append(n_keys + len(arguments))
-            arguments.append(spec.argument)
-    resolver = SchemaResolver(input_columns, functions)
-    program = compile_batch([*group_exprs, *arguments], resolver)
-
-    def post(counters: CostCounters):
-        stage = program.bind(counters)
-
-        def fold(batches: Sequence[list[Row]]) -> dict[tuple, list]:
-            groups: dict[tuple, list] = {}
-            for batch in batches:
-                for values in stage(batch):
-                    key = values[:n_keys]
-                    states = groups.get(key)
-                    if states is None:
-                        states = groups[key] = [
-                            spec.function.init() for spec in aggregates
-                        ]
-                    for index, spec in enumerate(aggregates):
-                        slot = slots[index]
-                        if slot is None:
-                            value: Any = 1  # count(*) counts every row
-                        else:
-                            value = values[slot]
-                            if value is None and spec.function.skip_nulls:
-                                continue
-                        states[index] = spec.function.step(states[index], value)
-            return groups
-
-        return fold
-
-    return post
+            rows = source.run(context)
+        # exactly one batch's rows per pull: a row source is not read ahead
+        return iter(lambda: list(islice(rows, size())), [])
 
 
-class ParallelSort(ParallelScan):
-    """Per-worker sorted runs over morsels + stable k-way merge.
-
-    Workers evaluate the sort keys once per surviving row (inside their
-    own extraction context), sort their run, and the gather merges runs in
-    morsel order.  ``heapq.merge`` is stable across its inputs in argument
-    order, so ties come out in scan order -- exactly the serial stable
-    multi-pass sort's output.
-    """
-
-    def __init__(
-        self,
-        table: HeapTable,
-        qualifier: str,
-        predicates: Sequence[Expr],
-        projection: tuple[Sequence[Expr], Sequence[str]] | None,
-        workers: int,
-        pool: ExecutorPool,
-        keys: Sequence[tuple[Expr, bool]],
-        template: PlanNode,
-    ):
-        super().__init__(
-            table, qualifier, predicates, projection, workers, pool, template
-        )
-        self.keys = list(keys)
-        self.output_columns = list(template.output_columns)
-
-    def rows(self, context: ExecutionContext) -> Iterator[Row]:
-        keys = self.keys
-        post = sort_post(context.functions, self._input_columns(), keys)
-        results = self._gather(context, post)
-        runs = [result.payload for result in results if result.payload]
-        total_rows = sum(len(run) for run in runs)
-        spilled = charge_spill(context, total_rows, self.est_row_bytes)
-        try:
-            for _key, row in heapq.merge(*runs, key=lambda pair: pair[0]):
-                yield row
-        finally:
-            release_spill(context, spilled)
-
-    def node_label(self) -> str:
-        rendered = ", ".join(
-            f"{expr}{'' if asc else ' DESC'}" for expr, asc in self.keys
-        )
-        return f"Parallel Sort  Key: {rendered}  (workers={self.workers})"
+def _batch_size(need: Need | None, streamed: bool) -> Need:
+    """Rows per input batch: what the consumer still needs, capped at
+    :data:`BATCH_ROWS`; one under a consumer that cannot say."""
+    if need is not None:
+        return lambda: max(1, min(BATCH_ROWS, need()))
+    rows = 1 if streamed else BATCH_ROWS
+    return lambda: rows
 
 
-class ParallelHashAggregate(ParallelScan):
-    """Per-worker partial aggregation over morsels, merged at gather.
+def _measured(
+    context: ExecutionContext, node: PlanNode, batches: Iterator[list[Row]]
+) -> Iterator[list[Row]]:
+    """``batches``, counted and timed for EXPLAIN ANALYZE as ``node``'s
+    output (inclusive of everything below it in the fragment)."""
+    if not context.analyze:
+        return batches
+    stats = context.node_stats.setdefault(id(node), NodeStats())
+    stats.loops += 1
+    return _timed(stats, batches)
 
-    Output is serial-identical: group keys first appear in scan order (the
-    gather walks morsels in rid order and dicts preserve insertion order),
-    and partial states combine through each aggregate's ``merge``.  The
-    planner only builds this node when every aggregate has a merge and none
-    is DISTINCT.  With no aggregate specs this is hash DISTINCT, and the
-    merge degenerates to ordered set union.
-    """
 
-    def __init__(
-        self,
-        table: HeapTable,
-        qualifier: str,
-        predicates: Sequence[Expr],
-        projection: tuple[Sequence[Expr], Sequence[str]] | None,
-        workers: int,
-        pool: ExecutorPool,
-        group_exprs: Sequence[Expr],
-        aggregates: Sequence[AggSpec],
-        template: PlanNode,
-    ):
-        super().__init__(
-            table, qualifier, predicates, projection, workers, pool, template
-        )
-        self.group_exprs = list(group_exprs)
-        self.aggregates = list(aggregates)
-        self.output_columns = list(template.output_columns)
-
-    def rows(self, context: ExecutionContext) -> Iterator[Row]:
-        group_exprs = self.group_exprs
-        aggregates = self.aggregates
-        post = aggregate_post(
-            context.functions, self._input_columns(), group_exprs, aggregates
-        )
-        results = self._gather(context, post)
-        merged: dict[tuple, list] = {}
-        for result in results:
-            for key, states in result.payload.items():
-                existing = merged.get(key)
-                if existing is None:
-                    merged[key] = states
-                else:
-                    merged[key] = [
-                        spec.function.merge(left, right)
-                        for spec, left, right in zip(aggregates, existing, states)
-                    ]
-        if not merged and not group_exprs:
-            # SQL: a global aggregate always yields exactly one row.
-            finals = [spec.function.final(spec.function.init()) for spec in aggregates]
-            yield tuple(finals)
+def _timed(stats: NodeStats, batches: Iterator[list[Row]]) -> Iterator[list[Row]]:
+    while True:
+        started = time.perf_counter()
+        batch = next(batches, None)
+        stats.seconds += time.perf_counter() - started
+        if batch is None:
             return
-        spilled = charge_spill(context, len(merged), self.est_row_bytes)
-        try:
-            for key, states in merged.items():
-                yield key + tuple(
-                    spec.function.final(state)
-                    for spec, state in zip(aggregates, states)
-                )
-        finally:
-            release_spill(context, spilled)
+        stats.rows += len(batch)
+        yield batch
 
-    def node_label(self) -> str:
-        return f"Parallel HashAggregate  (workers={self.workers})"
+
+def fuse(node: PlanNode, streamed: bool = False) -> PlanNode:
+    """The executable form of a planned tree: every maximal
+    ``Filter* -> Project? -> (Sort | HashAggregate)?`` chain becomes one
+    :class:`BatchFragment`, whatever its source.
+
+    ``streamed`` says that a LIMIT above may stop pulling after any row
+    without telling how many it still needs; a fragment without a sort or
+    an aggregate then hands over one row per batch, so it evaluates no
+    row the LIMIT would not have pulled.
+    """
+    if isinstance(node, BatchFragment):
+        return node
+    chain: list[Chained] = []
+    bottom = node
+    if isinstance(bottom, (Sort, HashAggregate)):
+        chain.append(bottom)
+        bottom = bottom.child
+        streamed = False
+    if isinstance(bottom, Project):
+        chain.append(bottom)
+        bottom = bottom.child
+    while isinstance(bottom, Filter):
+        chain.append(bottom)
+        bottom = bottom.child
+    if isinstance(bottom, (SeqScan, IndexScan)):
+        return BatchFragment(chain, bottom, streamed)
+    if chain:
+        chain[-1].child = fuse(bottom, streamed)
+        return BatchFragment(chain, chain[-1].child, streamed)
+    # a row operator: joins, Limit, Unique, GroupAggregate
+    if isinstance(node, Limit):
+        node.child = fuse(node.child, True)
+    elif isinstance(node, (Unique, GroupAggregate)):
+        node.child = fuse(node.child, streamed)
+    elif isinstance(node, (NestedLoopJoin, HashJoin, MergeJoin)):
+        node.outer = fuse(node.outer, streamed)
+        node.inner = fuse(node.inner)
+    return node

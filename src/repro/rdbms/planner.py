@@ -27,12 +27,16 @@ once Sinew materializes a virtual column into a physical one:
   the join tree exactly as the paper shows.
 * **Join algorithm**: hash join when the inner fits ``work_mem``, otherwise
   merge join; nested loop only without an equi-key.
+
+The finished tree goes through :func:`~repro.rdbms.plan_nodes.fuse`, which
+makes every scan-side chain one batch fragment; EXPLAIN still prints the
+tree as planned.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterable
 
 from .errors import CatalogError, PlanningError
@@ -55,7 +59,6 @@ from .expressions import (
     referenced_columns,
 )
 from .functions import FunctionRegistry
-from .executor import ExecutorPool
 from .plan_nodes import (
     AggSpec,
     Filter,
@@ -66,14 +69,12 @@ from .plan_nodes import (
     Limit,
     MergeJoin,
     NestedLoopJoin,
-    ParallelHashAggregate,
-    ParallelScan,
-    ParallelSort,
     PlanNode,
     Project,
     SeqScan,
     Sort,
     Unique,
+    fuse,
 )
 from .sql.ast import OrderItem, SelectItem, SelectStatement, TableRef
 from .statistics import (
@@ -126,15 +127,11 @@ class Planner:
         stats: dict[str, TableStats],
         functions: FunctionRegistry,
         work_mem_bytes: int,
-        parallel_workers: int = 1,
-        executor_pool: ExecutorPool | None = None,
     ):
         self.tables = tables
         self.stats = stats
         self.functions = functions
         self.work_mem_bytes = work_mem_bytes
-        self.parallel_workers = max(1, parallel_workers)
-        self.executor_pool = executor_pool
 
     # ------------------------------------------------------------------
     # entry point
@@ -158,174 +155,7 @@ class Planner:
 
         if statement.limit is not None:
             plan = Limit(plan, statement.limit)
-        return self._maybe_parallelize(plan, statement)
-
-    # ------------------------------------------------------------------
-    # morsel-driven parallelism
-    # ------------------------------------------------------------------
-
-    def _maybe_parallelize(
-        self, plan: PlanNode, statement: SelectStatement
-    ) -> PlanNode:
-        """Rewrite scan-side fragments into morsel-parallel operators.
-
-        Eligibility gates (see DESIGN.md section 10):
-
-        * ``parallel_workers > 1`` and a pool to run on;
-        * no ``LIMIT`` without ``ORDER BY`` -- pushing such a limit across
-          morsels would change *which* rows are returned relative to the
-          serial scan, and not pushing it means scanning everything for a
-          query the serial engine can short-circuit;
-        * no volatile (or unknown) scalar functions in any expression a
-          worker would evaluate;
-        * aggregates must be mergeable and non-DISTINCT to run as
-          per-worker partials; joins stay serial.
-        """
-        if self.parallel_workers <= 1 or self.executor_pool is None:
-            return plan
-        if statement.limit is not None and not statement.order_by:
-            return plan
-        return self._parallel_rewrite(plan)
-
-    def _parallel_rewrite(self, node: PlanNode) -> PlanNode:
-        replacement = self._parallel_replacement(node)
-        if replacement is not None:
-            return replacement
-        if isinstance(
-            node,
-            (Limit, Project, Sort, Filter, Unique, HashAggregate, GroupAggregate),
-        ):
-            node.child = self._parallel_rewrite(node.child)
-        return node
-
-    def _parallel_replacement(self, node: PlanNode) -> PlanNode | None:
-        """The parallel operator replacing ``node``'s fragment, or None."""
-        workers = self.parallel_workers
-        pool = self.executor_pool
-        if isinstance(node, Project):
-            chain = self._match_scan_chain(node.child)
-            if chain is None:
-                return None
-            scan, predicates = chain
-            pushed = [*predicates, *node.expressions]
-            if not self._parallel_safe(pushed):
-                return None
-            names = [name for _qualifier, name in node.output_columns]
-            return ParallelScan(
-                scan.table,
-                scan.qualifier,
-                predicates,
-                (node.expressions, names),
-                workers,
-                pool,
-                node,
-            )
-        if isinstance(node, Filter):
-            chain = self._match_scan_chain(node)
-            if chain is None:
-                return None
-            scan, predicates = chain
-            if not self._parallel_safe(predicates):
-                return None
-            return ParallelScan(
-                scan.table,
-                scan.qualifier,
-                predicates,
-                None,
-                workers,
-                pool,
-                node,
-            )
-        if isinstance(node, Sort):
-            chain, projection = self._match_projected_chain(node.child)
-            if chain is None:
-                return None
-            scan, predicates = chain
-            key_exprs = [expr for expr, _asc in node.keys]
-            pushed = [*predicates, *key_exprs]
-            if projection is not None:
-                pushed.extend(projection[0])
-            if not self._parallel_safe(pushed):
-                return None
-            return ParallelSort(
-                scan.table,
-                scan.qualifier,
-                predicates,
-                projection,
-                workers,
-                pool,
-                node.keys,
-                node,
-            )
-        if isinstance(node, HashAggregate):
-            specs = node.aggregates
-            if any(spec.distinct for spec in specs):
-                return None
-            if any(spec.function.merge is None for spec in specs):
-                return None
-            chain, projection = self._match_projected_chain(node.child)
-            if chain is None:
-                return None
-            scan, predicates = chain
-            pushed = [*predicates, *node.group_exprs]
-            pushed.extend(
-                spec.argument for spec in specs if spec.argument is not None
-            )
-            if projection is not None:
-                pushed.extend(projection[0])
-            if not self._parallel_safe(pushed):
-                return None
-            return ParallelHashAggregate(
-                scan.table,
-                scan.qualifier,
-                predicates,
-                projection,
-                workers,
-                pool,
-                node.group_exprs,
-                specs,
-                node,
-            )
-        return None
-
-    @staticmethod
-    def _match_scan_chain(node: PlanNode) -> tuple[SeqScan, list[Expr]] | None:
-        """Match a ``Filter*(SeqScan)`` fragment, predicates in apply order."""
-        predicates: list[Expr] = []
-        while isinstance(node, Filter):
-            predicates.append(node.predicate)
-            node = node.child
-        if isinstance(node, SeqScan):
-            # the innermost Filter runs first serially; reverse to preserve
-            # evaluation order (and therefore short-circuit UDF counts)
-            return node, list(reversed(predicates))
-        return None
-
-    def _match_projected_chain(self, node: PlanNode):
-        """Match a scan chain with an optional Project on top of it."""
-        chain = self._match_scan_chain(node)
-        if chain is not None:
-            return chain, None
-        if isinstance(node, Project):
-            chain = self._match_scan_chain(node.child)
-            if chain is not None:
-                names = [name for _qualifier, name in node.output_columns]
-                return chain, (node.expressions, names)
-        return None, None
-
-    def _parallel_safe(self, expressions: Iterable[Expr]) -> bool:
-        """True when every function a worker would call is parallel-safe."""
-        for expr in expressions:
-            for sub in expr.walk():
-                if not isinstance(sub, FunctionCall):
-                    continue
-                if self.functions.is_aggregate(sub.name):
-                    continue
-                if not self.functions.has_scalar(sub.name):
-                    return False
-                if self.functions.scalar(sub.name).volatile:
-                    return False
-        return True
+        return fuse(plan)
 
     # ------------------------------------------------------------------
     # FROM binding and predicate classification
@@ -610,6 +440,12 @@ class Planner:
         relations: dict[str, _Relation],
     ) -> PlanNode:
         select_items = self._expand_stars(statement.items, plan)
+        statement = replace(
+            statement,
+            order_by=tuple(
+                _resolve_ordinal(item, select_items) for item in statement.order_by
+            ),
+        )
         output_names = [
             self._output_name(item, index) for index, item in enumerate(select_items)
         ]
@@ -849,6 +685,16 @@ class Planner:
 # ---------------------------------------------------------------------------
 # expression utilities
 # ---------------------------------------------------------------------------
+
+
+def _resolve_ordinal(item: OrderItem, select_items: list[SelectItem]) -> OrderItem:
+    """``ORDER BY n`` sorts on the n-th select item, as in PostgreSQL."""
+    value = item.expr.value if isinstance(item.expr, Literal) else None
+    if not isinstance(value, int) or isinstance(value, bool):
+        return item
+    if not 1 <= value <= len(select_items):
+        raise PlanningError(f"ORDER BY position {value} is not in select list")
+    return OrderItem(select_items[value - 1].expr, item.ascending)
 
 
 def _split_conjuncts(predicate: Expr | None) -> list[Expr]:

@@ -147,8 +147,8 @@ class BufferPool:
         self.capacity_pages = capacity_pages
         self.counters = counters
         self._resident: OrderedDict[tuple[str, int], None] = OrderedDict()
-        # Parallel morsel workers touch the pool concurrently; the LRU
-        # check-then-move sequence is not atomic without this lock (a key
+        # Service sessions query on several threads and share the pool; the
+        # LRU check-then-move sequence is not atomic without this lock (a key
         # evicted between ``in`` and ``move_to_end`` would raise KeyError).
         self._lock = threading.Lock()
 
@@ -638,9 +638,8 @@ class HeapTable:
 
         Dead slots (deleted rows, recovery filler from
         :meth:`alloc_dead_slot`) are skipped.  Pass ``counters`` to charge
-        tuple accounting to a private (per-worker) bundle instead of the
-        shared one -- page accounting always goes through the (locked)
-        buffer pool.
+        tuple accounting to a private bundle instead of the shared one --
+        page accounting always goes through the (locked) buffer pool.
         """
         counters = self.counters if counters is None else counters
         for rid, slots in self._page_runs(start_rid, end_rid):
@@ -656,8 +655,8 @@ class HeapTable:
         end_rid: int,
         counters: CostCounters | None = None,
     ) -> Iterator[list[tuple]]:
-        """The morsel-scan primitive: :meth:`scan_range` without the row
-        ids, handed over as one list of live rows per page and charged to
+        """The batch pipeline's page walk: :meth:`scan_range` without the
+        row ids, handed over as one list of live rows per page and charged to
         the tuple counter per page."""
         counters = self.counters if counters is None else counters
         for _rid, slots in self._page_runs(start_rid, end_rid):

@@ -9,9 +9,9 @@ materializer daemon, prepared-plan cache, checkpointer -- is shared.
 Concurrency model (DESIGN.md section 12):
 
 * engine calls run on a bounded thread pool so the event loop never
-  blocks on storage work; reads run concurrently (the engine's
-  morsel-parallel scans and extraction caches are already thread-safe
-  under the catalog latch protocol);
+  blocks on storage work; reads run concurrently (each query runs on
+  its own thread with its own extraction context, and the buffer pool
+  is locked; the catalog latch protocol orders them against writers);
 * writes serialize on one service-wide :class:`~repro.latching.TrackedLock`
   (``service.write``), which also participates in the latch-order
   tracker -- a write path that tried to take the catalog latch in the

@@ -15,9 +15,8 @@ import random
 import pytest
 
 from repro.core import SinewConfig, SinewDB
-from repro.rdbms.database import DatabaseConfig
 from repro.rdbms.expressions import Literal
-from repro.rdbms.plan_nodes import Filter, IndexScan, SeqScan
+from repro.rdbms.plan_nodes import Filter, IndexScan, SeqScan, fuse
 from repro.rdbms.planner import _index_condition
 from repro.rdbms.sql.parser import parse
 from repro.rdbms.storage import IndexExpression
@@ -88,7 +87,7 @@ def document(rng: random.Random, i: int) -> dict:
 
 def new_collection(name: str) -> tuple[SinewDB, random.Random]:
     rng = random.Random(22)
-    sdb = SinewDB(name, SinewConfig(database=DatabaseConfig(parallel_workers=1)))
+    sdb = SinewDB(name, SinewConfig())
     sdb.create_collection("t")
     sdb.load("t", [document(rng, i) for i in range(600)])
     return sdb, rng
@@ -111,8 +110,8 @@ def both_ways(sdb: SinewDB, where) -> tuple[list, list]:
     target, ranges = _index_condition(where, table, "t", sdb.db.functions)
     assert isinstance(target, IndexExpression)
     context = sdb.db.execution_context
-    by_index = list(IndexScan(table, "t", target, ranges, where, 0.1).run(context()))
-    by_scan = list(Filter(SeqScan(table, "t"), where, 0.1).run(context()))
+    by_index = list(fuse(IndexScan(table, "t", target, ranges, where, 0.1)).run(context()))
+    by_scan = list(fuse(Filter(SeqScan(table, "t"), where, 0.1)).run(context()))
     return by_index, by_scan
 
 

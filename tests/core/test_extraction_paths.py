@@ -14,9 +14,10 @@ from repro.core import SinewDB
 from repro.core.catalog import SinewCatalog
 from repro.core.extractors import EXTRACTION_UDFS, ReservoirExtractor
 from repro.core.loader import SinewLoader
-from repro.core.sinew import SinewConfig
 from repro.rdbms.cost import ExtractionStats
-from repro.rdbms.database import Database, DatabaseConfig
+from repro.rdbms.database import Database
+from repro.rdbms.expressions import SchemaResolver, compile_expr
+from repro.rdbms.sql.parser import parse
 
 #: every extractor method that takes ``(data, key)``
 METHODS = [method for method, _type in EXTRACTION_UDFS.values() if method != "to_json"]
@@ -173,30 +174,41 @@ def test_null_reservoir(setup):
 
 
 def test_sql_and_specialised_form_agree_on_every_lane():
-    """The rewritten statement runs through the hook in the batch pipeline
-    (two workers) and through row closures on one: same rows, same
-    accounting."""
-    results = {}
-    for lane, workers in (("serial", 1), ("thread", 2)):
-        sdb = SinewDB(
-            f"paths_{lane}",
-            SinewConfig(database=DatabaseConfig(parallel_workers=workers)),
-        )
+    """The rewritten statement runs through the hook in the batch pipeline;
+    its predicate and each select item, compiled in the row form and
+    called per heap row (the form joins and GroupAggregate use), give the
+    same rows and the same accounting."""
+    sdb = SinewDB("paths_lanes")
+    try:
+        sdb.create_collection("t")
+        sdb.load("t", DOCUMENTS * 40)
+        sql = 'SELECT dyn1, s, "a.b.c", "u.lang" FROM t WHERE "u.id" IS NULL'
+        batch = sdb.query(sql)
+        statement = sdb._prepare_select(parse(sql), sdb.catalog.plan_token()).rewritten
+        database = sdb.db
+        table = database.table("t")
+        resolver = SchemaResolver([("t", c.name) for c in table.schema], database.functions)
+        context = database.execution_context()
+        udf_calls = database.counters.udf_calls
+        database.functions.begin_query(context)
         try:
-            sdb.create_collection("t")
-            sdb.load("t", DOCUMENTS * 40)
-            results[lane] = sdb.query(
-                'SELECT dyn1, s, "a.b.c", "u.lang" FROM t WHERE "u.id" IS NULL'
-            )
+            keep = compile_expr(statement.where, resolver)
+            items = [compile_expr(item.expr, resolver) for item in statement.items]
+            rows = [
+                tuple(fn(row) for fn in items)
+                for _rid, row in table.scan()
+                if keep(row) is True
+            ]
         finally:
-            sdb.close()
-    base = results["serial"]
-    assert len(base.rows) == 4 * 40
-    other = results["thread"]
-    assert other.rows == base.rows
-    assert other.exec_stats["udf_calls"] == base.exec_stats["udf_calls"]
-    assert signature_of(other.exec_stats) == signature_of(base.exec_stats)
-    assert other.exec_stats["morsels"] == 1 and "morsels" not in base.exec_stats
+            database.functions.end_query(context)
+        stats = context.extract_stats.as_dict()
+        stats["udf_calls"] = database.counters.udf_calls - udf_calls
+    finally:
+        sdb.close()
+    assert len(batch.rows) == 4 * 40
+    assert batch.rows == rows
+    assert batch.exec_stats["udf_calls"] == stats["udf_calls"]
+    assert signature_of(batch.exec_stats) == signature_of(stats)
 
 
 def signature_of(exec_stats: dict) -> tuple[int, int]:

@@ -18,7 +18,6 @@ import random
 import pytest
 
 from repro.core import SinewConfig, SinewDB
-from repro.rdbms.database import DatabaseConfig
 from repro.rdbms.storage import IndexExpression
 from repro.rdbms.types import SqlType
 
@@ -28,7 +27,7 @@ KEYS = {"num": SqlType.INTEGER, "tag": SqlType.TEXT, "score": SqlType.REAL}
 
 
 def config() -> SinewConfig:
-    return SinewConfig(database=DatabaseConfig(parallel_workers=1))
+    return SinewConfig()
 
 
 def document(i: int) -> dict:
@@ -247,7 +246,6 @@ class IndexModel:
 
     def crash_reopen(self) -> None:
         self.sdb.db.wal.close()  # no checkpoint: recovery replays the log
-        self.sdb.db.executor_pool.shutdown()
         self.sdb = SinewDB.open(self.root, "ixmodel", config())
         assert not self.sdb.db.table("t")._indexes  # rebuilt on demand
 

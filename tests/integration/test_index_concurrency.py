@@ -19,7 +19,7 @@ import time
 import pytest
 
 from repro.core.sinew import SinewConfig, SinewDB
-from repro.rdbms.database import Database, DatabaseConfig
+from repro.rdbms.database import Database
 from repro.rdbms.storage import IndexExpression
 from repro.rdbms.types import SqlType
 from repro.testing import disable_latch_tracking, enable_latch_tracking
@@ -55,7 +55,7 @@ def test_first_lookup_races_a_writer():
     that inserts, updates and deletes; every row acknowledged before a
     lookup is found by it, and the finished index is exact."""
     for round_no in range(25):
-        database = Database(f"race{round_no}", DatabaseConfig(parallel_workers=1))
+        database = Database(f"race{round_no}")
         database.execute("CREATE TABLE t (id integer, tag text)")
         database.insert_rows("t", [(i, f"t{i}") for i in range(400)])
         database.analyze()
@@ -123,7 +123,6 @@ def test_lookups_race_loader_and_materializer_daemon():
     sdb = SinewDB(
         "index_race",
         SinewConfig(
-            database=DatabaseConfig(parallel_workers=2),
             daemon_step_rows=50,
             daemon_idle_sleep=0.001,
         ),
@@ -228,7 +227,6 @@ def test_first_expression_lookup_races_loader_and_daemon():
     sdb = SinewDB(
         "expression_race",
         SinewConfig(
-            database=DatabaseConfig(parallel_workers=2),
             daemon_step_rows=50,
             daemon_idle_sleep=0.001,
         ),

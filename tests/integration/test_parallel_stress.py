@@ -1,10 +1,10 @@
-"""Concurrency stress: parallel queries racing the materializer daemon.
+"""Concurrency stress: queries on several threads racing the materializer.
 
 The invariant under test is the Sinew transparency guarantee (paper
 section 3.1.4): query results never depend on *where* a value currently
-lives (column reservoir, physical column, or mid-move), so a morsel-
-parallel scan racing the background materializer must return exactly the
-rows a quiet serial engine returns.
+lives (column reservoir, physical column, or mid-move), so a batch scan
+racing the background materializer must return exactly the rows of an
+engine with no daemon and every key still virtual.
 
 FaultInjector delay plans at the materializer latch points stretch the
 latch-held windows so scans genuinely overlap row moves.
@@ -18,7 +18,6 @@ import pytest
 
 from repro.core.sinew import SinewConfig, SinewDB
 from repro.nobench.generator import NoBenchGenerator
-from repro.rdbms.database import DatabaseConfig
 from repro.testing import disable_latch_tracking, enable_latch_tracking
 from repro.testing.faults import FaultInjector
 
@@ -52,11 +51,10 @@ QUERIES = [
 FLIP_KEYS = ["num", "str1", "thousandth"]
 
 
-def _build(name: str, n_docs: int, workers: int) -> SinewDB:
+def _build(name: str, n_docs: int) -> SinewDB:
     sdb = SinewDB(
         name,
         SinewConfig(
-            database=DatabaseConfig(parallel_workers=workers),
             daemon_step_rows=200,
             daemon_idle_sleep=0.001,
         ),
@@ -71,12 +69,12 @@ def _key_types(sdb: SinewDB) -> dict[str, object]:
 
 
 def _run_stress(n_docs: int, n_threads: int, n_iterations: int) -> None:
-    # the reference engine: serial, no daemon, fully virtual layout
-    reference = _build("stress_ref", n_docs, workers=1)
+    # the reference engine: no daemon, fully virtual layout
+    reference = _build("stress_ref", n_docs)
     expected = {sql: reference.query(sql).rows for sql in QUERIES}
     reference.close()
 
-    sdb = _build("stress_sut", n_docs, workers=4)
+    sdb = _build("stress_sut", n_docs)
     types = _key_types(sdb)
     injector = FaultInjector()
     sdb.attach_faults(injector)

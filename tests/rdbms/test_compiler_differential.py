@@ -22,7 +22,7 @@ from repro.rdbms.expressions import (
     compile_expr,
 )
 from repro.rdbms.sql.parser import parse_expression
-from repro.rdbms.vectorized import BatchProgram, compile_batch
+from repro.rdbms.vectorized import BatchProgram, compile_batch, rebatch, staged
 
 from .differential import SCHEMA, RecordingFamily, check, registry
 
@@ -208,12 +208,14 @@ class TestSharedCode:
             resolver,
             [parse_expression("a IS NOT NULL"), parse_expression("ident(b) = 2")],
             [parse_expression("s"), Literal(1)],
-            batch_rows=3,
         )
         for _ in range(2):
             counters = CostCounters()
             chunks = [list(ROWS[:5]), [], list(ROWS[5:])]
-            batches = list(program.run(chunks, counters))
+            flow = rebatch(chunks, lambda: 3)
+            for stage in program.bind(counters):
+                flow = staged(stage, flow)
+            batches = list(flow)
             assert [row for batch in batches for row in batch] == [("ab", 1), ("a%", 1)]
             # ident ran on the survivors of the first predicate only
             assert counters.udf_calls == sum(1 for row in ROWS if row[0] is not None)

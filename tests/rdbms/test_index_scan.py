@@ -12,8 +12,8 @@ import random
 
 import pytest
 
-from repro.rdbms.database import Database, DatabaseConfig
-from repro.rdbms.plan_nodes import Filter, IndexScan, SeqScan
+from repro.rdbms.database import Database
+from repro.rdbms.plan_nodes import Filter, IndexScan, SeqScan, fuse
 from repro.rdbms.planner import _index_condition
 from repro.rdbms.sql.parser import parse
 from repro.rdbms.types import SqlType
@@ -112,7 +112,7 @@ def _random_rows(rng: random.Random, n: int) -> list[tuple]:
 
 @pytest.fixture()
 def db():
-    database = Database("ix", DatabaseConfig(parallel_workers=1))
+    database = Database("ix")
     database.create_table("t", COLUMNS)
     ticks = iter(range(10**6))
     database.create_function(
@@ -128,7 +128,7 @@ def where_of(text: str):
 
 
 def run(db, plan) -> list[tuple]:
-    return list(plan.run(db.execution_context()))
+    return list(fuse(plan).run(db.execution_context()))
 
 
 def same_rows(left: list[tuple], right: list[tuple]) -> bool:
@@ -172,7 +172,7 @@ class TestIndexCondition:
 
 
 def big_db() -> Database:
-    database = Database("big", DatabaseConfig(parallel_workers=1))
+    database = Database("big")
     database.execute("CREATE TABLE t (id integer, grp integer, label text)")
     database.insert_rows("t", [(i, i % 7, f"l{i % 50}") for i in range(3000)])
     database.analyze()
@@ -205,7 +205,7 @@ class TestAccessPath:
         )
 
     def test_tiny_table_keeps_the_scan(self):
-        database = Database("tiny", DatabaseConfig(parallel_workers=1))
+        database = Database("tiny")
         database.execute("CREATE TABLE t (id integer)")
         database.insert_rows("t", [(i,) for i in range(16)])
         database.analyze()
@@ -232,13 +232,16 @@ class TestAccessPath:
         assert database.execute(sql).rows == [(4, "l4")]
 
     def test_never_morsel_parallel(self):
-        database = Database("par", DatabaseConfig(parallel_workers=4))
+        """Both access paths run inline; EXPLAIN prints the planned tree."""
+        database = Database("par")
         database.execute("CREATE TABLE t (id integer)")
         database.insert_rows("t", [(i,) for i in range(9000)])
         database.analyze()
         text = database.explain("SELECT id FROM t WHERE id = 8000")
         assert "Index Scan" in text and "Parallel" not in text
-        assert "Parallel" in database.explain("SELECT id FROM t WHERE id + 0 = 8000")
+        scan = database.explain("SELECT id FROM t WHERE id + 0 = 8000")
+        assert "Seq Scan on t" in scan and "Parallel" not in scan
+        assert database.execute("SELECT id FROM t WHERE id + 0 = 8000").rows == [(8000,)]
         database.close()
 
     def test_explain_analyze_shows_estimated_and_actual_rows(self):
@@ -254,7 +257,7 @@ class TestAccessPath:
         database = big_db()
         table = database.table("t")
         where = where_of("id = 17")
-        plan = IndexScan(table, "t", *_index_condition(where, table, "t"), where, 0.1)
+        plan = fuse(IndexScan(table, "t", *_index_condition(where, table, "t"), where, 0.1))
         rows = plan.run(database.execution_context())
         original_fetch = table.fetch
 
@@ -302,7 +305,7 @@ class TestMaintenance:
 
     def test_every_write_path_keeps_indexes_exact(self, tmp_path):
         rng = random.Random(5)
-        database = Database("m", DatabaseConfig(parallel_workers=1), path=tmp_path / "m")
+        database = Database("m", path=tmp_path / "m")
         database.create_table("t", COLUMNS)
         database.insert_rows("t", _random_rows(rng, 120))
 
@@ -354,7 +357,7 @@ class TestMaintenance:
                 expected = sorted(map(repr, database.table("t").scan()))
                 database.wal.close()  # crash: no checkpoint
                 database = Database(
-                    "m", DatabaseConfig(parallel_workers=1), path=tmp_path / "m"
+                    "m", path=tmp_path / "m"
                 )
                 assert not database.table("t")._indexes  # rebuilt on demand
                 assert sorted(map(repr, database.table("t").scan())) == expected
@@ -398,7 +401,7 @@ class TestWritesDuringABuild:
     between a writer computing its keys and taking the lock."""
 
     def setup_table(self):
-        database = Database("hooked", DatabaseConfig(parallel_workers=1))
+        database = Database("hooked")
         database.execute("CREATE TABLE t (id integer, v integer)")
         database.insert_rows("t", [(i, i % 50) for i in range(3000)])
         family = _HookedFamily()

@@ -1,317 +1,294 @@
-"""Morsel-driven parallel executor: morsel math, result equality, EXPLAIN.
+"""The batch executor: result equality, exact work under LIMIT, EXPLAIN.
 
-The contract under test is *serial equivalence*: for every eligible query,
-the parallel plan must return the same rows in the same order with the
-same extraction counters as the serial plan.  See DESIGN.md section 10.
+Every query's filters, projection, sort and aggregation run as batch
+fragments on the calling thread (DESIGN.md section 10).  The contract
+under test: the rows are right -- checked against SQLite on the same
+10 000 rows, or against rows computed in Python -- and a fragment
+evaluates exactly the rows the row-at-a-time operators evaluated.
 """
+
+import sqlite3
+import threading
 
 import pytest
 
-from repro.rdbms.database import Database, DatabaseConfig
-from repro.rdbms.executor import MORSEL_ROWS, ExecutorPool, Morsel, partition_morsels
-from repro.rdbms.plan_nodes import (
-    HashAggregate,
-    ParallelHashAggregate,
-    ParallelScan,
-    ParallelSort,
-)
+from repro.rdbms.database import Database
+from repro.rdbms.plan_nodes import BatchFragment, HashAggregate
 from repro.rdbms.sql.parser import parse
 from repro.rdbms.types import SqlType
 
 
-# ---------------------------------------------------------------------------
-# morsel boundary math
-# ---------------------------------------------------------------------------
+N_ROWS = 10_000  # ten batches
 
 
-class TestPartitionMorsels:
-    def test_empty_table(self):
-        assert partition_morsels(0) == []
-
-    def test_negative_is_empty(self):
-        assert partition_morsels(-5) == []
-
-    def test_smaller_than_one_morsel(self):
-        morsels = partition_morsels(10)
-        assert morsels == [Morsel(0, 0, 10)]
-
-    def test_exact_multiple(self):
-        morsels = partition_morsels(2 * MORSEL_ROWS)
-        assert [(m.start_rid, m.end_rid) for m in morsels] == [
-            (0, MORSEL_ROWS),
-            (MORSEL_ROWS, 2 * MORSEL_ROWS),
-        ]
-
-    def test_remainder_morsel(self):
-        morsels = partition_morsels(MORSEL_ROWS + 1)
-        assert len(morsels) == 2
-        assert len(morsels[-1]) == 1
-
-    def test_covers_whole_rid_space(self):
-        n = 3 * MORSEL_ROWS + 17
-        morsels = partition_morsels(n)
-        assert morsels[0].start_rid == 0
-        assert morsels[-1].end_rid == n
-        for left, right in zip(morsels, morsels[1:]):
-            assert left.end_rid == right.start_rid
-
-    def test_custom_morsel_rows(self):
-        assert len(partition_morsels(100, morsel_rows=10)) == 10
-
-    def test_invalid_morsel_rows(self):
-        with pytest.raises(ValueError):
-            partition_morsels(100, morsel_rows=0)
-
-
-class TestExecutorPool:
-    def test_serial_pool_never_starts_threads(self):
-        pool = ExecutorPool(1)
-        results = pool.map_morsels(len, partition_morsels(10_000))
-        assert sum(results) == 10_000
-        assert pool.status()["started"] is False
-
-    def test_results_in_morsel_order(self):
-        pool = ExecutorPool(4)
-        morsels = partition_morsels(20_000, morsel_rows=100)
-        try:
-            results = pool.map_morsels(lambda m: m.index, morsels)
-        finally:
-            pool.shutdown()
-        assert results == list(range(len(morsels)))
-
-    def test_worker_error_propagates(self):
-        pool = ExecutorPool(4)
-
-        def boom(morsel):
-            if morsel.index == 3:
-                raise RuntimeError("morsel 3 failed")
-            return morsel.index
-
-        try:
-            with pytest.raises(RuntimeError, match="morsel 3"):
-                pool.map_morsels(boom, partition_morsels(1000, morsel_rows=100))
-        finally:
-            pool.shutdown()
-
-    def test_shutdown_idempotent(self):
-        pool = ExecutorPool(2)
-        pool.map_morsels(len, partition_morsels(10, morsel_rows=1))
-        pool.shutdown()
-        pool.shutdown()
-
-
-# ---------------------------------------------------------------------------
-# parallel-vs-serial equivalence
-# ---------------------------------------------------------------------------
-
-N_ROWS = 10_000  # > 2 morsels, so the pool actually fans out
+def _table_rows(n_rows: int = N_ROWS) -> list[tuple]:
+    return [(i, f"s{i % 7}", None if i % 11 == 0 else i % 13) for i in range(n_rows)]
 
 
 def _populate(database: Database) -> None:
     database.execute("CREATE TABLE t (a integer, b text, c integer)")
-    rows = [
-        (i, f"s{i % 7}", None if i % 11 == 0 else i % 13) for i in range(N_ROWS)
-    ]
-    database.insert_rows("t", rows)
+    database.insert_rows("t", _table_rows())
     database.analyze()
 
 
 @pytest.fixture(scope="module")
 def pair():
-    serial = Database("serial", DatabaseConfig(parallel_workers=1))
-    parallel = Database("parallel", DatabaseConfig(parallel_workers=4))
-    _populate(serial)
-    _populate(parallel)
-    yield serial, parallel
-    serial.close()
-    parallel.close()
+    """The engine and SQLite holding the same rows."""
+    database = Database("batch")
+    _populate(database)
+    reference = sqlite3.connect(":memory:")
+    reference.execute("CREATE TABLE t (a integer, b text, c integer)")
+    reference.executemany("INSERT INTO t VALUES (?, ?, ?)", _table_rows())
+    yield database, reference
+    database.close()
+    reference.close()
 
 
+#: (engine SQL, SQLite SQL or None for the same text, ordered?)  SQLite
+#: sorts NULLs first ascending; PostgreSQL, and the engine, last -- so the
+#: reference spells the placement out.  Unordered results compare as
+#: multisets.
 EQUIVALENCE_QUERIES = [
-    "SELECT a, b FROM t WHERE a % 3 = 0",
-    "SELECT a + c, b FROM t WHERE c IS NOT NULL",
-    "SELECT a, c FROM t ORDER BY c, a DESC",
-    "SELECT b, c FROM t WHERE a % 2 = 0 ORDER BY b DESC, c",
-    "SELECT count(*) FROM t",
-    "SELECT b, count(*), sum(a), avg(a), min(c), max(c) FROM t GROUP BY b",
-    "SELECT c, count(*) FROM t WHERE a % 5 = 1 GROUP BY c",
-    "SELECT DISTINCT b FROM t",
-    "SELECT a FROM t ORDER BY a DESC LIMIT 25",
-    "SELECT b, avg(c) FROM t GROUP BY b ORDER BY b",
-    "SELECT a + c FROM t WHERE c IS NOT NULL",
-    "SELECT a, b, c FROM t WHERE b = 's3' ORDER BY c, a DESC",
-    "SELECT b, count(*), sum(a), min(c), max(c), avg(a) FROM t GROUP BY b ORDER BY b",
-    "SELECT count(*) FROM t WHERE a BETWEEN 100 AND 4000",
-    "SELECT upper(b), length(b) FROM t WHERE a < 500 ORDER BY a",
-    "SELECT a FROM t WHERE b LIKE 's%' AND c IN (1, 2, 3) ORDER BY a LIMIT 50",
-    "SELECT coalesce(c, -1), count(*) FROM t GROUP BY coalesce(c, -1) ORDER BY 1",
-    "SELECT min(a), max(a) FROM t",
-    "SELECT a, b FROM t WHERE c IS NULL ORDER BY a DESC LIMIT 25",
+    ("SELECT a, b FROM t WHERE a % 3 = 0", None, False),
+    ("SELECT a + c, b FROM t WHERE c IS NOT NULL", None, False),
+    (
+        "SELECT a, c FROM t ORDER BY c, a DESC",
+        "SELECT a, c FROM t ORDER BY c NULLS LAST, a DESC",
+        True,
+    ),
+    (
+        "SELECT b, c FROM t WHERE a % 2 = 0 ORDER BY b DESC, c",
+        "SELECT b, c FROM t WHERE a % 2 = 0 ORDER BY b DESC, c NULLS LAST",
+        True,
+    ),
+    ("SELECT count(*) FROM t", None, True),
+    ("SELECT b, count(*), sum(a), avg(a), min(c), max(c) FROM t GROUP BY b", None, False),
+    ("SELECT c, count(*) FROM t WHERE a % 5 = 1 GROUP BY c", None, False),
+    ("SELECT DISTINCT b FROM t", None, False),
+    ("SELECT a FROM t ORDER BY a DESC LIMIT 25", None, True),
+    ("SELECT b, avg(c) FROM t GROUP BY b ORDER BY b", None, True),
+    ("SELECT a + c FROM t WHERE c IS NOT NULL", None, False),
+    (
+        "SELECT a, b, c FROM t WHERE b = 's3' ORDER BY c, a DESC",
+        "SELECT a, b, c FROM t WHERE b = 's3' ORDER BY c NULLS LAST, a DESC",
+        True,
+    ),
+    (
+        "SELECT b, count(*), sum(a), min(c), max(c), avg(a) FROM t GROUP BY b ORDER BY b",
+        None,
+        True,
+    ),
+    ("SELECT count(*) FROM t WHERE a BETWEEN 100 AND 4000", None, True),
+    ("SELECT upper(b), length(b) FROM t WHERE a < 500 ORDER BY a", None, True),
+    ("SELECT a FROM t WHERE b LIKE 's%' AND c IN (1, 2, 3) ORDER BY a LIMIT 50", None, True),
+    (
+        "SELECT coalesce(c, -1), count(*) FROM t GROUP BY coalesce(c, -1) ORDER BY 1",
+        None,
+        True,
+    ),
+    ("SELECT min(a), max(a) FROM t", None, True),
+    ("SELECT a, b FROM t WHERE c IS NULL ORDER BY a DESC LIMIT 25", None, True),
 ]
 
 
-class TestSerialEquivalence:
-    @pytest.mark.parametrize("sql", EQUIVALENCE_QUERIES)
-    def test_rows_identical(self, pair, sql):
-        serial, parallel = pair
-        assert parallel.execute(sql).rows == serial.execute(sql).rows
+def _multiset(rows: list[tuple]) -> list[tuple]:
+    return sorted(rows, key=repr)
 
-    def test_plan_is_actually_parallel(self, pair):
-        _serial, parallel = pair
-        plan = parallel._plan(parse("SELECT a FROM t WHERE a % 3 = 0"))
-        assert any(isinstance(node, ParallelScan) for node in plan.walk())
+
+class TestSerialEquivalence:
+    @pytest.mark.parametrize(
+        "sql", [sql for sql, _reference, _ordered in EQUIVALENCE_QUERIES]
+    )
+    def test_rows_identical(self, pair, sql):
+        database, reference = pair
+        _sql, reference_sql, ordered = next(q for q in EQUIVALENCE_QUERIES if q[0] == sql)
+        rows = database.execute(sql).rows
+        expected = reference.execute(reference_sql or sql).fetchall()
+        assert rows, sql
+        if ordered:
+            assert rows == expected
+        else:
+            assert _multiset(rows) == _multiset(expected)
+
+    def test_every_scan_side_chain_is_one_fragment(self, pair):
+        database, _reference = pair
+        plan = database._plan(parse("SELECT b, count(*) FROM t WHERE a % 3 = 0 GROUP BY b"))
+        fragments = [node for node in plan.walk() if isinstance(node, BatchFragment)]
+        assert len(fragments) == 2  # the aggregate's; the projection above it
+        assert isinstance(fragments[-1].chain[0], HashAggregate)
 
     def test_empty_table_parallel(self):
-        database = Database("empty", DatabaseConfig(parallel_workers=4))
+        database = Database("empty")
         database.execute("CREATE TABLE e (x integer)")
         database.analyze()
         assert database.execute("SELECT x FROM e WHERE x > 0").rows == []
-        # a global aggregate over zero morsels still yields its one row
+        # a global aggregate over no rows still yields its one row
         assert database.execute("SELECT count(*) FROM e").rows == [(0,)]
+        assert database.execute("SELECT x FROM e ORDER BY x").rows == []
         database.close()
 
-    def test_dead_slots_skipped(self, pair):
-        """Deleted rows leave dead slots inside morsels (like recovery
-        filler); both engines must skip them identically."""
-        serial, parallel = pair
-        for database in (serial, parallel):
-            database.execute("DELETE FROM t WHERE a % 97 = 3")
-        sql = "SELECT a, b FROM t WHERE a % 2 = 1 ORDER BY a"
-        assert parallel.execute(sql).rows == serial.execute(sql).rows
+    def test_dead_slots_skipped(self):
+        """Deleted rows leave dead slots inside pages (like recovery
+        filler); the page walk must skip them."""
+        database = Database("dead")
+        _populate(database)
+        database.execute("DELETE FROM t WHERE a % 97 = 3")
+        rows = database.execute("SELECT a, b FROM t WHERE a % 2 = 1 ORDER BY a").rows
+        assert rows == [
+            (a, b) for a, b, _c in _table_rows() if a % 2 == 1 and a % 97 != 3
+        ]
+        database.close()
 
     def test_udf_call_counts_identical(self, pair):
-        serial, parallel = pair
-        for database in (serial, parallel):
-            database.create_function(
-                "double_it", lambda v: None if v is None else v * 2, SqlType.INTEGER
-            )
+        database, _reference = pair
+        database.create_function(
+            "double_it", lambda v: None if v is None else v * 2, SqlType.INTEGER
+        )
         sql = "SELECT double_it(a) FROM t WHERE double_it(c) = 10"
-        baselines = {}
-        for name, database in (("serial", serial), ("parallel", parallel)):
-            before = database.counters.udf_calls
-            rows = database.execute(sql).rows
-            baselines[name] = (rows, database.counters.udf_calls - before)
-        assert baselines["serial"] == baselines["parallel"]
+        before = database.counters.udf_calls
+        rows = database.execute(sql).rows
+        expected = [(a * 2,) for a, _b, c in _table_rows() if c is not None and c * 2 == 10]
+        assert rows == expected
+        # the predicate on every row, the projection on the survivors
+        assert database.counters.udf_calls - before == N_ROWS + len(expected)
 
 
-# ---------------------------------------------------------------------------
-# eligibility rules
-# ---------------------------------------------------------------------------
+class Calls:
+    """A counting UDF that remembers which thread called it."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.count = 0
+        self.threads: set[int] = set()
+
+    def __call__(self, value):
+        self.count += 1
+        self.threads.add(threading.get_ident())
+        return self.fn(value)
 
 
 class TestEligibility:
+    """No query shape is kept off the batch pipeline, and none leaves the
+    calling thread."""
+
     @pytest.fixture()
     def db(self):
-        database = Database("elig", DatabaseConfig(parallel_workers=4))
+        database = Database("elig")
         database.execute("CREATE TABLE t (a integer, b text)")
-        database.insert_rows("t", [(i, f"x{i % 3}") for i in range(100)])
+        database.insert_rows("t", [(i, f"x{i % 3}") for i in range(9000)])
         database.analyze()
         yield database
         database.close()
 
-    def _parallel_nodes(self, database, sql):
-        plan = database._plan(parse(sql))
-        return [n for n in plan.walk() if isinstance(n, ParallelScan)]
-
     def test_limit_without_order_by_stays_serial(self, db):
-        assert not self._parallel_nodes(db, "SELECT a FROM t WHERE a > 1 LIMIT 5")
-
-    def test_limit_with_order_by_parallelizes(self, db):
-        nodes = self._parallel_nodes(db, "SELECT a FROM t ORDER BY a LIMIT 5")
-        assert any(isinstance(n, ParallelSort) for n in nodes)
+        """A LIMIT without ORDER BY evaluates the predicate and the
+        projection on exactly the rows a row-at-a-time pipeline pulls: up
+        to the row after the last one returned, which ends its loop."""
+        f, g = Calls(lambda a: a * 10), Calls(lambda a: a % 1000)
+        db.create_function("f", f, SqlType.INTEGER)
+        db.create_function("g", g, SqlType.INTEGER)
+        table = db.table("t")
+        before = db.counters.snapshot()
+        rows = db.execute("SELECT f(a) FROM t WHERE g(a) > 990 LIMIT 5").rows
+        delta = db.counters.diff(before)
+        matches = [a for a in range(9000) if a % 1000 > 990]
+        pulled = matches[5]  # the sixth match ends the loop
+        assert rows == [(a * 10,) for a in matches[:5]]
+        assert (g.count, f.count) == (pulled + 1, 6)
+        assert delta["udf_calls"] == pulled + 1 + 6
+        # whole pages up to the one holding the last row pulled, no more
+        last_page = table._rid_directory[pulled][0]
+        assert delta["tuples_scanned"] == sum(
+            len(page.slots) for page in table.pages[: last_page + 1]
+        )
+        assert f.threads == g.threads == {threading.get_ident()}
 
     def test_volatile_predicate_stays_serial(self, db):
-        db.create_function("vol", lambda v: v, SqlType.INTEGER, volatile=True)
-        assert not self._parallel_nodes(db, "SELECT a FROM t WHERE vol(a) > 1")
-
-    def test_volatile_projection_not_pushed_to_workers(self, db):
-        db.create_function("vol2", lambda v: v, SqlType.INTEGER, volatile=True)
-        nodes = self._parallel_nodes(db, "SELECT vol2(a) FROM t WHERE a > 1")
-        # the safe predicate parallelizes, but the volatile projection must
-        # stay in the main thread (not folded into the scan workers)
-        assert nodes and all(node.projection is None for node in nodes)
-
-    def test_stable_udf_parallelizes(self, db):
-        db.create_function("stab", lambda v: v, SqlType.INTEGER)
-        assert self._parallel_nodes(db, "SELECT stab(a) FROM t WHERE a > 1")
+        """A volatile predicate is called once per row, on the calling
+        thread, and keeps the right rows."""
+        flip = Calls(lambda a: a % 2)
+        db.create_function("flip", flip, SqlType.INTEGER, volatile=True)
+        rows = db.execute("SELECT a FROM t WHERE flip(a) = 1").rows
+        assert rows == [(a,) for a in range(9000) if a % 2 == 1]
+        assert flip.count == 9000
+        assert flip.threads == {threading.get_ident()}
 
     def test_distinct_aggregate_stays_serial(self, db):
-        plan = db._plan(parse("SELECT count(DISTINCT b) FROM t"))
-        assert any(isinstance(n, HashAggregate) for n in plan.walk())
-        assert not any(isinstance(n, ParallelHashAggregate) for n in plan.walk())
+        """DISTINCT aggregates keep their seen-sets in the one fold."""
+        rows = db.execute(
+            "SELECT b, count(DISTINCT a % 10), count(*) FROM t GROUP BY b"
+        ).rows
+        assert _multiset(rows) == [("x0", 10, 3000), ("x1", 10, 3000), ("x2", 10, 3000)]
 
     def test_join_stays_serial(self, db):
         db.execute("CREATE TABLE u (a integer)")
         db.insert_rows("u", [(i,) for i in range(10)])
         db.analyze()
-        assert not self._parallel_nodes(
-            db, "SELECT t.a FROM t, u WHERE t.a = u.a"
-        )
+        sql = "SELECT t.a, t.b FROM t, u WHERE t.a = u.a AND t.a % 2 = 0"
+        plan = db._plan(parse(sql))
+        # both join inputs are fragments
+        assert sum(isinstance(node, BatchFragment) for node in plan.walk()) >= 2
+        assert _multiset(db.execute(sql).rows) == [(a, f"x{a % 3}") for a in (0, 2, 4, 6, 8)]
+
+    def test_limit_over_a_join_pulls_outer_rows_one_at_a_time(self, db):
+        """Under a LIMIT the outer side of a join hands over one row per
+        batch, so its predicate runs on no row the join did not reach."""
+        db.execute("CREATE TABLE u (a integer)")
+        db.insert_rows("u", [(i,) for i in range(0, 9000, 100)])
+        db.analyze()
+        g = Calls(lambda a: a)
+        db.create_function("g", g, SqlType.INTEGER)
+        sql = "SELECT t.a FROM t, u WHERE t.a = u.a AND g(t.a) >= 0 LIMIT 2"
+        plan = db._plan(parse(sql))
+        assert any(isinstance(n, BatchFragment) and n.streamed for n in plan.walk())
+        assert db.execute(sql).rows == [(0,), (100,)]
+        # outer rows are pulled up to the third match, which ends the loop
+        assert g.count == 200 + 1
 
     def test_serial_config_never_parallelizes(self):
-        database = Database("one", DatabaseConfig(parallel_workers=1))
+        database = Database("one")
         database.execute("CREATE TABLE t (a integer)")
         database.insert_rows("t", [(i,) for i in range(100)])
         database.analyze()
-        plan = database._plan(parse("SELECT a FROM t WHERE a > 1"))
-        assert not any(isinstance(n, ParallelScan) for n in plan.walk())
+        assert database.config.parallel_workers == 1
+        assert "Parallel" not in database.explain("SELECT a FROM t WHERE a > 1")
         database.close()
 
 
-# ---------------------------------------------------------------------------
-# EXPLAIN / EXPLAIN ANALYZE surface
-# ---------------------------------------------------------------------------
-
-
 class TestExplainSurface:
-    def test_explain_analyze_reports_workers(self):
-        database = Database("xa", DatabaseConfig(parallel_workers=4))
+    def test_plain_explain_is_the_planned_tree(self):
+        database = Database("xp")
+        database.execute("CREATE TABLE t (a integer)")
+        database.insert_rows("t", [(i,) for i in range(5000)])
+        database.analyze()
+        text = database.explain("SELECT a FROM t WHERE a % 3 > 1")
+        assert text.splitlines()[0].startswith("Project: a")
+        assert "Filter: ((a % 3) > 1)" in text and "->  Seq Scan on t" in text
+        assert "workers" not in text
+        database.close()
+
+    def test_explain_analyze_counts_every_node_of_a_fragment(self):
+        database = Database("xa")
         database.execute("CREATE TABLE t (a integer, b text)")
         database.insert_rows("t", [(i, f"s{i % 5}") for i in range(9000)])
         database.analyze()
         result = database.execute_statement(
-            parse("SELECT a, b FROM t WHERE a % 2 = 0"), analyze=True
+            parse("SELECT b, count(*) FROM t WHERE a % 2 = 0 GROUP BY b"), analyze=True
         )
-        assert "workers=4" in result.plan_text
-        # three morsels keep three of the four configured threads busy
-        assert "Parallel: workers=3 morsels=3" in result.plan_text
-        assert "Worker 0:" in result.plan_text
-        assert result.exec_stats["workers"] == 3
-        assert result.exec_stats["morsels"] == 3
-        per_worker = result.exec_stats["per_worker"]
-        assert sum(w["rows"] for w in per_worker) == len(result.rows)
-        assert sum(w["tuples_scanned"] for w in per_worker) == 9000
-        database.close()
+        lines = result.plan_text.splitlines()
 
-    def test_single_morsel_reports_the_one_thread_that_ran(self):
-        """One morsel runs inline on the calling thread: ANALYZE and
-        exec_stats say one worker, not the two configured."""
-        database = Database("x1", DatabaseConfig(parallel_workers=2))
-        database.execute("CREATE TABLE t (a integer, b text)")
-        database.insert_rows("t", [(i, f"s{i % 5}") for i in range(3000)])
-        database.analyze()
-        result = database.execute_statement(
-            parse("SELECT b, count(*) FROM t GROUP BY b"), analyze=True
-        )
-        assert "Parallel HashAggregate  (workers=2)" in result.plan_text
-        assert "Parallel: workers=1 morsels=1" in result.plan_text
-        assert result.exec_stats["workers"] == 1
-        status = database.executor_pool.status()
-        assert status["started"] is False and status["parallel_queries"] == 0
-        database.close()
+        def actual(label: str) -> str:
+            return next(line for line in lines if label in line)
 
-    def test_plain_explain_shows_workers_and_filter(self):
-        database = Database("xp", DatabaseConfig(parallel_workers=2))
-        database.execute("CREATE TABLE t (a integer)")
-        database.insert_rows("t", [(i,) for i in range(100)])
-        database.analyze()
-        text = database.explain("SELECT a FROM t WHERE a > 3")
-        assert "Parallel Seq Scan on t  (workers=2)" in text
-        assert "Filter:" in text
+        assert "actual rows=9000 loops=1" in actual("Seq Scan on t")
+        assert "actual rows=4500 loops=1" in actual("Filter:")
+        assert "actual rows=5 loops=1" in actual("HashAggregate")
+        assert "actual rows=5 loops=1" in actual("Project:")
+        assert "Parallel" not in result.plan_text and "Worker" not in result.plan_text
         database.close()
 
     def test_serial_plan_has_no_parallel_block(self):
-        database = Database("xs", DatabaseConfig(parallel_workers=1))
+        database = Database("xs")
         database.execute("CREATE TABLE t (a integer)")
         database.insert_rows("t", [(i,) for i in range(100)])
         database.analyze()
@@ -319,5 +296,6 @@ class TestExplainSurface:
             parse("SELECT a FROM t WHERE a > 3"), analyze=True
         )
         assert "Parallel:" not in result.plan_text
-        assert "workers" not in result.exec_stats
+        for key in ("workers", "morsels", "per_worker"):
+            assert key not in result.exec_stats
         database.close()

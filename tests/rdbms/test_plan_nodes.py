@@ -1,4 +1,5 @@
-"""Direct unit tests for physical operators (bypassing the planner)."""
+"""Direct unit tests for physical operators (bypassing the planner; each
+tree is made executable with ``fuse``, as the planner does)."""
 
 import pytest
 
@@ -19,6 +20,7 @@ from repro.rdbms.plan_nodes import (
     SeqScan,
     Sort,
     Unique,
+    fuse,
 )
 from repro.rdbms.storage import BufferPool, Column, HeapTable, Schema
 from repro.rdbms.types import SqlType
@@ -61,14 +63,14 @@ def people():
 class TestScanFilterProject:
     def test_seq_scan_all_rows(self, people):
         scan = SeqScan(people, "p")
-        assert len(list(scan.rows(context()))) == 5
+        assert len(list(fuse(scan).rows(context()))) == 5
         assert scan.output_columns[0] == ("p", "id")
 
     def test_filter_three_valued(self, people):
         scan = SeqScan(people, "p")
         predicate = BinaryOp(">", ColumnRef("p", "score"), Literal(15))
         node = Filter(scan, predicate, 0.5)
-        rows = list(node.rows(context()))
+        rows = list(fuse(node).rows(context()))
         assert [row[0] for row in rows] == [2, 3, 5]  # NULL score dropped
 
     def test_project_expressions(self, people):
@@ -78,30 +80,30 @@ class TestScanFilterProject:
             [BinaryOp("*", ColumnRef("p", "id"), Literal(2))],
             ["doubled"],
         )
-        assert [row[0] for row in node.rows(context())] == [2, 4, 6, 8, 10]
+        assert [row[0] for row in fuse(node).rows(context())] == [2, 4, 6, 8, 10]
 
     def test_limit(self, people):
         node = Limit(SeqScan(people, "p"), 2)
-        assert len(list(node.rows(context()))) == 2
+        assert len(list(fuse(node).rows(context()))) == 2
 
 
 class TestSortUnique:
     def test_sort_nulls_last(self, people):
         node = Sort(SeqScan(people, "p"), [(ColumnRef("p", "grp"), True)])
-        groups = [row[1] for row in node.rows(context())]
+        groups = [row[1] for row in fuse(node).rows(context())]
         assert groups == ["a", "a", "b", "b", None]
 
     def test_sort_descending(self, people):
         # DESC places NULLs first (PostgreSQL default), then values
         node = Sort(SeqScan(people, "p"), [(ColumnRef("p", "score"), False)])
-        scores = [row[2] for row in node.rows(context())]
+        scores = [row[2] for row in fuse(node).rows(context())]
         assert scores[0] is None
         assert scores[1:] == [50, 30, 20, 10]
 
     def test_sort_mixed_type_key_does_not_crash(self):
         table = make_table("m", [("v", SqlType.TEXT)], [(1,), ("x",), (2.5,), (None,)])
         node = Sort(SeqScan(table, "m"), [(ColumnRef("m", "v"), True)])
-        values = [row[0] for row in node.rows(context())]
+        values = [row[0] for row in fuse(node).rows(context())]
         assert values[:2] == [1, 2.5]  # numbers first, then text, NULL last
         assert values[-1] is None
 
@@ -111,12 +113,12 @@ class TestSortUnique:
             [(ColumnRef(None, "grp"), True)],
         )
         node = Unique(ordered)
-        assert [row[0] for row in node.rows(context())] == ["a", "b", None]
+        assert [row[0] for row in fuse(node).rows(context())] == ["a", "b", None]
 
     def test_sort_spills_when_over_work_mem(self, people):
         ctx = context(work_mem=16)
         node = Sort(SeqScan(people, "p"), [(ColumnRef("p", "id"), True)])
-        list(node.rows(ctx))
+        list(fuse(node).rows(ctx))
         assert ctx.counters.spill_bytes > 0
         assert ctx.disk.used_bytes == 0  # released after the sort
 
@@ -136,7 +138,7 @@ class TestAggregates:
             self.agg_specs(ctx.functions),
             est_groups=3,
         )
-        out = {row[0]: (row[1], row[2]) for row in node.rows(ctx)}
+        out = {row[0]: (row[1], row[2]) for row in fuse(node).rows(ctx)}
         assert out == {"a": (2, 40), "b": (2, 70), None: (1, None)}
 
     def test_group_aggregate_matches_hash(self, people):
@@ -148,7 +150,7 @@ class TestAggregates:
             self.agg_specs(ctx.functions),
             est_groups=3,
         )
-        out = {row[0]: (row[1], row[2]) for row in node.rows(ctx)}
+        out = {row[0]: (row[1], row[2]) for row in fuse(node).rows(ctx)}
         assert out == {"a": (2, 40), "b": (2, 70), None: (1, None)}
 
     def test_distinct_aggregate(self, people):
@@ -157,7 +159,7 @@ class TestAggregates:
             ctx.functions.aggregate("count"), ColumnRef("p", "grp"), True, "__agg0"
         )
         node = HashAggregate(SeqScan(people, "p"), [], [spec], est_groups=1)
-        assert list(node.rows(ctx)) == [(2,)]  # 'a', 'b' distinct; NULL skipped
+        assert list(fuse(node).rows(ctx)) == [(2,)]  # 'a', 'b' distinct; NULL skipped
 
 
 class TestJoins:
@@ -180,25 +182,25 @@ class TestJoins:
         node = HashJoin(
             left, right, [ColumnRef("l", "k")], [ColumnRef("r", "k")], est_rows=2
         )
-        assert sorted(node.rows(context())) == self.expected()
+        assert sorted(fuse(node).rows(context())) == self.expected()
 
     def test_merge_join(self):
         left, right = self.make_pair()
         node = MergeJoin(
             left, right, [ColumnRef("l", "k")], [ColumnRef("r", "k")], est_rows=2
         )
-        assert sorted(node.rows(context())) == self.expected()
+        assert sorted(fuse(node).rows(context())) == self.expected()
 
     def test_nested_loop_with_condition(self):
         left, right = self.make_pair()
         condition = BinaryOp("=", ColumnRef("l", "k"), ColumnRef("r", "k"))
         node = NestedLoopJoin(left, right, condition, est_rows=2)
-        assert sorted(node.rows(context())) == self.expected()
+        assert sorted(fuse(node).rows(context())) == self.expected()
 
     def test_cartesian_nested_loop(self):
         left, right = self.make_pair()
         node = NestedLoopJoin(left, right, None, est_rows=12)
-        assert len(list(node.rows(context()))) == 12
+        assert len(list(fuse(node).rows(context()))) == 12
 
     def test_null_keys_never_join(self):
         # the NULL rows on both sides must not pair up under any algorithm
@@ -208,7 +210,7 @@ class TestJoins:
             node = cls(
                 left, right, [ColumnRef("l", "k")], [ColumnRef("r", "k")], est_rows=2
             )
-            assert all(row[0] is not None for row in node.rows(context()))
+            assert all(row[0] is not None for row in fuse(node).rows(context()))
 
 
 class TestExplainText:

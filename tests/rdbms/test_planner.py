@@ -31,7 +31,7 @@ def db():
     # serial plans: these tests assert the *serial* operator shapes, which
     # the parallel rewrite would otherwise replace on multi-core machines
     database = Database(
-        "plans", DatabaseConfig(work_mem_bytes=32 * 1024, parallel_workers=1)
+        "plans", DatabaseConfig(work_mem_bytes=32 * 1024)
     )
     database.execute("CREATE TABLE big (id integer, grp integer, label text)")
     database.execute("CREATE TABLE small (id integer, name text)")

@@ -1,19 +1,22 @@
-"""Serial fallbacks of the executor on a table of several morsels.
+"""Queries on a table of several batches run on the calling thread.
 
-A volatile predicate and a one-worker configuration must never fan out,
-even where the table is large enough that an eligible query would.  The
-module keeps its historical name; the process lane it was named after is
-gone and ``parallel_workers`` is the executor's one width knob (DESIGN.md
-section 14).  The serial-vs-parallel result contract lives in
-test_parallel_executor.py.
+The module keeps its historical name; the process lane, the thread
+fan-out and ``parallel_workers`` as a setting are gone, and every query
+runs its batch fragments inline (DESIGN.md section 10).  What it still
+checks: a query on a table large enough that the old executor would have
+fanned it out reports no parallel work, and a volatile predicate is
+called once per row and keeps the right rows.  The result contract
+against SQLite lives in test_parallel_executor.py.
 """
+
+import threading
 
 import pytest
 
-from repro.rdbms.database import Database, DatabaseConfig
+from repro.rdbms.database import Database
 from repro.rdbms.types import SqlType
 
-N_ROWS = 9000  # three morsels: an eligible query would fan out
+N_ROWS = 9000  # nine batches: the old executor would have fanned out
 
 
 def _populate(database: Database) -> None:
@@ -26,37 +29,41 @@ def _populate(database: Database) -> None:
 
 
 @pytest.fixture(scope="module")
-def lanes():
-    databases = {}
-    for name, workers in (("serial", 1), ("parallel", 4)):
-        database = Database(f"px_{name}", DatabaseConfig(parallel_workers=workers))
-        _populate(database)
-        databases[name] = database
-    yield databases
-    for database in databases.values():
-        database.close()
+def database():
+    database = Database("px")
+    _populate(database)
+    yield database
+    database.close()
 
 
 class TestProcessEquivalence:
-    def test_serial_lane_never_parallelizes(self, lanes):
+    def test_serial_lane_never_parallelizes(self, database):
+        assert database.config.parallel_workers == 1
+        assert database.config.executor_lane == "serial"
         sql = "SELECT a FROM t WHERE a % 2 = 0"
-        result = lanes["serial"].execute(sql)
-        assert "workers" not in result.exec_stats
-        assert "morsels" not in result.exec_stats
-        assert "Parallel" not in lanes["serial"].explain(sql)
-        # the same query on the wider database does fan out
-        assert lanes["parallel"].execute(sql).exec_stats["workers"] == 3
-        assert result.rows == lanes["parallel"].execute(sql).rows
+        result = database.execute(sql)
+        assert result.rows == [(a,) for a in range(0, N_ROWS, 2)]
+        for key in ("workers", "morsels", "per_worker"):
+            assert key not in result.exec_stats
+        assert "Parallel" not in database.explain(sql)
 
 
 class TestLaneEligibility:
-    def test_volatile_predicate_stays_serial(self, lanes):
-        database = lanes["parallel"]
-        database.create_function(
-            "wobble", lambda v: v, SqlType.INTEGER, volatile=True
-        )
+    def test_volatile_predicate_stays_serial(self, database):
+        threads: set[int] = set()
+        calls = []
+
+        def wobble(value):
+            calls.append(value)
+            threads.add(threading.get_ident())
+            return value
+
+        database.create_function("wobble", wobble, SqlType.INTEGER, volatile=True)
         text = database.explain("SELECT a FROM t WHERE wobble(a) > 3")
         assert "Parallel" not in text
         result = database.execute("SELECT a FROM t WHERE wobble(a) > 8995")
         assert result.rows == [(8996,), (8997,), (8998,), (8999,)]
         assert "workers" not in result.exec_stats
+        # once per row, in scan order, on the calling thread
+        assert calls == list(range(N_ROWS))
+        assert threads == {threading.get_ident()}

@@ -3,7 +3,7 @@
 Covers the tracker in isolation (cycle + self-deadlock detection on the
 order graph), the :class:`TrackedLock` wrapper, the environment-variable
 enablement path, and the wiring through the real engine latches
-(``catalog``, ``catalog.active``, ``daemon.state``, ``executor.pool``).
+(``catalog``, ``catalog.active``, ``daemon.state``).
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from repro.latching import (
     latch_tracker,
     tracker_from_env,
 )
-from repro.rdbms.executor import ExecutorPool, partition_morsels
 from repro.testing import (
     LatchOrderError,
     LatchOrderTracker,
@@ -152,17 +151,6 @@ class TestEngineWiring:
         # the only cross-latch edge the engine may form: the flip path
         # bumps the epoch (catalog.active) while holding the big latch
         assert "catalog" not in tracker.edges().get("catalog.active", frozenset())
-        assert tracker.violations == []
-
-    def test_executor_pool_lock_reports(self, tracker):
-        pool = ExecutorPool(2)
-        try:
-            morsels = partition_morsels(10_000, morsel_rows=1024)
-            results = pool.map_morsels(lambda m: m.end_rid - m.start_rid, morsels)
-            assert sum(results) == 10_000
-        finally:
-            pool.shutdown()
-        assert "executor.pool" in tracker.names_seen
         assert tracker.violations == []
 
     def test_daemon_lock_reports(self, tracker):
