@@ -73,17 +73,19 @@ class PreparedSelect:
     """The reusable prepare-phase output of one SELECT.
 
     Physical planning still happens per execution (optimizer statistics
-    may move between runs); what is cached is the parse + analyze +
-    rewrite pipeline and the star-expansion bindings.
+    may move between runs); what is cached is the analyze + rewrite +
+    star-expansion pipeline.  Execution, EXPLAIN and EXPLAIN ANALYZE all
+    plan ``statement``.
     """
 
-    rewritten: SelectStatement
+    #: the exact statement the RDBMS plans (rewritten, stars expanded)
+    statement: SelectStatement
     #: the semantic-analysis result (warnings re-attach on every execution)
     analysis: Any
     #: multi-key extraction hint for the single-decode cache (>1 only)
     extraction_hint: int | None
-    #: Sinew tables covered by ``*`` items, in output order
-    star_bindings: list[str]
+    #: document-assembly program for ``*`` over Sinew tables, or None
+    program: list[tuple] | None
     #: catalog plan token observed at prepare time
     token: tuple[int, int]
 

@@ -19,7 +19,7 @@ invisible except through :meth:`logical_schema`.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping
 
@@ -28,11 +28,13 @@ from ..analysis.checker import CheckReport, IntegrityChecker, validate_document
 from ..rdbms.database import Database, DatabaseConfig, DbSession, QueryResult
 from ..rdbms.errors import CatalogError, PlanningError, SemanticError
 from ..rdbms.transactions import CheckpointInfo
-from ..rdbms.expressions import Literal, Star
+from ..rdbms.expressions import ColumnRef, FunctionCall, Literal, Star
 from ..rdbms.sql.ast import (
     DeleteStatement,
+    ExplainStatement,
     SelectItem,
     SelectStatement,
+    Statement,
     UpdateStatement,
 )
 from ..rdbms.sql.parser import parse
@@ -521,7 +523,7 @@ class SinewDB:
         session: DbSession | None = None,
         use_plan_cache: bool = True,
     ) -> QueryResult:
-        """Run a standard SQL query against the logical schema.
+        """Run one SQL statement against the logical schema.
 
         ``explain_analyze=True`` executes the query under instrumentation:
         the result's ``plan_text`` carries per-node actual rows and wall
@@ -532,41 +534,57 @@ class SinewDB:
         ``use_plan_cache=False`` bypasses the prepared-plan cache for this
         query even when the instance has one enabled.
         """
-        statement = parse(sql)
-        if not isinstance(statement, SelectStatement):
-            return self.execute(sql, session=session)
-        sql_key = None
-        if use_plan_cache and self.plan_cache is not None:
-            sql_key = normalize_sql(sql)
-        return self._execute_select(
-            statement,
+        return self.execute_statement(
+            parse(sql),
+            sql if use_plan_cache else None,
             explain_analyze=explain_analyze,
             use_extraction_cache=use_extraction_cache,
-            sql_key=sql_key,
             session=session,
         )
 
     def explain_analyze(self, sql: str) -> str:
         """Execute a SELECT and return its EXPLAIN ANALYZE text."""
-        statement = parse(sql)
-        if not isinstance(statement, SelectStatement):
-            raise PlanningError("EXPLAIN ANALYZE supports only SELECT statements")
-        return self._execute_select(statement, explain_analyze=True).plan_text
+        statement = _parse_select(sql, "EXPLAIN ANALYZE")
+        return self.execute_statement(statement, explain_analyze=True).plan_text
 
     def explain(self, sql: str) -> str:
-        """EXPLAIN of the *rewritten* query (what the RDBMS actually sees)."""
-        statement = parse(sql)
-        if not isinstance(statement, SelectStatement):
-            raise PlanningError("EXPLAIN supports only SELECT statements")
-        rewriter = self._rewriter()
-        rewritten = rewriter.rewrite_select(statement)
-        rewritten = self._expand_stars_plain(rewritten)
-        plan = self.db._plan(rewritten)
-        return plan.explain()
+        """EXPLAIN of the statement the RDBMS runs (rewritten, stars expanded)."""
+        statement = ExplainStatement(_parse_select(sql, "EXPLAIN"))
+        return self.execute_statement(statement).plan_text
 
     def execute(self, sql: str, *, session: DbSession | None = None) -> QueryResult:
         """Execute DML (UPDATE/DELETE) against the logical schema."""
-        statement = parse(sql)
+        return self.execute_statement(parse(sql), session=session)
+
+    def execute_statement(
+        self,
+        statement: Statement,
+        sql: str | None = None,
+        *,
+        explain_analyze: bool = False,
+        use_extraction_cache: bool | None = None,
+        session: DbSession | None = None,
+    ) -> QueryResult:
+        """Run one parsed statement; :meth:`query`, :meth:`execute`,
+        :meth:`explain` and :meth:`explain_analyze` all end here.
+
+        ``sql`` is the statement's text: a SELECT looks its prepared form
+        up in the plan cache under it, and None bypasses the cache.  The
+        service parses each request once and calls this directly.
+        """
+        if isinstance(statement, SelectStatement):
+            sql_key = None
+            if sql is not None and self.plan_cache is not None:
+                sql_key = normalize_sql(sql)
+            return self._execute_select(
+                statement,
+                explain_analyze=explain_analyze,
+                use_extraction_cache=use_extraction_cache,
+                sql_key=sql_key,
+                session=session,
+            )
+        if isinstance(statement, ExplainStatement):
+            return self._explain_select(statement.inner)
         if isinstance(statement, UpdateStatement) and statement.table in self._collections:
             return self._execute_update(statement, session=session)
         if isinstance(statement, DeleteStatement) and statement.table in self._collections:
@@ -579,8 +597,6 @@ class SinewDB:
             self._matches_cache.clear()
             self.catalog.bump_data_epoch()
             return self._attach_diagnostics(result, analysis)
-        if isinstance(statement, SelectStatement):
-            return self._execute_select(statement, session=session)
         return self.db.execute_statement(statement, session=session)
 
     # -- SELECT ----------------------------------------------------------
@@ -628,10 +644,10 @@ class SinewDB:
     def _prepare_select(
         self, statement: SelectStatement, token: tuple[int, int]
     ) -> PreparedSelect:
-        """The cacheable prepare phase: analyze + rewrite + star bindings.
+        """The cacheable prepare phase: analyze + rewrite + star expansion.
 
         Must run inside :meth:`SinewCatalog.query_scope` with ``token``
-        read after registration, so the rewritten statement's view of the
+        read after registration, so the prepared statement's view of the
         catalog flags is exactly the one the token certifies.
         """
         analysis = self._analyze(statement)
@@ -641,11 +657,12 @@ class SinewDB:
         # the multi-key tag: only meaningful when one reservoir binding
         # feeds more than one extraction site
         keys_per_row = rewriter.max_extraction_keys()
+        expanded, program = self._expand_stars(rewritten)
         return PreparedSelect(
-            rewritten=rewritten,
+            statement=expanded,
             analysis=analysis,
             extraction_hint=keys_per_row if keys_per_row > 1 else None,
-            star_bindings=self._star_bindings(rewritten),
+            program=program,
             token=token,
         )
 
@@ -678,118 +695,97 @@ class SinewDB:
                     self.plan_cache.store(sql_key, prepared)
             if use_extraction_cache is None:
                 use_extraction_cache = self.config.enable_extraction_cache
-            options = dict(
+            result = self.db.execute_statement(
+                prepared.statement,
                 analyze=explain_analyze,
                 extraction_hint=prepared.extraction_hint,
                 use_extraction_cache=use_extraction_cache,
                 session=session,
             )
-            if not prepared.star_bindings:
-                result = self.db.execute_statement(prepared.rewritten, **options)
-            else:
-                result = self._execute_star_select(
-                    prepared.rewritten, prepared.star_bindings, options
-                )
+            if prepared.program is not None:
+                result = self._assemble_stars(result, prepared.program)
         return self._attach_diagnostics(result, prepared.analysis)
 
-    def _star_bindings(self, statement: SelectStatement) -> list[str]:
-        """Bindings of Sinew tables covered by ``*`` items (in order)."""
+    def _explain_select(self, statement: SelectStatement) -> QueryResult:
+        """EXPLAIN: plan the statement execution would run, without running
+        it; the plan cache is neither read nor filled."""
+        with self.catalog.query_scope():
+            prepared = self._prepare_select(statement, self.catalog.plan_token())
+            plan_text = self.db._plan(prepared.statement).explain()
+        return self._attach_diagnostics(
+            QueryResult(plan_text=plan_text), prepared.analysis
+        )
+
+    def _expand_stars(
+        self, statement: SelectStatement
+    ) -> tuple[SelectStatement, list[tuple] | None]:
+        """Expand each ``*`` over Sinew tables for the RDBMS.
+
+        Each star becomes the table's materialized physical columns plus
+        ``sinew_to_json(data)``; the returned program tells
+        :meth:`_assemble_stars` how to merge both back into complete
+        documents -- reconstructing exactly what was loaded.  A statement
+        over plain tables only keeps its stars for the RDBMS to expand.
+        """
         sinew_bindings = {
             (ref.alias or ref.name): ref.name
             for ref in statement.from_tables
             if ref.name in self._collections
         }
-        covered: list[str] = []
+        if not sinew_bindings or not any(
+            isinstance(item.expr, Star) for item in statement.items
+        ):
+            return statement, None
+        items: list[SelectItem] = []
+        # ("doc", binding, phys_specs, json_index) or ("col", source_index, alias)
+        program: list[tuple] = []
         for item in statement.items:
             if not isinstance(item.expr, Star):
+                program.append(("col", len(items), item.alias))
+                items.append(item)
                 continue
             if item.expr.table is None:
-                covered.extend(sinew_bindings)
                 if len(sinew_bindings) < len(statement.from_tables):
                     raise PlanningError(
                         "SELECT * mixing Sinew and plain tables is not supported; "
                         "project columns explicitly"
                     )
+                expand_over = list(sinew_bindings)
             elif item.expr.table in sinew_bindings:
-                covered.append(item.expr.table)
+                expand_over = [item.expr.table]
             else:
                 raise PlanningError(
                     f"SELECT {item.expr.table}.* does not name a Sinew table"
                 )
-        return covered
-
-    def _execute_star_select(
-        self,
-        statement: SelectStatement,
-        star_bindings: list[str],
-        options: dict[str, Any] | None = None,
-    ) -> QueryResult:
-        """Execute a SELECT containing ``*`` over Sinew tables.
-
-        Each star expands to the table's clean physical columns plus
-        ``sinew_to_json(data)``; the user layer then merges both back into
-        complete documents -- reconstructing exactly what was loaded.
-        """
-        binding_tables = {
-            (ref.alias or ref.name): ref.name for ref in statement.from_tables
-        }
-        new_items: list[SelectItem] = []
-        # output assembly program: ("doc", binding, phys_specs, json_index)
-        # or ("col", source_index, name)
-        program: list[tuple] = []
-        from ..rdbms.expressions import ColumnRef, FunctionCall
-
-        for item in statement.items:
-            if isinstance(item.expr, Star):
-                expand_over = (
-                    list(binding_tables)
-                    if item.expr.table is None
-                    else [item.expr.table]
-                )
-                for binding in expand_over:
-                    table_name = binding_tables[binding]
-                    phys_specs: list[tuple[str, SqlType, int]] = []
-                    table_catalog = self.catalog.table(table_name)
-                    for state in table_catalog.materialized_columns():
-                        if not state.physical_name:
-                            continue
-                        attribute = self.catalog.attribute(state.attr_id)
-                        phys_specs.append(
-                            (attribute.key_name, attribute.key_type, len(new_items))
-                        )
-                        new_items.append(
-                            SelectItem(
-                                ColumnRef(binding, state.physical_name),
-                                f"__{binding}__{attribute.key_name}",
-                            )
-                        )
-                    json_index = len(new_items)
-                    new_items.append(
+            for binding in expand_over:
+                phys_specs: list[tuple[str, SqlType, int]] = []
+                table_catalog = self.catalog.table(sinew_bindings[binding])
+                for state in table_catalog.materialized_columns():
+                    if not state.physical_name:
+                        continue
+                    attribute = self.catalog.attribute(state.attr_id)
+                    phys_specs.append(
+                        (attribute.key_name, attribute.key_type, len(items))
+                    )
+                    items.append(
                         SelectItem(
-                            FunctionCall(
-                                "sinew_to_json",
-                                (ColumnRef(binding, RESERVOIR_COLUMN),),
-                            ),
-                            f"__{binding}__json",
+                            ColumnRef(binding, state.physical_name),
+                            f"__{binding}__{attribute.key_name}",
                         )
                     )
-                    program.append(("doc", binding, phys_specs, json_index))
-            else:
-                program.append(("col", len(new_items), item.alias))
-                new_items.append(item)
+                program.append(("doc", binding, phys_specs, len(items)))
+                items.append(
+                    SelectItem(
+                        FunctionCall(
+                            "sinew_to_json", (ColumnRef(binding, RESERVOIR_COLUMN),)
+                        ),
+                        f"__{binding}__json",
+                    )
+                )
+        return replace(statement, items=tuple(items)), program
 
-        inner = SelectStatement(
-            items=tuple(new_items),
-            from_tables=statement.from_tables,
-            where=statement.where,
-            group_by=statement.group_by,
-            having=statement.having,
-            order_by=statement.order_by,
-            limit=statement.limit,
-            distinct=statement.distinct,
-        )
-        raw = self.db.execute_statement(inner, **(options or {}))
-
+    def _assemble_stars(self, raw: QueryResult, program: list[tuple]) -> QueryResult:
+        """Run a star program over the RDBMS result: one document per star."""
         single_star = sum(1 for step in program if step[0] == "doc") == 1
         columns: list[str] = []
         for step in program:
@@ -803,7 +799,9 @@ class SinewDB:
             out: list[Any] = []
             for step in program:
                 if step[0] == "doc":
-                    out.append(self._assemble_document(raw_row, step[2], step[3]))
+                    text = raw_row[step[3]]
+                    document = json.loads(text) if text else {}
+                    out.append(self._assemble_document(document, step[2], raw_row))
                 else:
                     out.append(raw_row[step[1]])
             rows.append(tuple(out))
@@ -816,13 +814,16 @@ class SinewDB:
 
     def _assemble_document(
         self,
-        row: tuple,
+        document: dict[str, Any],
         phys_specs: list[tuple[str, SqlType, int]],
-        json_index: int,
+        row: tuple,
     ) -> dict[str, Any]:
-        """Merge reservoir JSON with materialized physical values."""
-        text = row[json_index]
-        document: dict[str, Any] = json.loads(text) if text else {}
+        """Merge materialized physical values into a reservoir document.
+
+        The one row-to-document step: ``SELECT *`` results and stored heap
+        rows (:meth:`documents`, text-index upkeep) both end here.  Each
+        spec is ``(key name, key type, position of its value in row)``.
+        """
         for key_name, key_type, index in phys_specs:
             value = row[index]
             if value is None:
@@ -847,40 +848,6 @@ class SinewDB:
                 node[part] = child
             node = child
         node[parts[-1]] = value
-
-    def _expand_stars_plain(self, statement: SelectStatement) -> SelectStatement:
-        """For EXPLAIN: replace stars with the physical-column expansion."""
-        if not any(isinstance(item.expr, Star) for item in statement.items):
-            return statement
-        from ..rdbms.expressions import ColumnRef, FunctionCall
-
-        items: list[SelectItem] = []
-        for item in statement.items:
-            if not isinstance(item.expr, Star):
-                items.append(item)
-                continue
-            for ref in statement.from_tables:
-                binding = ref.alias or ref.name
-                if item.expr.table is not None and item.expr.table != binding:
-                    continue
-                items.append(
-                    SelectItem(
-                        FunctionCall(
-                            "sinew_to_json", (ColumnRef(binding, RESERVOIR_COLUMN),)
-                        ),
-                        f"__{binding}__json",
-                    )
-                )
-        return SelectStatement(
-            items=tuple(items),
-            from_tables=statement.from_tables,
-            where=statement.where,
-            group_by=statement.group_by,
-            having=statement.having,
-            order_by=statement.order_by,
-            limit=statement.limit,
-            distinct=statement.distinct,
-        )
 
     # -- UPDATE ------------------------------------------------------------
 
@@ -1002,20 +969,21 @@ class SinewDB:
         return self._attach_diagnostics(QueryResult(rowcount=updated), analysis)
 
     def _document_of_row(self, table, row: tuple) -> dict[str, Any]:
-        data_position = table.schema.position_of(RESERVOIR_COLUMN)
-        document = self.extractor.to_dict(row[data_position]) if row[data_position] else {}
-        table_catalog = self.catalog.table(table.name)
-        for state in table_catalog.materialized_columns():
-            if not state.physical_name or state.physical_name not in table.schema:
-                continue
-            value = row[table.schema.position_of(state.physical_name)]
-            if value is None:
-                continue
-            attribute = self.catalog.attribute(state.attr_id)
-            if attribute.key_type is SqlType.BYTEA:
-                value = self.extractor.to_dict(value, prefix=attribute.key_name + ".")
-            self._insert_path(document, attribute.key_name, value)
-        return document
+        """The stored document of one heap row of a collection."""
+        data = row[table.schema.position_of(RESERVOIR_COLUMN)]
+        phys_specs: list[tuple[str, SqlType, int]] = []
+        for state in self.catalog.table(table.name).materialized_columns():
+            if state.physical_name and state.physical_name in table.schema:
+                attribute = self.catalog.attribute(state.attr_id)
+                phys_specs.append(
+                    (
+                        attribute.key_name,
+                        attribute.key_type,
+                        table.schema.position_of(state.physical_name),
+                    )
+                )
+        document = self.extractor.to_dict(data) if data else {}
+        return self._assemble_document(document, phys_specs, row)
 
     # ------------------------------------------------------------------
     # documents and text search
@@ -1091,6 +1059,13 @@ class SinewDB:
     def _require_collection(self, table_name: str) -> None:
         if table_name not in self._collections:
             raise CatalogError(f"no such Sinew collection: {table_name!r}")
+
+
+def _parse_select(sql: str, what: str) -> SelectStatement:
+    statement = parse(sql)
+    if not isinstance(statement, SelectStatement):
+        raise PlanningError(f"{what} supports only SELECT statements")
+    return statement
 
 
 def _literal_sql_type(value: Any) -> SqlType:

@@ -416,7 +416,7 @@ class ServiceClient:
 
 
 class AsyncServiceClient:
-    """asyncio client: what the load harness opens 200 of."""
+    """asyncio client: what the concurrency matrix and the service benchmark open."""
 
     def __init__(
         self,

@@ -77,6 +77,7 @@ from ..rdbms.errors import (
     SqlSyntaxError,
     TransactionError,
 )
+from ..rdbms.sql.ast import Statement
 from ..rdbms.sql.parser import parse
 from ..testing.faults import DaemonKilled, InjectedFault
 from .protocol import (
@@ -108,13 +109,6 @@ _ERROR_CODES: tuple[tuple[type[Exception], str], ...] = (
 
 #: longest SQL fragment echoed back in error payloads
 _SQL_ECHO = 120
-
-
-def _sql_head(sql: str) -> str:
-    """Lowercased first token -- enough to spot COMMIT/ROLLBACK (they are
-    single-token statements) without re-parsing every read."""
-    parts = sql.split(None, 1)
-    return parts[0].lower() if parts else ""
 
 
 def error_code(error: BaseException) -> str:
@@ -488,6 +482,9 @@ class SinewService:
         if isinstance(ack, int):
             # piggybacked watermark: the client saw every response <= ack
             session.journal.ack(ack)
+        # the one parse of a ``query`` (or the one made at ``prepare``):
+        # it decides journaling, the write latch and timeout retryability
+        statement: Statement | None = None
         try:
             if self._draining and op not in ("close", "ping", "health"):
                 self.counters["drain_rejected"] += 1
@@ -506,19 +503,20 @@ class SinewService:
                 sql = request.get("sql")
                 if not isinstance(sql, str):
                     raise ProtocolError("'query' needs a string 'sql' field")
-                if isinstance(rid, int):
-                    kind = self._sql_kind(sql)
-                    if kind != "read":
-                        return await self._run_journaled(
-                            session,
-                            rid,
-                            kind,
-                            lambda result: {"ok": True, "result": encode_result(result)},
-                            session.execute_sql,
-                            sql,
-                        )
-                result = await self._run_engine(session, session.execute_sql, sql)
-                self._sync_journal_txn(session, _sql_head(sql))
+                statement = parse(sql)
+                kind = statement_kind(statement)
+                if isinstance(rid, int) and kind != "read":
+                    return await self._run_journaled(
+                        session,
+                        rid,
+                        kind,
+                        lambda result: {"ok": True, "result": encode_result(result)},
+                        session.run,
+                        sql,
+                        statement,
+                    )
+                result = await self._run_engine(session, session.run, sql, statement)
+                self._sync_journal_txn(session, kind)
                 return {"ok": True, "result": encode_result(result)}
             if op == "prepare":
                 name, sql = request.get("name"), request.get("sql")
@@ -531,9 +529,10 @@ class SinewService:
                 if not isinstance(name, str):
                     raise ProtocolError("'execute' needs a string 'name' field")
                 prepared = session.prepared.get(name)
-                if isinstance(rid, int) and prepared is not None:
-                    kind = statement_kind(prepared.statement)
-                    if kind != "read":
+                if prepared is not None:
+                    statement = prepared.statement
+                    kind = statement_kind(statement)
+                    if isinstance(rid, int) and kind != "read":
                         return await self._run_journaled(
                             session,
                             rid,
@@ -544,9 +543,7 @@ class SinewService:
                         )
                 result = await self._run_engine(session, session.execute_prepared, name)
                 if prepared is not None:
-                    self._sync_journal_txn(
-                        session, statement_kind(prepared.statement)
-                    )
+                    self._sync_journal_txn(session, kind)
                 return {"ok": True, "result": encode_result(result)}
             if op == "deallocate":
                 name = request.get("name")
@@ -607,7 +604,7 @@ class SinewService:
         except asyncio.TimeoutError:
             self.counters["timeouts"] += 1
             session.errors += 1
-            retryable = self._timeout_retryable(session, request)
+            retryable = self._timeout_retryable(request, statement)
             message = (
                 f"statement exceeded the {self.config.query_timeout}s "
                 f"query timeout"
@@ -654,7 +651,9 @@ class SinewService:
                     extra["reason"] = error.reason
             return error_payload(error, **extra)
 
-    def _timeout_retryable(self, session: Session, request: dict[str, Any]) -> bool:
+    def _timeout_retryable(
+        self, request: dict[str, Any], statement: Statement | None
+    ) -> bool:
         """Whether a timed-out request is safe to retry verbatim.
 
         The engine has no cancellation points: a timed-out statement
@@ -665,37 +664,18 @@ class SinewService:
         ``rid``: the journal records the original outcome when the
         worker finishes, so a retry replays it (or waits for it)
         instead of double-applying.  Rid-less writes keep the honest
-        "effects may apply, do not retry" answer.
+        "effects may apply, do not retry" answer.  ``statement`` is the
+        request's parsed statement (None: unparsed or unknown).
         """
         op = request.get("op")
         journaled = isinstance(request.get("rid"), int)
-        if op == "query":
-            sql = request.get("sql")
-            if not isinstance(sql, str):
+        if op in ("query", "execute"):
+            if statement is None:
                 return False
-            try:
-                write = is_write_statement(parse(sql))
-            except Exception:
-                return False
-            return journaled or not write
-        if op == "execute":
-            name = request.get("name")
-            prepared = session.prepared.get(name) if isinstance(name, str) else None
-            if prepared is None:
-                return False
-            return journaled or not is_write_statement(prepared.statement)
+            return journaled or not is_write_statement(statement)
         if op == "load":
             return journaled
         return True
-
-    def _sql_kind(self, sql: str) -> str:
-        """Journal classification of raw SQL; parse errors fall through
-        to the normal engine path (as ``read``) where they surface as
-        structured syntax errors."""
-        try:
-            return statement_kind(parse(sql))
-        except Exception:
-            return "read"
 
     def _sync_journal_txn(self, session: Session, kind: str) -> None:
         """A transaction boundary executed OUTSIDE the journal (no rid):

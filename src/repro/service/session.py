@@ -104,9 +104,10 @@ def statement_kind(statement: Statement) -> str:
 class PreparedStatement:
     """One named, session-scoped statement (``prepare``/``execute`` ops).
 
-    The parse happens at prepare time (errors surface immediately); the
-    analyze/rewrite phase is memoized by the shared plan cache, so
-    repeated executions skip the whole front half of the pipeline.
+    The parse happens once, at prepare time (errors surface immediately),
+    and every execution runs that parsed statement; the analyze/rewrite
+    phase is memoized by the shared plan cache, so repeated executions
+    skip the whole front half of the pipeline.
     """
 
     name: str
@@ -155,23 +156,22 @@ class Session:
 
     def execute_sql(self, sql: str) -> QueryResult:
         """Run one SQL statement under this session's scope."""
-        statement = parse(sql)
-        return self._run(sql, statement)
+        return self.run(sql, parse(sql))
 
-    def _run(self, sql: str, statement: Statement) -> QueryResult:
+    def run(self, sql: str, statement: Statement) -> QueryResult:
+        """Run ``statement``, parsed from ``sql``, under this session's scope."""
         self.statements += 1
-        kwargs: dict[str, Any] = {"session": self.db_session}
         if isinstance(statement, SelectStatement):
-            extraction = self.settings["use_extraction_cache"]
-            kwargs.update(
+            return self.sdb.execute_statement(
+                statement,
+                sql if self.settings["use_plan_cache"] else None,
                 explain_analyze=bool(self.settings["explain_analyze"]),
-                use_extraction_cache=extraction,
-                use_plan_cache=bool(self.settings["use_plan_cache"]),
+                use_extraction_cache=self.settings["use_extraction_cache"],
+                session=self.db_session,
             )
-            return self.sdb.query(sql, **kwargs)
         if is_write_statement(statement):
             with self._write_lock:
-                result = self.sdb.query(sql, **kwargs)
+                result = self.sdb.execute_statement(statement, session=self.db_session)
                 if self.closed and self.db_session.in_transaction:
                     # this statement outlived its connection: close()
                     # already ran (it serialized on the write latch ahead
@@ -181,7 +181,7 @@ class Session:
                     self.sdb.db.abort_session(self.db_session)
                 return result
         # ANALYZE / EXPLAIN etc.: read-only over shared state
-        return self.sdb.query(sql, **kwargs)
+        return self.sdb.execute_statement(statement, session=self.db_session)
 
     def load_documents(self, table: str, documents: list[Mapping[str, Any]]) -> dict:
         """Bulk-load documents (the service's ingestion path)."""
@@ -212,7 +212,7 @@ class Session:
                 f"session {self.id} has no prepared statement {name!r}"
             )
         prepared.executions += 1
-        return self._run(prepared.sql, prepared.statement)
+        return self.run(prepared.sql, prepared.statement)
 
     def deallocate(self, name: str) -> bool:
         return self.prepared.pop(name, None) is not None

@@ -184,7 +184,7 @@ def test_sql_and_specialised_form_agree_on_every_lane():
         sdb.load("t", DOCUMENTS * 40)
         sql = 'SELECT dyn1, s, "a.b.c", "u.lang" FROM t WHERE "u.id" IS NULL'
         batch = sdb.query(sql)
-        statement = sdb._prepare_select(parse(sql), sdb.catalog.plan_token()).rewritten
+        statement = sdb._prepare_select(parse(sql), sdb.catalog.plan_token()).statement
         database = sdb.db
         table = database.table("t")
         resolver = SchemaResolver([("t", c.name) for c in table.schema], database.functions)

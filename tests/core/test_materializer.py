@@ -127,12 +127,15 @@ class TestDematerialization:
         assert sdb.query("SELECT k FROM t WHERE n = 3").rows == [("v3",)]
 
     def test_roundtrip_preserves_documents(self, sdb):
+        sdb.load("t", [{"n": N_DOCS, "arr": [{"x": 3}, {"x": 4}]}])
         baseline = [doc for _id, doc in sdb.documents("t")]
-        sdb.materialize("t", "k", SqlType.TEXT)
-        sdb.materialize("t", "user", SqlType.BYTEA)
+        columns = [("k", SqlType.TEXT), ("user", SqlType.BYTEA), ("arr", SqlType.ARRAY)]
+        for key, key_type in columns:
+            sdb.materialize("t", key, key_type)
         sdb.run_materializer("t")
-        sdb.dematerialize("t", "k", SqlType.TEXT)
-        sdb.dematerialize("t", "user", SqlType.BYTEA)
+        assert [doc for _id, doc in sdb.documents("t")] == baseline
+        for key, key_type in columns:
+            sdb.dematerialize("t", key, key_type)
         sdb.run_materializer("t")
         assert [doc for _id, doc in sdb.documents("t")] == baseline
 

@@ -1,5 +1,7 @@
 """End-to-end tests of the SinewDB facade."""
 
+import re
+
 import pytest
 
 from repro.core import SinewConfig, SinewDB
@@ -203,6 +205,29 @@ class TestExplain:
     def test_explain_star(self, sdb):
         plan = sdb.explain("SELECT * FROM webrequests")
         assert "sinew_to_json" in plan
+
+    def test_explain_sql_plans_the_sinew_prepare(self, sdb):
+        select = "SELECT url FROM webrequests WHERE hits > 20"
+        assert sdb.query(f"EXPLAIN {select}").plan_text == sdb.explain(select)
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT * FROM webrequests WHERE hits > 20",
+            "SELECT url FROM webrequests WHERE nosuchkey = 3",
+        ],
+    )
+    def test_explain_is_the_plan_that_runs(self, sdb, sql):
+        sdb.materialize("webrequests", "hits", SqlType.INTEGER)
+        sdb.run_materializer("webrequests")
+        analyzed = sdb.query(sql, explain_analyze=True).plan_text
+        # EXPLAIN ANALYZE is the same tree with actuals and a summary added
+        planned = [
+            re.sub(r"  \(actual [^)]*\)$", "", line)
+            for line in analyzed.splitlines()
+            if not line.startswith(("Extraction", "Execution time"))
+        ]
+        assert sdb.explain(sql) == "\n".join(planned)
 
 
 class TestCatalogSync:

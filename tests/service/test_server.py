@@ -2,7 +2,7 @@
 
 Each test boots a :class:`SinewService` on an ephemeral port (hosted on
 a background thread) and talks to it with the blocking client -- the
-exact stack ``\\connect`` and the load harness use.
+exact stack ``\\connect`` uses.
 """
 
 from __future__ import annotations
@@ -65,6 +65,14 @@ class TestBasicProtocol:
             assert client.deallocate("c") is True
             with pytest.raises(ServiceError, match="no prepared statement"):
                 client.execute_prepared("c")
+
+    def test_explain_sql_plans_the_sinew_prepare(self, service, sdb):
+        with connect(service) as client:
+            client.load("docs", [{"a": i, "b": f"x{i}"} for i in range(20)])
+            select = "SELECT b FROM docs WHERE a > 3"
+            result = client.query(f"EXPLAIN {select}")
+            assert result.plan_text == sdb.explain(select)
+            assert "extract_key_text(docs.data, 'b')" in result.plan_text
 
     def test_request_ids_echo(self, service):
         with connect(service) as client:
@@ -189,6 +197,8 @@ class TestAdmissionControl:
         # engine has no cancellation points, so a timed-out statement's
         # effects may still apply); a rid-stamped write is journaled, so
         # retrying it dedups server-side and is therefore safe
+        from repro.rdbms.errors import SqlSyntaxError
+        from repro.rdbms.sql.parser import parse
         from repro.service.session import Session
 
         service = SinewService(sdb, ServiceConfig(port=0))
@@ -197,7 +207,18 @@ class TestAdmissionControl:
             sdb.create_collection("docs")
 
             def retryable(request) -> bool:
-                return service._timeout_retryable(session, request)
+                # the statement _dispatch hands over: the query's one
+                # parse, or the one made at prepare (None when neither)
+                statement = None
+                if request["op"] == "query":
+                    try:
+                        statement = parse(request["sql"])
+                    except SqlSyntaxError:
+                        pass
+                elif request["op"] == "execute":
+                    prepared = session.prepared.get(request["name"])
+                    statement = prepared.statement if prepared else None
+                return service._timeout_retryable(request, statement)
 
             assert retryable({"op": "query", "sql": "SELECT a FROM docs"})
             assert not retryable(
@@ -286,6 +307,49 @@ class TestTwoClients:
             two.query(sql)  # same normalized key, different session
             after = two.status()["engine"]["plan_cache"]["hits"]
             assert after == before + 1
+
+
+class TestParseOnce:
+    def test_each_statement_is_parsed_once(self, service, sdb, monkeypatch):
+        from repro.rdbms.sql import parser
+
+        calls = []
+        parse_statement = parser._Parser.parse_statement
+
+        def counting(self):
+            calls.append(1)
+            return parse_statement(self)
+
+        monkeypatch.setattr(parser._Parser, "parse_statement", counting)
+
+        def parses(fn) -> int:
+            before = len(calls)
+            fn()
+            return len(calls) - before
+
+        with connect(service) as client:
+            client.load("docs", [{"a": 1}])
+
+            def query(sql, rid=None):
+                request = {"op": "query", "sql": sql}
+                if rid is not None:
+                    request["rid"] = rid
+                return lambda: client.request(request)
+
+            assert parses(query("SELECT a FROM docs")) == 1
+            assert parses(query("UPDATE docs SET a = 2 WHERE a = 1")) == 1
+            assert parses(query("UPDATE docs SET a = 3 WHERE a = 2", rid=1)) == 1
+            assert parses(query("BEGIN", rid=2)) == 1
+            assert parses(query("COMMIT", rid=3)) == 1
+            client.prepare("r", "SELECT a FROM docs")
+            client.prepare("w", "UPDATE docs SET a = 4 WHERE a = 3")
+            assert parses(lambda: client.execute_prepared("r")) == 0
+            assert parses(lambda: client.execute_prepared("w")) == 0
+            with pytest.raises(ServiceError) as info:
+                query("UPDATE docs SET", rid=4)()
+            assert info.value.code == "syntax"
+            assert client.query("SELECT a FROM docs").rows == [(4,)]
+        assert parses(lambda: sdb.query("UPDATE docs SET a = 5 WHERE a = 4")) == 1
 
 
 def test_shell_connect_round_trip(sdb):
