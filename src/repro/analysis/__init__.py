@@ -1,12 +1,13 @@
-"""Static analysis for Sinew: semantic analyzer, linter, integrity checks.
+"""Static analysis for Sinew: binder (checks and lint), integrity checks.
 
-The pipeline is parse -> **analyze** -> rewrite -> plan (see DESIGN.md).
+The pipeline is parse -> **bind** -> rewrite -> plan (see DESIGN.md).
 This package holds everything between the parser and the rewriter:
 
 * :mod:`.diagnostics` -- the :class:`Diagnostic` record and the ``SNW###``
   code taxonomy shared by all passes;
-* :mod:`.analyzer` -- the semantic analyzer and catalog-aware query linter
-  (``analyze(sql, catalog=...)``);
+* :mod:`.binder` -- the binder: resolves every column reference against
+  the catalog once, for the SNW1xx/2xx diagnostics, provably-NULL pruning
+  and the rewrite (``analyze(sql, catalog=...)`` reads its diagnostics);
 * :mod:`.checker` -- the ``CHECK``-style catalog/storage invariant audit
   (``IntegrityChecker``), surfaced as ``SinewDB.check()`` and the shell's
   ``\\check`` meta-command;
@@ -19,7 +20,7 @@ This package holds everything between the parser and the rewriter:
 
 from typing import TYPE_CHECKING
 
-from .analyzer import AnalysisResult, SemanticAnalyzer, analyze
+from .binder import AnalysisResult, SemanticAnalyzer, analyze
 from .checker import CheckReport, IntegrityChecker, validate_document
 from .diagnostics import (
     Diagnostic,

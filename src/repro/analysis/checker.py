@@ -122,11 +122,6 @@ def validate_document(data: object) -> str | None:
     return None
 
 
-def _document_attribute_ids(data: bytes) -> tuple[int, ...]:
-    (n,) = _U32.unpack_from(data, 0)
-    return struct.unpack_from(f"<{n}I", data, 4) if n else ()
-
-
 def _document_attributes(data: bytes) -> Iterable[tuple[int, bytes]]:
     """Yield ``(attr_id, raw_value)`` for every top-level attribute.
 

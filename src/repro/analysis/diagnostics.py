@@ -1,6 +1,6 @@
 """Structured diagnostics for Sinew's static analysis layer.
 
-Every finding -- from the semantic analyzer, the catalog-aware linter,
+Every finding -- from the binder (semantic checks and catalog lint),
 the storage integrity checker, or the engine-protocol analyzer -- is a
 :class:`Diagnostic`: a severity, a stable ``SNW###`` code, a message, and
 a location (the source span of the offending SQL fragment for query

@@ -214,22 +214,6 @@ class EavStore:
                 document[key_name] = value
         return documents
 
-    def sum_group_by(
-        self, table_name: str, sum_key: str, group_key: str, predicate_sql: str
-    ) -> QueryResult:
-        """Aggregation (Q10 shape): two key streams joined on oid."""
-        relation = self._relation(table_name)
-        sql = (
-            f"SELECT g.num_val AS group_key, SUM(s.num_val) AS total "
-            f"FROM {relation} s, {relation} g "
-            f"WHERE s.oid = g.oid "
-            f"AND s.key_name = '{_escape(sum_key)}' "
-            f"AND g.key_name = '{_escape(group_key)}' "
-            f"AND ({predicate_sql}) "
-            f"GROUP BY g.num_val"
-        )
-        return self.db.execute(sql)
-
     def join(
         self,
         table_name: str,

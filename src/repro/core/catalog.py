@@ -220,9 +220,6 @@ class SinewCatalog:
         """Every attribute sharing a key name (multi-typed keys)."""
         return list(self._by_name.get(key_name, ()))
 
-    def known_key(self, key_name: str) -> bool:
-        return key_name in self._by_name
-
     def all_attributes(self) -> Iterator[Attribute]:
         return iter(self._by_id.values())
 

@@ -1,7 +1,7 @@
 """Prepared-statement / plan cache keyed on normalized SQL.
 
 The expensive, correctness-sensitive half of running a Sinew query is
-everything *before* physical planning: semantic analysis (with its
+everything *before* physical planning: binding (with its
 occurrence-count-driven provably-NULL pruning) and the catalog-flag-driven
 rewrite (bare physical read vs. COALESCE bridge vs. pure extraction).
 This cache memoizes that half as a :class:`PreparedSelect`.
@@ -73,14 +73,14 @@ class PreparedSelect:
     """The reusable prepare-phase output of one SELECT.
 
     Physical planning still happens per execution (optimizer statistics
-    may move between runs); what is cached is the analyze + rewrite +
+    may move between runs); what is cached is the bind + rewrite +
     star-expansion pipeline.  Execution, EXPLAIN and EXPLAIN ANALYZE all
     plan ``statement``.
     """
 
     #: the exact statement the RDBMS plans (rewritten, stars expanded)
     statement: SelectStatement
-    #: the semantic-analysis result (warnings re-attach on every execution)
+    #: the bound statement (its warnings re-attach on every execution)
     analysis: Any
     #: multi-key extraction hint for the single-decode cache (>1 only)
     extraction_hint: int | None

@@ -1,8 +1,10 @@
 """Sinew's query rewriter (paper section 3.2.2).
 
-Queries arrive written against the *logical* universal relation; the
-rewriter transforms them to match the *physical* hybrid schema before they
-reach the RDBMS:
+Queries arrive written against the *logical* universal relation.  The
+binder (:mod:`repro.analysis.binder`) resolves each column reference to
+its catalog state and the type its context expects; the rewriter maps the
+bound statement onto the *physical* hybrid schema before it reaches the
+RDBMS:
 
 * a reference to a clean **physical** column passes through (renamed if the
   physical column name was mangled on a collision);
@@ -12,7 +14,7 @@ reach the RDBMS:
 * a reference to a **virtual** column becomes a typed extraction UDF call
   over the column reservoir.
 
-The extraction *type* is chosen from the semantics of the query: comparing
+The extraction *type* comes from the semantics of the query: comparing
 against a numeric literal selects numeric extraction (values of other types
 yield NULL rather than an error -- the multi-typed-key behaviour that the
 Postgres JSON baseline cannot express), string contexts select text
@@ -26,53 +28,36 @@ index probe keyed by the table's ``_id`` column.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Any
 
+from ..analysis.binder import Binder, Binding, BoundColumn, BoundStatement
+from ..analysis.diagnostics import AMBIGUOUS_COLUMN
 from ..rdbms.errors import PlanningError
 from ..rdbms.expressions import (
-    AnyPredicate,
-    Between,
     BinaryOp,
-    Cast,
     Coalesce,
     ColumnRef,
     Expr,
     FunctionCall,
-    InList,
-    IsNull,
-    Like,
     Literal,
     Star,
-    UnaryOp,
+    replace_children,
 )
-from ..rdbms.sql.ast import (
-    DeleteStatement,
-    OrderItem,
-    SelectItem,
-    SelectStatement,
-    UpdateStatement,
-)
+from ..rdbms.sql.ast import OrderItem, SelectItem, SelectStatement, Statement
 from ..rdbms.storage import HeapTable
 from ..rdbms.types import SqlType
-from .catalog import SinewCatalog, TableCatalog
+from .catalog import SinewCatalog
 from .extractors import EXTRACT_FUNCTION_FOR_TYPE
 from .loader import ID_COLUMN, RESERVOIR_COLUMN
 
-_NUMERIC_AGGREGATES = frozenset({"sum", "avg"})
-
-
-@dataclass
-class _Binding:
-    """One Sinew table instance in the FROM clause."""
-
-    binding: str
-    table_name: str
-    table: HeapTable
-    table_catalog: TableCatalog
-
 
 class QueryRewriter:
-    """Rewrites logical-schema statements onto the physical schema.
+    """Rewrites bound statements onto the physical schema.
+
+    ``rewrite_select`` and ``rewrite_where`` take a :class:`BoundStatement`,
+    or a parsed statement that they first bind against ``sinew_tables``.
+    Apart from the per-attribute access counts it bumps for the schema
+    analyzer (section 3.1.3), the rewrite reads only the bound statement.
 
     With ``use_text_index=True`` (requires the instance's inverted index),
     equality predicates on *virtual* text columns are additionally
@@ -87,7 +72,6 @@ class QueryRewriter:
         catalog: SinewCatalog,
         sinew_tables: dict[str, HeapTable],
         use_text_index: bool = False,
-        null_predicates: frozenset[int] | None = None,
     ):
         self.catalog = catalog
         self.sinew_tables = sinew_tables
@@ -97,237 +81,94 @@ class QueryRewriter:
         #: size its decoded-header cache expectations (EXPLAIN ANALYZE
         #: reports the hint alongside the decode counters)
         self.extraction_keys: dict[str, set[str]] = {}
-        #: how many COALESCE(physical, extract(...)) bridges were emitted
-        #: for dirty columns -- each one is an extra extraction site
-        self.coalesce_bridges = 0
-        #: ``id()``s of predicate subtrees the semantic analyzer proved are
-        #: NULL on every row (SNW201/SNW202); each is replaced by
-        #: ``Literal(None)``, which is exact under three-valued logic and
-        #: saves the per-row extraction UDF calls the predicate would cost.
-        self.null_predicates = null_predicates or frozenset()
+        self._sinew_bindings: list[Binding] = []
 
     # ------------------------------------------------------------------
     # statements
     # ------------------------------------------------------------------
 
-    def rewrite_select(self, statement: SelectStatement) -> SelectStatement:
-        bindings = self._bind(statement)
+    def rewrite_select(
+        self, statement: SelectStatement | BoundStatement
+    ) -> SelectStatement:
+        select = self._bound(statement)
         items = []
-        for item in statement.items:
-            if isinstance(item.expr, Star):
+        for item in select.items:
+            expr = item.expr
+            if type(expr) is Star:
                 items.append(item)
                 continue
-            rewritten = self._rewrite(item.expr, bindings, None)
+            rewritten = self._rewrite(expr)
             alias = item.alias
-            if alias is None and rewritten is not item.expr and isinstance(
-                item.expr, ColumnRef
-            ):
+            if alias is None and type(expr) is BoundColumn and rewritten is not expr.ref:
                 # Preserve the logical column name on the output even though
                 # the expression became an extraction call.
-                alias = item.expr.name
+                alias = expr.ref.name
             items.append(SelectItem(rewritten, alias))
-        items = tuple(items)
 
         # ORDER BY / GROUP BY may reference a SELECT-list alias; such a
         # reference means "the aliased output expression", so substitute
         # the already-rewritten item expression rather than treating the
         # alias as a logical column.
-        alias_exprs = {
-            item.alias: item.expr for item in items if item.alias is not None
-        }
+        alias_exprs = {item.alias: item.expr for item in items if item.alias is not None}
 
         def rewrite_unless_alias(expr: Expr) -> Expr:
             if (
-                isinstance(expr, ColumnRef)
-                and expr.table is None
-                and expr.name in alias_exprs
+                type(expr) is BoundColumn
+                and expr.ref.table is None
+                and expr.ref.name in alias_exprs
             ):
-                return alias_exprs[expr.name]
-            return self._rewrite(expr, bindings, None)
+                return alias_exprs[expr.ref.name]
+            return self._rewrite(expr)
 
         return SelectStatement(
-            items=items,
-            from_tables=statement.from_tables,
-            where=self._rewrite(statement.where, bindings, None)
-            if statement.where is not None
-            else None,
-            group_by=tuple(rewrite_unless_alias(e) for e in statement.group_by),
-            having=self._rewrite(statement.having, bindings, None)
-            if statement.having is not None
-            else None,
+            items=tuple(items),
+            from_tables=select.from_tables,
+            where=self._rewrite(select.where) if select.where is not None else None,
+            group_by=tuple([rewrite_unless_alias(e) for e in select.group_by]),
+            having=self._rewrite(select.having) if select.having is not None else None,
             order_by=tuple(
-                OrderItem(rewrite_unless_alias(item.expr), item.ascending)
-                for item in statement.order_by
+                [
+                    OrderItem(rewrite_unless_alias(item.expr), item.ascending)
+                    for item in select.order_by
+                ]
             ),
-            limit=statement.limit,
-            distinct=statement.distinct,
+            limit=select.limit,
+            distinct=select.distinct,
         )
 
-    def rewrite_where(
-        self, statement: UpdateStatement | DeleteStatement
-    ) -> Expr | None:
+    def rewrite_where(self, statement: Statement | BoundStatement) -> Expr | None:
         """Rewrite the WHERE clause of an UPDATE/DELETE on a Sinew table."""
-        if statement.where is None:
-            return None
-        bindings = self._bindings_for_tables([(statement.table, None)])
-        return self._rewrite(statement.where, bindings, None)
+        where = self._bound(statement).where
+        return self._rewrite(where) if where is not None else None
+
+    def _bound(self, statement: Statement | BoundStatement) -> Any:
+        """The bound form of ``statement`` (binding it first if parsed)."""
+        if not isinstance(statement, BoundStatement):
+            statement = Binder(self.catalog, self.sinew_tables).bind(statement)
+        self._sinew_bindings = [b for b in statement.bindings.values() if b.sinew]
+        return statement.bound
 
     # ------------------------------------------------------------------
-    # binding
+    # expressions
     # ------------------------------------------------------------------
 
-    def _bind(self, statement: SelectStatement) -> dict[str, _Binding]:
-        pairs = [(ref.name, ref.alias) for ref in statement.from_tables]
-        return self._bindings_for_tables(pairs)
-
-    def _bindings_for_tables(
-        self, pairs: list[tuple[str, str | None]]
-    ) -> dict[str, _Binding]:
-        bindings: dict[str, _Binding] = {}
-        for table_name, alias in pairs:
-            binding = alias or table_name
-            if table_name in self.sinew_tables:
-                bindings[binding] = _Binding(
-                    binding,
-                    table_name,
-                    self.sinew_tables[table_name],
-                    self.catalog.table(table_name),
-                )
-        return bindings
-
-    # ------------------------------------------------------------------
-    # expression rewriting
-    # ------------------------------------------------------------------
-
-    def _rewrite(
-        self,
-        expr: Expr,
-        bindings: dict[str, _Binding],
-        expected: SqlType | None,
-    ) -> Expr:
-        if self.null_predicates and id(expr) in self.null_predicates:
-            return Literal(None)
-
-        if isinstance(expr, Literal) or isinstance(expr, Star):
+    def _rewrite(self, expr: Expr) -> Expr:
+        if type(expr) is BoundColumn:
+            return self._rewrite_column(expr)
+        if type(expr) is Literal or type(expr) is Star:
             return expr
+        if type(expr) is FunctionCall and expr.name == "matches":
+            return self._rewrite_matches(expr)
+        rewritten = replace_children(expr, [self._rewrite(c) for c in expr.children()])
+        if type(expr) is BinaryOp and expr.op == "=" and self.use_text_index:
+            prefilter = self._index_prefilter(expr)
+            if prefilter is not None:
+                # index probe first (cheap set membership), exact
+                # extraction recheck only on the candidates
+                return BinaryOp("AND", prefilter, rewritten)
+        return rewritten
 
-        if isinstance(expr, ColumnRef):
-            return self._rewrite_column(expr, bindings, expected)
-
-        if isinstance(expr, BinaryOp):
-            return self._rewrite_binary(expr, bindings, expected)
-
-        if isinstance(expr, UnaryOp):
-            return UnaryOp(expr.op, self._rewrite(expr.operand, bindings, expected))
-
-        if isinstance(expr, IsNull):
-            return IsNull(self._rewrite(expr.operand, bindings, None), expr.negated)
-
-        if isinstance(expr, Between):
-            bound_type = self._literal_type(expr.low) or self._literal_type(expr.high)
-            return Between(
-                self._rewrite(expr.operand, bindings, bound_type),
-                self._rewrite(expr.low, bindings, None),
-                self._rewrite(expr.high, bindings, None),
-                expr.negated,
-            )
-
-        if isinstance(expr, InList):
-            item_type = None
-            for item in expr.items:
-                item_type = self._literal_type(item)
-                if item_type is not None:
-                    break
-            return InList(
-                self._rewrite(expr.operand, bindings, item_type),
-                tuple(self._rewrite(item, bindings, None) for item in expr.items),
-                expr.negated,
-            )
-
-        if isinstance(expr, Like):
-            return Like(
-                self._rewrite(expr.operand, bindings, SqlType.TEXT),
-                self._rewrite(expr.pattern, bindings, SqlType.TEXT),
-                expr.negated,
-            )
-
-        if isinstance(expr, AnyPredicate):
-            needle_type = self._literal_type(expr.needle)
-            return AnyPredicate(
-                self._rewrite(expr.needle, bindings, needle_type),
-                self._rewrite(expr.haystack, bindings, SqlType.ARRAY),
-            )
-
-        if isinstance(expr, FunctionCall):
-            return self._rewrite_function(expr, bindings)
-
-        if isinstance(expr, Coalesce):
-            return Coalesce(
-                tuple(self._rewrite(a, bindings, expected) for a in expr.args)
-            )
-
-        if isinstance(expr, Cast):
-            cast_expected = (
-                expr.target if expr.target in EXTRACT_FUNCTION_FOR_TYPE else expected
-            )
-            return Cast(self._rewrite(expr.operand, bindings, cast_expected), expr.target)
-
-        return expr
-
-    def _rewrite_binary(
-        self, expr: BinaryOp, bindings: dict[str, _Binding], expected: SqlType | None
-    ) -> Expr:
-        if expr.op in ("AND", "OR"):
-            return BinaryOp(
-                expr.op,
-                self._rewrite(expr.left, bindings, None),
-                self._rewrite(expr.right, bindings, None),
-            )
-        if expr.op in ("=", "<>", "!=", "<", "<=", ">", ">="):
-            left_expected = self._literal_type(expr.right)
-            right_expected = self._literal_type(expr.left)
-            rewritten = BinaryOp(
-                expr.op,
-                self._rewrite(expr.left, bindings, left_expected),
-                self._rewrite(expr.right, bindings, right_expected),
-            )
-            if expr.op == "=" and self.use_text_index:
-                prefilter = self._index_prefilter(expr, bindings)
-                if prefilter is not None:
-                    # index probe first (cheap set membership), exact
-                    # extraction recheck only on the candidates
-                    return BinaryOp("AND", prefilter, rewritten)
-            return rewritten
-        if expr.op == "||":
-            return BinaryOp(
-                expr.op,
-                self._rewrite(expr.left, bindings, SqlType.TEXT),
-                self._rewrite(expr.right, bindings, SqlType.TEXT),
-            )
-        # arithmetic
-        return BinaryOp(
-            expr.op,
-            self._rewrite(expr.left, bindings, SqlType.REAL),
-            self._rewrite(expr.right, bindings, SqlType.REAL),
-        )
-
-    def _rewrite_function(
-        self, expr: FunctionCall, bindings: dict[str, _Binding]
-    ) -> Expr:
-        if expr.name == "matches":
-            return self._rewrite_matches(expr, bindings)
-        arg_expected: SqlType | None = None
-        if expr.name.lower() in _NUMERIC_AGGREGATES:
-            arg_expected = SqlType.REAL
-        return FunctionCall(
-            expr.name,
-            tuple(self._rewrite(a, bindings, arg_expected) for a in expr.args),
-            expr.distinct,
-        )
-
-    def _index_prefilter(
-        self, expr: BinaryOp, bindings: dict[str, _Binding]
-    ) -> Expr | None:
+    def _index_prefilter(self, expr: BinaryOp) -> Expr | None:
         """Index probe for ``virtual_text_column = 'literal'`` predicates.
 
         Applies only when one side is a single-token text literal and the
@@ -336,10 +177,10 @@ class QueryRewriter:
         """
         from .text_index import tokenize
 
-        if isinstance(expr.left, ColumnRef) and isinstance(expr.right, Literal):
-            ref, literal = expr.left, expr.right
-        elif isinstance(expr.right, ColumnRef) and isinstance(expr.left, Literal):
-            ref, literal = expr.right, expr.left
+        if type(expr.left) is BoundColumn and type(expr.right) is Literal:
+            column, literal = expr.left, expr.right
+        elif type(expr.right) is BoundColumn and type(expr.left) is Literal:
+            column, literal = expr.right, expr.left
         else:
             return None
         if not isinstance(literal.value, str):
@@ -347,74 +188,61 @@ class QueryRewriter:
         terms = tokenize(literal.value)
         if len(terms) != 1:
             return None  # multi-token equality is not a term lookup
-        binding = self._owning_binding(ref, bindings)
-        if binding is None or ref.name in (ID_COLUMN, RESERVOIR_COLUMN):
+        binding, name = column.binding, column.ref.name
+        if binding is None or not binding.sinew or name in (ID_COLUMN, RESERVOIR_COLUMN):
             return None
-        state, _name = self._column_state(ref.name, binding)
+        state = column.primary()
         if state is not None and state.materialized:
             return None  # physical columns don't need the index
         return FunctionCall(
             "sinew_matches",
-            (
-                ColumnRef(binding.binding, ID_COLUMN),
-                Literal(ref.name),
-                Literal(terms[0]),
-            ),
+            (ColumnRef(binding.name, ID_COLUMN), Literal(name), Literal(terms[0])),
         )
 
-    def _rewrite_matches(
-        self, expr: FunctionCall, bindings: dict[str, _Binding]
-    ) -> Expr:
+    def _rewrite_matches(self, expr: FunctionCall) -> Expr:
         """``matches(keys, query)`` -> text-index probe on ``_id``."""
         if len(expr.args) != 2:
             raise PlanningError("matches() takes exactly two arguments")
-        if len(bindings) != 1:
-            raise PlanningError(
-                "matches() requires exactly one Sinew table in FROM"
-            )
-        binding = next(iter(bindings.values()))
-        return FunctionCall(
-            "sinew_matches",
-            (ColumnRef(binding.binding, ID_COLUMN), expr.args[0], expr.args[1]),
-        )
+        if len(self._sinew_bindings) != 1:
+            raise PlanningError("matches() requires exactly one Sinew table in FROM")
+        keys, query = [self._rewrite(arg) for arg in expr.args]
+        probe_id = ColumnRef(self._sinew_bindings[0].name, ID_COLUMN)
+        return FunctionCall("sinew_matches", (probe_id, keys, query))
 
     # ------------------------------------------------------------------
-    # column resolution
+    # columns
     # ------------------------------------------------------------------
 
-    def _rewrite_column(
-        self,
-        ref: ColumnRef,
-        bindings: dict[str, _Binding],
-        expected: SqlType | None,
-    ) -> Expr:
-        binding = self._owning_binding(ref, bindings)
+    def _rewrite_column(self, column: BoundColumn) -> Expr:
+        binding = column.binding
         if binding is None:
-            return ref  # not a Sinew table; the RDBMS resolves it
+            problem = column.problem
+            if problem is not None and problem.code == AMBIGUOUS_COLUMN:
+                raise PlanningError(problem.message)
+            return column.ref  # unresolved; the RDBMS reports it
+        if not binding.sinew:
+            return column.ref  # a plain table's column; the RDBMS resolves it
 
-        # direct physical columns (the id, the reservoir, clean materialized)
-        state, attribute_name = self._column_state(ref.name, binding)
+        state = column.primary()
         if state is not None:
             # query-pattern statistics for the schema analyzer (§3.1.3)
             state.access_count += 1
-        if ref.name in (ID_COLUMN, RESERVOIR_COLUMN):
-            return ColumnRef(binding.binding, ref.name)
+        name = column.ref.name
+        if name == ID_COLUMN or name == RESERVOIR_COLUMN:
+            return ColumnRef(binding.name, name)
         if (
             state is not None
             and state.physical_name
-            and state.physical_name in binding.table.schema
+            and state.physical_name in self._schema(binding)
         ):
-            physical = ColumnRef(binding.binding, state.physical_name)
+            physical = ColumnRef(binding.name, state.physical_name)
             if state.materialized and not state.dirty:
                 return physical
             # dirty in either direction (materializing *or* dematerializing):
             # each row's value lives on exactly one side of the move, so the
             # bridge must consult both
-            self.coalesce_bridges += 1
-            return Coalesce(
-                (physical, self._extraction(binding, attribute_name, expected))
-            )
-        return self._extraction(binding, ref.name, expected)
+            return Coalesce((physical, self._extraction(binding, column)))
+        return self._extraction(binding, column)
 
     def max_extraction_keys(self) -> int:
         """Max distinct extracted keys over any one binding (0 when none)."""
@@ -422,123 +250,48 @@ class QueryRewriter:
             return 0
         return max(len(keys) for keys in self.extraction_keys.values())
 
-    def _owning_binding(
-        self, ref: ColumnRef, bindings: dict[str, _Binding]
-    ) -> _Binding | None:
-        if ref.table is not None:
-            return bindings.get(ref.table)
-        owners = []
-        for binding in bindings.values():
-            if ref.name in (ID_COLUMN, RESERVOIR_COLUMN):
-                owners.append(binding)
-                continue
-            if ref.name in binding.table.schema:
-                owners.append(binding)
-                continue
-            if any(
-                attribute.attr_id in binding.table_catalog.columns
-                for attribute in self.catalog.attributes_named(ref.name)
-            ):
-                owners.append(binding)
-        if len(owners) > 1:
-            raise PlanningError(f"ambiguous column reference: {ref.name!r}")
-        if owners:
-            return owners[0]
-        if len(bindings) == 1:
-            # Unknown key on the only Sinew table: treat as a virtual column
-            # (extraction will yield NULL), keeping the evolving-schema
-            # semantics of querying a key the data has not shown yet.
-            return next(iter(bindings.values()))
-        return None
+    def _schema(self, binding: Binding):
+        return self.sinew_tables[binding.table_name].schema
 
-    def _column_state(self, key_name: str, binding: _Binding):
-        """The catalog state of the attribute backing ``key_name``.
-
-        With multi-typed keys, prefer a materialized attribute, then the
-        one with the highest occurrence count.
-        """
-        states = []
-        for attribute in self.catalog.attributes_named(key_name):
-            state = binding.table_catalog.columns.get(attribute.attr_id)
-            if state is not None:
-                states.append((state, attribute.key_name))
-        if not states:
-            return None, key_name
-        states.sort(key=lambda pair: (not pair[0].materialized, -pair[0].count))
-        return states[0]
-
-    def _extraction(
-        self, binding: _Binding, key_name: str, expected: SqlType | None
-    ) -> Expr:
+    def _extraction(self, binding: Binding, column: BoundColumn) -> Expr:
         """Build the typed extraction UDF call for a virtual column.
 
+        An unconstrained context extracts the key's single observed type,
+        or ``extract_key_any`` (downcast to text) for a multi-typed key.
         When an *ancestor* of a dotted key is materialized (section 4.2:
         a nested object stored as its own serialized physical column), the
         extraction reads from that physical column instead of the
         reservoir -- with the usual COALESCE bridge while the ancestor is
         dirty.
         """
+        expected, key_name = column.expected, column.key_name
         if expected is None:
-            expected = self._dominant_type(key_name, binding)
-        self.extraction_keys.setdefault(binding.binding, set()).add(key_name)
+            observed = column.observed_types()
+            if len(observed) == 1:
+                (expected,) = observed
+        self.extraction_keys.setdefault(binding.name, set()).add(key_name)
         function = EXTRACT_FUNCTION_FOR_TYPE.get(expected, "extract_key_any")
         reservoir_call = FunctionCall(
-            function,
-            (ColumnRef(binding.binding, RESERVOIR_COLUMN), Literal(key_name)),
+            function, (ColumnRef(binding.name, RESERVOIR_COLUMN), Literal(key_name))
         )
+        columns = self.catalog.table(binding.table_name).columns
         parts = key_name.split(".")
         for split in range(len(parts) - 1, 0, -1):
-            prefix = ".".join(parts[:split])
-            parent_id = self.catalog.lookup_id(prefix, SqlType.BYTEA)
-            if parent_id is None:
-                continue
-            state = binding.table_catalog.columns.get(parent_id)
+            parent_id = self.catalog.lookup_id(".".join(parts[:split]), SqlType.BYTEA)
+            state = columns.get(parent_id) if parent_id is not None else None
             if (
                 state is None
                 or not state.physical_name
-                or state.physical_name not in binding.table.schema
+                or state.physical_name not in self._schema(binding)
             ):
                 continue
             physical_call = FunctionCall(
-                function,
-                (ColumnRef(binding.binding, state.physical_name), Literal(key_name)),
+                function, (ColumnRef(binding.name, state.physical_name), Literal(key_name))
             )
             if state.dirty:
                 # mid-move either way: the parent document may sit on
                 # either side for any given row
-                self.coalesce_bridges += 1
                 return Coalesce((physical_call, reservoir_call))
             if state.materialized:
                 return physical_call
-            continue
         return reservoir_call
-
-    def _dominant_type(self, key_name: str, binding: _Binding) -> SqlType | None:
-        """The single observed type of a key, or None when multi-typed.
-
-        A multi-typed key with no semantic constraint falls back to
-        ``extract_key_any`` (downcast to text), per the paper.
-        """
-        observed: list[tuple[int, SqlType]] = []
-        for attribute in self.catalog.attributes_named(key_name):
-            state = binding.table_catalog.columns.get(attribute.attr_id)
-            if state is not None and state.count > 0:
-                observed.append((state.count, attribute.key_type))
-        if len(observed) == 1:
-            return observed[0][1]
-        return None
-
-    @staticmethod
-    def _literal_type(expr: Expr) -> SqlType | None:
-        if not isinstance(expr, Literal) or expr.value is None:
-            return None
-        value = expr.value
-        if isinstance(value, bool):
-            return SqlType.BOOLEAN
-        if isinstance(value, int):
-            return SqlType.INTEGER
-        if isinstance(value, float):
-            return SqlType.REAL
-        if isinstance(value, str):
-            return SqlType.TEXT
-        return None

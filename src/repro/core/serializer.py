@@ -337,7 +337,3 @@ def add_attribute(data: bytes, attr_id: int, sql_type: SqlType, value: Any, sql_
         kept.append((attr_id, sql_type, value))
     return serialize(kept)
 
-
-def serialized_size(data: bytes) -> int:
-    """Total byte size of a serialized document (Table 3 / 4 metric)."""
-    return len(data)

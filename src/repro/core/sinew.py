@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping
 
-from ..analysis.analyzer import AnalysisResult, SemanticAnalyzer
+from ..analysis.binder import Binder, BoundStatement, literal_type
 from ..analysis.checker import CheckReport, IntegrityChecker, validate_document
 from ..rdbms.database import Database, DatabaseConfig, DbSession, QueryResult
 from ..rdbms.errors import CatalogError, PlanningError, SemanticError
@@ -65,10 +65,6 @@ class SinewConfig:
     #: section 4.3: automatically prefilter equality predicates on virtual
     #: text columns through the inverted index (requires enable_text_index)
     rewrite_predicates_with_index: bool = False
-    #: run the semantic analyzer before rewriting: errors (SNW1xx) block
-    #: execution, warnings (SNW2xx) attach to the result, and provably-NULL
-    #: predicates are pruned before they cost extraction UDF calls
-    analyze_queries: bool = True
     #: row budget of one background-materializer slice (section 3.1.4);
     #: smaller values yield the catalog latch to the loader more often
     daemon_step_rows: int = DEFAULT_STEP_ROWS
@@ -80,7 +76,7 @@ class SinewConfig:
     enable_extraction_cache: bool = True
     #: prepared-plan cache capacity; 0 disables caching entirely (the
     #: embedded default).  The service layer enables it so repeated
-    #: statements skip parse + analyze + rewrite; entries invalidate on
+    #: statements skip parse + bind + rewrite; entries invalidate on
     #: schema-epoch or data-epoch movement (DESIGN.md section 12)
     plan_cache_size: int = 0
 
@@ -588,22 +584,19 @@ class SinewDB:
         if isinstance(statement, UpdateStatement) and statement.table in self._collections:
             return self._execute_update(statement, session=session)
         if isinstance(statement, DeleteStatement) and statement.table in self._collections:
-            analysis = self._analyze(statement)
-            null_ids = analysis.null_predicate_ids() if analysis else None
-            where = self._rewriter(null_ids).rewrite_where(statement)
+            bound = self._bind(statement)
+            where = self._rewriter().rewrite_where(bound)
             result = self.db.execute_statement(
                 DeleteStatement(statement.table, where), session=session
             )
             self._matches_cache.clear()
             self.catalog.bump_data_epoch()
-            return self._attach_diagnostics(result, analysis)
+            return self._attach_diagnostics(result, bound)
         return self.db.execute_statement(statement, session=session)
 
     # -- SELECT ----------------------------------------------------------
 
-    def _rewriter(
-        self, null_predicates: frozenset[int] | None = None
-    ) -> QueryRewriter:
+    def _rewriter(self) -> QueryRewriter:
         tables = {name: self.db.table(name) for name in self._collections}
         return QueryRewriter(
             self.catalog,
@@ -612,55 +605,46 @@ class SinewDB:
                 self.config.rewrite_predicates_with_index
                 and self.text_index is not None
             ),
-            null_predicates=null_predicates,
         )
 
-    def _analyze(self, statement) -> AnalysisResult | None:
-        """Semantic analysis before rewriting (parse -> analyze -> rewrite).
+    def _bind(self, statement: Statement) -> BoundStatement:
+        """Bind a statement before rewriting (parse -> bind -> rewrite).
 
-        Errors raise :class:`SemanticError`; the result (with its warnings
-        and prunable provably-NULL predicates) is returned for the caller
-        to thread through rewriting and attach to the query result.
+        Errors raise :class:`SemanticError`; the bound statement (with its
+        warnings and pruned provably-NULL predicates) is what the rewrite
+        reads and what the query result's diagnostics come from.
         """
-        if not self.config.analyze_queries:
-            return None
-        analysis = SemanticAnalyzer(
-            catalog=self.catalog,
-            collections=self._collections,
-            db=self.db,
-        ).analyze(statement)
-        if not analysis.ok:
-            raise SemanticError(analysis.diagnostics)
-        return analysis
+        bound = self.lint(statement)
+        if not bound.ok:
+            raise SemanticError(bound.diagnostics)
+        return bound
 
     @staticmethod
-    def _attach_diagnostics(
-        result: QueryResult, analysis: AnalysisResult | None
-    ) -> QueryResult:
-        if analysis is not None and analysis.warnings:
-            result.diagnostics = analysis.warnings
+    def _attach_diagnostics(result: QueryResult, bound: BoundStatement) -> QueryResult:
+        warnings = bound.warnings
+        if warnings:
+            result.diagnostics = warnings
         return result
 
     def _prepare_select(
         self, statement: SelectStatement, token: tuple[int, int]
     ) -> PreparedSelect:
-        """The cacheable prepare phase: analyze + rewrite + star expansion.
+        """The cacheable prepare phase: bind + rewrite + star expansion.
 
         Must run inside :meth:`SinewCatalog.query_scope` with ``token``
         read after registration, so the prepared statement's view of the
         catalog flags is exactly the one the token certifies.
         """
-        analysis = self._analyze(statement)
-        null_ids = analysis.null_predicate_ids() if analysis else None
-        rewriter = self._rewriter(null_ids)
-        rewritten = rewriter.rewrite_select(statement)
+        bound = self._bind(statement)
+        rewriter = self._rewriter()
+        rewritten = rewriter.rewrite_select(bound)
         # the multi-key tag: only meaningful when one reservoir binding
         # feeds more than one extraction site
         keys_per_row = rewriter.max_extraction_keys()
         expanded, program = self._expand_stars(rewritten)
         return PreparedSelect(
             statement=expanded,
-            analysis=analysis,
+            analysis=bound,
             extraction_hint=keys_per_row if keys_per_row > 1 else None,
             program=program,
             token=token,
@@ -856,47 +840,47 @@ class SinewDB:
     ) -> QueryResult:
         """UPDATE against the logical schema.
 
-        Assignments to clean physical columns run as plain SQL; assignments
-        to virtual (or dirty) columns rewrite the serialized reservoir value
-        row by row, inside one transaction.
+        Assignments to clean physical columns write the column; assignments
+        to virtual columns rewrite the serialized reservoir value, row by
+        row, inside one transaction.  A dirty column is mid-move, so each
+        row's write goes where the COALESCE bridge reads it: the physical
+        cell when it holds the value (non-NULL), else the reservoir.
         """
         table_name = statement.table
         table = self.db.table(table_name)
+        schema = table.schema
         table_catalog = self.catalog.table(table_name)
-        analysis = self._analyze(statement)
-        null_ids = analysis.null_predicate_ids() if analysis else None
-        rewriter = self._rewriter(null_ids)
-        where = rewriter.rewrite_where(statement)
+        bound = self._bind(statement)
+        where = self._rewriter().rewrite_where(bound)
 
-        physical_assignments: list[tuple[str, Any]] = []
-        reservoir_assignments: list[tuple[str, SqlType, Any]] = []
-        for column_name, value_expr in statement.assignments:
+        # (position, value) of clean physical columns; (key, type, value,
+        # position of a dirty column's physical cell or None) of the rest
+        physical_assignments: list[tuple[int, Any]] = []
+        reservoir_assignments: list[tuple[str, SqlType, Any, int | None]] = []
+        for target, (_name, value_expr) in zip(bound.targets, statement.assignments):
             if not isinstance(value_expr, Literal):
                 raise PlanningError(
                     "Sinew UPDATE currently supports literal assignments on "
                     "logical columns"
                 )
             value = value_expr.value
-            state, _name = rewriter._column_state(
-                column_name, rewriter._bindings_for_tables([(table_name, None)])[table_name]
+            state = target.primary()
+            moving: int | None = None
+            if state is not None and state.physical_name and state.physical_name in schema:
+                position = schema.position_of(state.physical_name)
+                if state.materialized and not state.dirty:
+                    physical_assignments.append((position, value))
+                    continue
+                moving = position
+            sql_type = (
+                self.catalog.type_of(state.attr_id)
+                if state is not None
+                else literal_type(value_expr) or SqlType.TEXT
             )
-            if (
-                state is not None
-                and state.materialized
-                and not state.dirty
-                and state.physical_name
-            ):
-                physical_assignments.append((state.physical_name, value))
-            else:
-                sql_type = (
-                    self.catalog.type_of(state.attr_id)
-                    if state is not None
-                    else _literal_sql_type(value)
-                )
-                reservoir_assignments.append((column_name, sql_type, value))
+            reservoir_assignments.append((target.key_name, sql_type, value, moving))
 
-        data_position = table.schema.position_of(RESERVOIR_COLUMN)
-        id_position = table.schema.position_of(ID_COLUMN)
+        data_position = schema.position_of(RESERVOIR_COLUMN)
+        id_position = schema.position_of(ID_COLUMN)
 
         updated = 0
         touched_attrs: dict[int, tuple[str, str]] = {}
@@ -914,24 +898,30 @@ class SinewDB:
                     if row is None:
                         continue
                     new_row = list(row)
-                    for physical_name, value in physical_assignments:
-                        new_row[table.schema.position_of(physical_name)] = value
-                    if reservoir_assignments:
-                        data = new_row[data_position]
+                    for position, value in physical_assignments:
+                        new_row[position] = value
+                    data = None
+                    for key_name, sql_type, value, moving in reservoir_assignments:
+                        if moving is not None and new_row[moving] is not None:
+                            # this row's value has already moved
+                            new_row[moving] = value
+                            continue
                         if data is None:
-                            data = serializer.serialize([])
-                        for key_name, sql_type, value in reservoir_assignments:
-                            had_value = (
-                                self.extractor.extract_typed(data, key_name, sql_type)
-                                is not None
-                            )
-                            data = self.extractor.set_path(data, key_name, sql_type, value)
-                            attr_id = self.catalog.attribute_id(key_name, sql_type)
-                            touched_attrs[attr_id] = (key_name, sql_type.value)
-                            if value is not None and not had_value:
-                                table_catalog.state(attr_id).count += 1
-                            elif value is None and had_value:
-                                table_catalog.state(attr_id).count -= 1
+                            data = new_row[data_position]
+                            if data is None:
+                                data = serializer.serialize([])
+                        had_value = (
+                            self.extractor.extract_typed(data, key_name, sql_type)
+                            is not None
+                        )
+                        data = self.extractor.set_path(data, key_name, sql_type, value)
+                        attr_id = self.catalog.attribute_id(key_name, sql_type)
+                        touched_attrs[attr_id] = (key_name, sql_type.value)
+                        if value is not None and not had_value:
+                            table_catalog.state(attr_id).count += 1
+                        elif value is None and had_value:
+                            table_catalog.state(attr_id).count -= 1
+                    if data is not None:
                         new_row[data_position] = data
                     replacement = tuple(new_row)
                     old = table.update(rid, replacement)
@@ -966,7 +956,7 @@ class SinewDB:
                 )
         self._matches_cache.clear()
         self.catalog.bump_data_epoch()
-        return self._attach_diagnostics(QueryResult(rowcount=updated), analysis)
+        return self._attach_diagnostics(QueryResult(rowcount=updated), bound)
 
     def _document_of_row(self, table, row: tuple) -> dict[str, Any]:
         """The stored document of one heap row of a collection."""
@@ -1040,13 +1030,10 @@ class SinewDB:
             names = self.collections()
         return IntegrityChecker(self.db, self.catalog).check(names)
 
-    def lint(self, sql: str) -> AnalysisResult:
-        """Analyze a query without executing it (the shell's ``\\lint``)."""
-        return SemanticAnalyzer(
-            catalog=self.catalog,
-            collections=self._collections,
-            db=self.db,
-        ).analyze(sql)
+    def lint(self, sql: str | Statement) -> BoundStatement:
+        """Bind a query for its diagnostics, without executing it (the
+        shell's ``\\lint``)."""
+        return Binder(self.catalog, self._collections, self.db).bind(sql)
 
     def storage_bytes(self, table_name: str) -> int:
         """Modelled on-disk size of a collection (Table 3 metric)."""
@@ -1067,12 +1054,3 @@ def _parse_select(sql: str, what: str) -> SelectStatement:
         raise PlanningError(f"{what} supports only SELECT statements")
     return statement
 
-
-def _literal_sql_type(value: Any) -> SqlType:
-    if isinstance(value, bool):
-        return SqlType.BOOLEAN
-    if isinstance(value, int):
-        return SqlType.INTEGER
-    if isinstance(value, float):
-        return SqlType.REAL
-    return SqlType.TEXT

@@ -58,11 +58,6 @@ def requires_latch(latch: str) -> Callable[[F], F]:
     return mark
 
 
-def declared_latch(fn: Any) -> str | None:
-    """The latch a function was tagged with, or ``None`` when untagged."""
-    return getattr(fn, LATCH_ATTRIBUTE, None)
-
-
 # ----------------------------------------------------------------------
 # the tracker hook
 # ----------------------------------------------------------------------

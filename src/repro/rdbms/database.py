@@ -149,7 +149,7 @@ class QueryResult:
         self.rows = rows or []
         self.rowcount = rowcount if rowcount else len(self.rows)
         self.plan_text = plan_text
-        #: analysis warnings attached by the semantic analyzer (Sinew layer)
+        #: analysis warnings attached by the binder (Sinew layer)
         self.diagnostics = tuple(diagnostics)
         #: per-query execution counters (extraction decodes/cache hits,
         #: udf calls, wall time); empty for non-SELECT statements

@@ -78,7 +78,7 @@ class PlanningError(DatabaseError):
 
 
 class SemanticError(PlanningError):
-    """The semantic analyzer rejected a statement before planning.
+    """The binder rejected a statement before planning.
 
     Subclasses :class:`PlanningError` so existing ``except PlanningError``
     call sites keep working; carries the full list of structured

@@ -293,6 +293,31 @@ def _needs_quotes(name: str) -> bool:
     return not _IDENTIFIER_RE.match(name)
 
 
+def replace_children(expr: Expr, children: Sequence[Expr]) -> Expr:
+    """``expr`` with new children, given in :meth:`Expr.children` order."""
+    if type(expr) is BinaryOp:
+        return BinaryOp(expr.op, children[0], children[1], expr.span)
+    if type(expr) is FunctionCall:
+        return FunctionCall(expr.name, tuple(children), expr.distinct, expr.span)
+    if type(expr) is Between:
+        return Between(children[0], children[1], children[2], expr.negated, expr.span)
+    if type(expr) is InList:
+        return InList(children[0], tuple(children[1:]), expr.negated, expr.span)
+    if type(expr) is Like:
+        return Like(children[0], children[1], expr.negated, expr.span)
+    if type(expr) is IsNull:
+        return IsNull(children[0], expr.negated, expr.span)
+    if type(expr) is UnaryOp:
+        return UnaryOp(expr.op, children[0], expr.span)
+    if type(expr) is AnyPredicate:
+        return AnyPredicate(children[0], children[1], expr.span)
+    if type(expr) is Coalesce:
+        return Coalesce(tuple(children), expr.span)
+    if type(expr) is Cast:
+        return Cast(children[0], expr.target, expr.span)
+    return expr
+
+
 # ---------------------------------------------------------------------------
 # Reference semantics (three-valued logic)
 # ---------------------------------------------------------------------------

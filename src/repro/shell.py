@@ -36,7 +36,7 @@ Meta-commands
 ==================  ====================================================
 
 Semantic errors print with a caret underline pointing into the query;
-analyzer warnings (unknown keys, provably-NULL predicates, multi-typed
+binder warnings (unknown keys, provably-NULL predicates, multi-typed
 downcasts) print after the result rows.
 """
 

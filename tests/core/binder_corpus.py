@@ -221,9 +221,7 @@ def prepared_repr(sdb: SinewDB, sql: str) -> str:
             )
         if statement.table not in sdb.collections():
             return "not a collection"
-        analysis = sdb._analyze(statement)
-        null_ids = analysis.null_predicate_ids() if analysis else None
-        return repr(sdb._rewriter(null_ids).rewrite_where(statement))
+        return repr(sdb._rewriter().rewrite_where(sdb._bind(statement)))
     except DatabaseError as exc:
         return f"{type(exc).__name__}: {exc}"
 

@@ -193,11 +193,8 @@ class IndexModel:
             self.docs[num] = {**self.docs[num], "note": note}
 
     def retag(self, num: int, tag: str) -> None:
-        """An UPDATE of a column that can itself be indexed.  Settled
-        first: an UPDATE of a column that is dirty at that moment is not
-        visible until the materializer passes the row (a defect the
-        benchmark's oracle found, benchmarks/suite/README.md)."""
-        self.settle()
+        """An UPDATE of a column that can itself be indexed, in whatever
+        layout the walk left it: virtual, dirty or physical."""
         self.sdb.execute(f"UPDATE t SET tag = '{tag}' WHERE num = {num}")
         if num in self.docs:
             self.docs[num] = {**self.docs[num], "tag": tag}

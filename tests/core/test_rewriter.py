@@ -251,3 +251,32 @@ class TestMultiTypedNullSemantics:
         assert items[0].expr.name == "extract_key_text"
         # text context on the all-integer table extracts NULL on every row
         assert sdb.query("SELECT k FROM mono WHERE k LIKE '%'").rows == []
+
+
+class TestMangledPhysicalNames:
+    """Both types of a multi-typed key materialized: the second type's
+    physical column gets a mangled name (``k__text``), and spelling that
+    name reads the column -- through the COALESCE bridge while it is
+    dirty, directly once it is clean."""
+
+    @pytest.fixture()
+    def mangled(self):
+        instance = SinewDB("mangled")
+        instance.create_collection("t")
+        instance.load("t", [{"a": 1, "k": 1}, {"a": 2, "k": "x"}, {"a": 3, "k": 3}])
+        instance.materialize("t", "k", SqlType.INTEGER)
+        instance.materialize("t", "k", SqlType.TEXT)
+        assert "k__text" in instance.db.table("t").schema
+        return instance
+
+    def test_projection_reads_the_mangled_column(self, mangled):
+        sql = "SELECT k__text FROM t ORDER BY a"
+        assert mangled.query(sql).rows == [(None,), ("x",), (None,)]
+        mangled.run_materializer("t")
+        assert mangled.query(sql).rows == [(None,), ("x",), (None,)]
+
+    def test_predicate_reads_the_mangled_column(self, mangled):
+        sql = "SELECT a FROM t WHERE k__text = 'x'"
+        assert mangled.query(sql).rows == [(2,)]
+        mangled.run_materializer("t")
+        assert mangled.query(sql).rows == [(2,)]

@@ -126,6 +126,32 @@ class TestUpdates:
         assert result.rowcount == 1
         assert sdb.query("SELECT count(*) FROM webrequests").scalar() == 1
 
+    @pytest.mark.parametrize("direction", ["materialize", "dematerialize"])
+    def test_update_of_dirty_column_is_read_back(self, sdb, direction):
+        # hits moves to a physical column; then a load (or the flip back)
+        # leaves it dirty, with the first two rows' values still physical
+        sdb.materialize("webrequests", "hits", SqlType.INTEGER)
+        sdb.run_materializer("webrequests")
+        if direction == "materialize":
+            sdb.load("webrequests", [{"url": "late", "hits": 3}])
+        else:
+            sdb.load("webrequests", [{"url": "late"}])
+            sdb.execute("UPDATE webrequests SET hits = 3 WHERE url = 'late'")
+            sdb.dematerialize("webrequests", "hits", SqlType.INTEGER)
+        assert sdb.catalog.table("webrequests").dirty_columns()
+
+        # a moved row (physical cell set) and an unmoved one (reservoir)
+        for url, hits in (("www.sample-site.com", 5555), ("late", 7777)):
+            result = sdb.execute(
+                f"UPDATE webrequests SET hits = {hits} WHERE url = '{url}'"
+            )
+            assert result.rowcount == 1
+        read = "SELECT url, hits FROM webrequests ORDER BY url"
+        expected = [("late", 7777), ("www.sample-site.com", 5555), ("www.sample-site2.com", 15)]
+        assert sdb.query(read).rows == expected
+        sdb.run_materializer("webrequests")
+        assert sdb.query(read).rows == expected
+
     def test_nobench_style_sparse_update(self, sdb):
         sdb.load("webrequests", [{"sparse_589": "MAGIC", "n": 1}])
         result = sdb.execute(
