@@ -180,10 +180,6 @@ class BoundColumn(Expr):
         self.problem: Diagnostic | None = problem
         self.span = ref.span
 
-    def __repr__(self) -> str:
-        owner = self.binding.name if self.binding is not None else None
-        return f"BoundColumn({self.ref} -> {owner}, {len(self.states)} state(s))"
-
     @property
     def key_name(self) -> str:
         """The reservoir key behind the reference."""
@@ -455,6 +451,7 @@ class Binder:
                         )
                     )
             return [SqlType.REAL, SqlType.REAL], False
+        # each operand is extracted as the type of the literal it meets
         left_type, right_type = literal_type(right), literal_type(left)
         if (
             left_type is not None
