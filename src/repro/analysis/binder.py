@@ -35,7 +35,7 @@ its diagnostics.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Collection
 
 from ..rdbms.expressions import (
     AnyPredicate,
@@ -247,14 +247,12 @@ class Binder:
     def __init__(
         self,
         catalog: "SinewCatalog | None" = None,
-        collections: Iterable[str] = (),
+        collections: Collection[str] = (),
         db: "Database | None" = None,
         functions: FunctionRegistry | None = None,
     ):
         self.catalog = catalog
-        self.collections = (
-            collections if isinstance(collections, (set, dict)) else set(collections)
-        )
+        self.collections = collections
         self.db = db
         if functions is None:
             functions = db.functions if db is not None else FunctionRegistry()
@@ -726,7 +724,7 @@ AnalysisResult = BoundStatement
 def analyze(
     sql_or_statement: str | Statement,
     catalog: "SinewCatalog | None" = None,
-    collections: Iterable[str] = (),
+    collections: Collection[str] = (),
     db: "Database | None" = None,
     functions: FunctionRegistry | None = None,
 ) -> BoundStatement:

@@ -903,7 +903,7 @@ class SinewDB:
                     data = None
                     for key_name, sql_type, value, moving in reservoir_assignments:
                         if moving is not None and new_row[moving] is not None:
-                            # this row's value has already moved
+                            # the physical cell holds this row's value
                             new_row[moving] = value
                             continue
                         if data is None:

@@ -41,22 +41,18 @@ from typing import Any, Callable, Iterable
 
 from .errors import CatalogError, PlanningError
 from .expressions import (
-    AnyPredicate,
     Between,
     BinaryOp,
-    Cast,
-    Coalesce,
     ColumnRef,
     Expr,
     FunctionCall,
     InList,
-    IsNull,
-    Like,
     Literal,
     Star,
     UnaryOp,
     contains_function_call,
     referenced_columns,
+    replace_children,
 )
 from .functions import FunctionRegistry
 from .plan_nodes import (
@@ -807,48 +803,5 @@ def _replace_subtrees(expr: Expr, mapping: list[tuple[Expr, Expr]]) -> Expr:
     for original, replacement in mapping:
         if expr == original:
             return replacement
-    if isinstance(expr, BinaryOp):
-        return BinaryOp(
-            expr.op,
-            _replace_subtrees(expr.left, mapping),
-            _replace_subtrees(expr.right, mapping),
-        )
-    if isinstance(expr, UnaryOp):
-        return UnaryOp(expr.op, _replace_subtrees(expr.operand, mapping))
-    if isinstance(expr, IsNull):
-        return IsNull(_replace_subtrees(expr.operand, mapping), expr.negated)
-    if isinstance(expr, Between):
-        return Between(
-            _replace_subtrees(expr.operand, mapping),
-            _replace_subtrees(expr.low, mapping),
-            _replace_subtrees(expr.high, mapping),
-            expr.negated,
-        )
-    if isinstance(expr, InList):
-        return InList(
-            _replace_subtrees(expr.operand, mapping),
-            tuple(_replace_subtrees(item, mapping) for item in expr.items),
-            expr.negated,
-        )
-    if isinstance(expr, Like):
-        return Like(
-            _replace_subtrees(expr.operand, mapping),
-            _replace_subtrees(expr.pattern, mapping),
-            expr.negated,
-        )
-    if isinstance(expr, FunctionCall):
-        return FunctionCall(
-            expr.name,
-            tuple(_replace_subtrees(a, mapping) for a in expr.args),
-            expr.distinct,
-        )
-    if isinstance(expr, Coalesce):
-        return Coalesce(tuple(_replace_subtrees(a, mapping) for a in expr.args))
-    if isinstance(expr, Cast):
-        return Cast(_replace_subtrees(expr.operand, mapping), expr.target)
-    if isinstance(expr, AnyPredicate):
-        return AnyPredicate(
-            _replace_subtrees(expr.needle, mapping),
-            _replace_subtrees(expr.haystack, mapping),
-        )
-    return expr
+    children = [_replace_subtrees(child, mapping) for child in expr.children()]
+    return replace_children(expr, children)
