@@ -11,7 +11,7 @@ from collections import defaultdict
 
 import pytest
 
-from tests.core import binder_corpus
+from . import binder_corpus
 
 #: (env, layout, sql) of records that intentionally no longer match: a
 #: mangled physical column name (``k__text``) now reads that column --
