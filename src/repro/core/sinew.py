@@ -41,7 +41,7 @@ from ..rdbms.sql.parser import parse
 from ..rdbms.types import SqlType
 from . import serializer
 from .background import DEFAULT_IDLE_SLEEP, DEFAULT_STEP_ROWS, MaterializerDaemon
-from .catalog import SinewCatalog, column_state_payload
+from .catalog import ColumnState, SinewCatalog, column_state_payload
 from .extractors import ReservoirExtractor, register_extraction_udfs
 from .loader import ID_COLUMN, RESERVOIR_COLUMN, LoadReport, SinewLoader
 from .materializer import ColumnMaterializer, MaterializerReport
@@ -848,39 +848,26 @@ class SinewDB:
         """
         table_name = statement.table
         table = self.db.table(table_name)
-        schema = table.schema
         table_catalog = self.catalog.table(table_name)
         bound = self._bind(statement)
         where = self._rewriter().rewrite_where(bound)
 
-        # (position, value) of clean physical columns; (key, type, value,
-        # position of a dirty column's physical cell or None) of the rest
-        physical_assignments: list[tuple[int, Any]] = []
-        reservoir_assignments: list[tuple[str, SqlType, Any, int | None]] = []
+        # (key, column state or None, type, value) of each assignment;
+        # where it is written is decided under the latch below
+        assignments: list[tuple[str, ColumnState | None, SqlType, Any]] = []
         for target, (_name, value_expr) in zip(bound.targets, statement.assignments):
             if not isinstance(value_expr, Literal):
                 raise PlanningError(
                     "Sinew UPDATE currently supports literal assignments on "
                     "logical columns"
                 )
-            value = value_expr.value
             state = target.primary()
-            moving: int | None = None
-            if state is not None and state.physical_name and state.physical_name in schema:
-                position = schema.position_of(state.physical_name)
-                if state.materialized and not state.dirty:
-                    physical_assignments.append((position, value))
-                    continue
-                moving = position
             sql_type = (
                 self.catalog.type_of(state.attr_id)
                 if state is not None
                 else literal_type(value_expr) or SqlType.TEXT
             )
-            reservoir_assignments.append((target.key_name, sql_type, value, moving))
-
-        data_position = schema.position_of(RESERVOIR_COLUMN)
-        id_position = schema.position_of(ID_COLUMN)
+            assignments.append((target.key_name, state, sql_type, value_expr.value))
 
         updated = 0
         touched_attrs: dict[int, tuple[str, str]] = {}
@@ -893,6 +880,12 @@ class SinewDB:
             # the read saw would undo a move made since, or be undone by
             # one made from an image fetched before this write.
             with self.catalog.exclusive_latch("update"):
+                schema = table.schema
+                physical_assignments, reservoir_assignments = self._update_writes(
+                    assignments, schema
+                )
+                data_position = schema.position_of(RESERVOIR_COLUMN)
+                id_position = schema.position_of(ID_COLUMN)
                 for rid in matched:
                     row = table.fetch(rid)
                     if row is None:
@@ -957,6 +950,33 @@ class SinewDB:
         self._matches_cache.clear()
         self.catalog.bump_data_epoch()
         return self._attach_diagnostics(QueryResult(rowcount=updated), bound)
+
+    @staticmethod
+    def _update_writes(
+        assignments: list[tuple[str, ColumnState | None, SqlType, Any]],
+        schema,
+    ) -> tuple[list[tuple[int, Any]], list[tuple[str, SqlType, Any, int | None]]]:
+        """Split UPDATE assignments by where each one is written.
+
+        Called under the catalog latch, so the column states and the
+        schema are the ones the write meets: the materializer may have
+        moved, or dropped, a column since the statement was bound.
+        Returns ``(position, value)`` of clean physical columns and
+        ``(key, type, value, position of a dirty column's physical cell or
+        None)`` of the rest.
+        """
+        physical: list[tuple[int, Any]] = []
+        reservoir: list[tuple[str, SqlType, Any, int | None]] = []
+        for key_name, state, sql_type, value in assignments:
+            moving: int | None = None
+            if state is not None and state.physical_name and state.physical_name in schema:
+                position = schema.position_of(state.physical_name)
+                if state.materialized and not state.dirty:
+                    physical.append((position, value))
+                    continue
+                moving = position
+            reservoir.append((key_name, sql_type, value, moving))
+        return physical, reservoir
 
     def _document_of_row(self, table, row: tuple) -> dict[str, Any]:
         """The stored document of one heap row of a collection."""

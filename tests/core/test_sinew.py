@@ -152,6 +152,35 @@ class TestUpdates:
         sdb.run_materializer("webrequests")
         assert sdb.query(read).rows == expected
 
+    def test_update_when_a_dematerialization_finishes_before_the_write(self, sdb):
+        # hits, then url, get physical columns; hits is flipped back and
+        # stays dirty, its values still in the physical cells
+        sdb.materialize("webrequests", "hits", SqlType.INTEGER)
+        sdb.materialize("webrequests", "url", SqlType.TEXT)
+        sdb.run_materializer("webrequests")
+        sdb.dematerialize("webrequests", "hits", SqlType.INTEGER)
+        table = sdb.db.table("webrequests")
+        assert table.schema.position_of("hits") < table.schema.position_of("url")
+
+        # the materializer finishes the move (dropping hits) after the
+        # UPDATE has bound and read its rows, before it takes the latch
+        # to write them
+        matching_rids = sdb.db.matching_rids
+
+        def match_then_finish(table, where):
+            rids = matching_rids(table, where)
+            sdb.run_materializer("webrequests")
+            return rids
+
+        sdb.db.matching_rids = match_then_finish
+        result = sdb.execute("UPDATE webrequests SET hits = 5555 WHERE hits = 22")
+        del sdb.db.matching_rids
+        assert result.rowcount == 1
+        assert "hits" not in table.schema
+        assert sdb.query(
+            "SELECT url, hits, country FROM webrequests ORDER BY url"
+        ).rows == [("www.sample-site.com", 5555, "pl"), ("www.sample-site2.com", 15, None)]
+
     def test_nobench_style_sparse_update(self, sdb):
         sdb.load("webrequests", [{"sparse_589": "MAGIC", "n": 1}])
         result = sdb.execute(
