@@ -14,7 +14,7 @@ makes the protocols declarable so they can be checked mechanically:
   lexically holds or acquires the latch -- so the hot path pays nothing.
 * :class:`TrackedLock` -- a ``threading.Lock`` wrapper that reports
   acquisitions to the process-global **latch tracker** when one is
-  installed (``REPRO_DEBUG_LATCHES=1`` when this module is imported, or a
+  installed (``REPRO_DEBUG_LATCHES=1`` when the first latch is taken, or a
   test calling :func:`repro.testing.latch_tracker.enable_latch_tracking`).
   With no tracker installed, the overhead is one function call and one
   global read per acquisition.
@@ -23,7 +23,8 @@ This module has no imports from the rest of the package, so every layer
 (``core``, ``rdbms``, ``testing``) can use it without cycles.  The
 tracker implementation itself lives in :mod:`repro.testing` -- production
 code only ever sees it through the :func:`latch_tracker` hook, and the
-import in :func:`tracker_from_env` runs only when tracking is switched on.
+import in :func:`tracker_from_env` runs only when tracking is switched on,
+at the first acquisition, after both modules have loaded.
 """
 
 from __future__ import annotations
@@ -62,11 +63,16 @@ def requires_latch(latch: str) -> Callable[[F], F]:
 # the tracker hook
 # ----------------------------------------------------------------------
 
+#: Stands for "the environment was not read yet" in :data:`_TRACKER`.
+_UNREAD = object()
+
 #: The installed tracker (``None`` = tracking disabled).  Installed either
 #: explicitly by :func:`repro.testing.latch_tracker.enable_latch_tracking`
-#: or, once at import, from the :data:`DEBUG_LATCHES_ENV` environment
-#: variable (:func:`tracker_from_env`).
-_TRACKER: Any = None
+#: or from the :data:`DEBUG_LATCHES_ENV` environment variable
+#: (:func:`tracker_from_env`), which the first :func:`latch_tracker` call
+#: reads -- not this module's import, which may run while
+#: :mod:`repro.testing` is still being imported.
+_TRACKER: Any = _UNREAD
 
 
 def install_latch_tracker(tracker: Any) -> None:
@@ -79,19 +85,25 @@ def latch_tracker() -> Any:
     """The active latch tracker, or ``None`` when tracking is disabled.
 
     Checked on every tracked acquisition (every heap write takes one), so
-    it is a global read and nothing else.
+    after the first call it is a global read and a comparison.
     """
+    if _TRACKER is _UNREAD:
+        return tracker_from_env()
     return _TRACKER
 
 
 def tracker_from_env() -> Any:
     """Install a tracker if :data:`DEBUG_LATCHES_ENV` is ``1`` and none is
-    installed; returns the installed one.  Runs once when this module is
-    imported -- set the variable before that, or call this again."""
-    if _TRACKER is None and os.environ.get(DEBUG_LATCHES_ENV) == "1":
-        from .testing.latch_tracker import LatchOrderTracker
+    installed; returns the installed one.  Runs on the first
+    :func:`latch_tracker` call -- set the variable before that, or call
+    this again."""
+    if _TRACKER is _UNREAD or _TRACKER is None:
+        tracker = None
+        if os.environ.get(DEBUG_LATCHES_ENV) == "1":
+            from .testing.latch_tracker import LatchOrderTracker
 
-        install_latch_tracker(LatchOrderTracker())
+            tracker = LatchOrderTracker()
+        install_latch_tracker(tracker)
     return _TRACKER
 
 
@@ -134,6 +146,3 @@ class TrackedLock:
     def __repr__(self) -> str:  # pragma: no cover - debugging surface
         state = "locked" if self._lock.locked() else "unlocked"
         return f"<TrackedLock {self.name!r} {state}>"
-
-
-tracker_from_env()

@@ -25,8 +25,7 @@ Production call sites (``SinewCatalog.exclusive_latch`` and every
 ``None`` -- tracking disabled, no work done -- unless a tracker was
 installed via :func:`enable_latch_tracking` (tests) or the
 ``REPRO_DEBUG_LATCHES=1`` environment variable (the CI stress lane), which
-is read when :mod:`repro.latching` is imported and again by
-:func:`disable_latch_tracking`.
+is read at the first acquisition and again by :func:`disable_latch_tracking`.
 
 A raised violation behaves like any other engine error: the daemon
 transitions to ``crashed`` with the message in ``last_error``, a loader

@@ -8,9 +8,15 @@ enablement path, and the wiring through the real engine latches
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro.core import SinewDB
 from repro.latching import (
@@ -129,7 +135,8 @@ class TestTrackedLock:
         install_latch_tracker(None)
         monkeypatch.setenv(DEBUG_LATCHES_ENV, "1")
         try:
-            # read once at import; a later change takes an explicit re-read
+            # read once, by the first acquisition; a later change takes an
+            # explicit re-read
             assert latch_tracker() is None
             installed = tracker_from_env()
             assert isinstance(installed, LatchOrderTracker)
@@ -138,6 +145,24 @@ class TestTrackedLock:
         finally:
             monkeypatch.undo()  # the lane's own setting decides what is left
             disable_latch_tracking()
+
+    def test_env_var_with_repro_testing_imported_first(self):
+        """With the variable set, a process whose first import is a
+        ``repro.testing`` module starts, and its first latch installs the
+        tracker."""
+        code = (
+            "import repro.testing.chaos\n"
+            "from repro.latching import TrackedLock, latch_tracker\n"
+            "with TrackedLock('probe'):\n"
+            "    print(type(latch_tracker()).__name__)\n"
+        )
+        env = {**os.environ, DEBUG_LATCHES_ENV: "1"}
+        env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "LatchOrderTracker"
 
 
 class TestEngineWiring:
