@@ -451,7 +451,7 @@ class Database:
         started = time.perf_counter()
         self.functions.begin_query(context)
         try:
-            rows = list(plan.run(context))
+            rows = [row for batch in plan.batches(context) for row in batch]
         finally:
             self.functions.end_query(context)
         elapsed = time.perf_counter() - started
@@ -472,7 +472,7 @@ class Database:
     def _render_analyze(
         plan: PlanNode, context: ExecutionContext, elapsed: float, n_rows: int
     ) -> str:
-        lines = plan.explain_analyze_lines(context)
+        lines = plan.explain_lines(context=context)
         lines.append(context.extract_stats.summary())
         if context.extraction_hint:
             lines.append(

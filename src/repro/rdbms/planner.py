@@ -29,8 +29,9 @@ once Sinew materializes a virtual column into a physical one:
   merge join; nested loop only without an equi-key.
 
 The finished tree goes through :func:`~repro.rdbms.plan_nodes.fuse`, which
-makes every scan-side chain one batch fragment; EXPLAIN still prints the
-tree as planned.
+makes every scan-side chain one batch fragment; every node of the result,
+fragment or operator above one, runs batch-at-a-time through one method,
+``batches(context, need)``.  EXPLAIN still prints the tree as planned.
 """
 
 from __future__ import annotations

@@ -10,8 +10,8 @@ and the projection is one *stage* -- one generated loop over the batch
 filter stage returns the survivors, the projection stage the output rows,
 and the sort-key or grouping stage after them reads those lists.
 
-Equivalence contract: a batch program evaluates *exactly* the rows the
-row-at-a-time operators would, with the same extraction counters, because
+Equivalence contract: a batch program evaluates *exactly* the rows a
+row-at-a-time evaluation would, with the same extraction counters, because
 both forms are the same generated statements around a different loop --
 
 * every stage evaluates precisely the rows the row closure would have:

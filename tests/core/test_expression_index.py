@@ -110,9 +110,9 @@ def both_ways(sdb: SinewDB, where) -> tuple[list, list]:
     target, ranges = _index_condition(where, table, "t", sdb.db.functions)
     assert isinstance(target, IndexExpression)
     context = sdb.db.execution_context
-    by_index = list(fuse(IndexScan(table, "t", target, ranges, where, 0.1)).run(context()))
-    by_scan = list(fuse(Filter(SeqScan(table, "t"), where, 0.1)).run(context()))
-    return by_index, by_scan
+    by_index = fuse(IndexScan(table, "t", target, ranges, where, 0.1)).batches(context())
+    by_scan = fuse(Filter(SeqScan(table, "t"), where, 0.1)).batches(context())
+    return [row for batch in by_index for row in batch], [row for batch in by_scan for row in batch]
 
 
 @pytest.mark.parametrize("text", SARGABLE)

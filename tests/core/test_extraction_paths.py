@@ -176,8 +176,8 @@ def test_null_reservoir(setup):
 def test_sql_and_specialised_form_agree_on_every_lane():
     """The rewritten statement runs through the hook in the batch pipeline;
     its predicate and each select item, compiled in the row form and
-    called per heap row (the form joins and GroupAggregate use), give the
-    same rows and the same accounting."""
+    called per heap row (the form DML uses), give the same rows and the
+    same accounting."""
     sdb = SinewDB("paths_lanes")
     try:
         sdb.create_collection("t")

@@ -128,7 +128,7 @@ def where_of(text: str):
 
 
 def run(db, plan) -> list[tuple]:
-    return list(fuse(plan).run(db.execution_context()))
+    return [row for batch in fuse(plan).batches(db.execution_context()) for row in batch]
 
 
 def same_rows(left: list[tuple], right: list[tuple]) -> bool:
@@ -258,7 +258,7 @@ class TestAccessPath:
         table = database.table("t")
         where = where_of("id = 17")
         plan = fuse(IndexScan(table, "t", *_index_condition(where, table, "t"), where, 0.1))
-        rows = plan.run(database.execution_context())
+        rows = (row for batch in plan.batches(database.execution_context()) for row in batch)
         original_fetch = table.fetch
 
         def fetch_after_a_writer(rid):

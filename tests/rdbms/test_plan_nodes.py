@@ -1,9 +1,11 @@
 """Direct unit tests for physical operators (bypassing the planner; each
-tree is made executable with ``fuse``, as the planner does)."""
+tree is made executable with ``fuse``, as the planner does, and its
+batches are flattened into rows by ``run``)."""
 
 import pytest
 
 from repro.rdbms.cost import CostCounters, DiskBudget
+from repro.rdbms.database import Database, DatabaseConfig
 from repro.rdbms.expressions import BinaryOp, ColumnRef, Literal
 from repro.rdbms.functions import FunctionRegistry
 from repro.rdbms.plan_nodes import (
@@ -45,6 +47,11 @@ def context(work_mem=1 << 20):
     return ExecutionContext(counters, FunctionRegistry(counters), DiskBudget(), work_mem)
 
 
+def run(node, ctx):
+    """The rows of the executable form of ``node``, in output order."""
+    return [row for batch in fuse(node).batches(ctx) for row in batch]
+
+
 @pytest.fixture()
 def people():
     return make_table(
@@ -63,14 +70,14 @@ def people():
 class TestScanFilterProject:
     def test_seq_scan_all_rows(self, people):
         scan = SeqScan(people, "p")
-        assert len(list(fuse(scan).rows(context()))) == 5
+        assert len(list(run(scan, context()))) == 5
         assert scan.output_columns[0] == ("p", "id")
 
     def test_filter_three_valued(self, people):
         scan = SeqScan(people, "p")
         predicate = BinaryOp(">", ColumnRef("p", "score"), Literal(15))
         node = Filter(scan, predicate, 0.5)
-        rows = list(fuse(node).rows(context()))
+        rows = list(run(node, context()))
         assert [row[0] for row in rows] == [2, 3, 5]  # NULL score dropped
 
     def test_project_expressions(self, people):
@@ -80,30 +87,30 @@ class TestScanFilterProject:
             [BinaryOp("*", ColumnRef("p", "id"), Literal(2))],
             ["doubled"],
         )
-        assert [row[0] for row in fuse(node).rows(context())] == [2, 4, 6, 8, 10]
+        assert [row[0] for row in run(node, context())] == [2, 4, 6, 8, 10]
 
     def test_limit(self, people):
         node = Limit(SeqScan(people, "p"), 2)
-        assert len(list(fuse(node).rows(context()))) == 2
+        assert len(list(run(node, context()))) == 2
 
 
 class TestSortUnique:
     def test_sort_nulls_last(self, people):
         node = Sort(SeqScan(people, "p"), [(ColumnRef("p", "grp"), True)])
-        groups = [row[1] for row in fuse(node).rows(context())]
+        groups = [row[1] for row in run(node, context())]
         assert groups == ["a", "a", "b", "b", None]
 
     def test_sort_descending(self, people):
         # DESC places NULLs first (PostgreSQL default), then values
         node = Sort(SeqScan(people, "p"), [(ColumnRef("p", "score"), False)])
-        scores = [row[2] for row in fuse(node).rows(context())]
+        scores = [row[2] for row in run(node, context())]
         assert scores[0] is None
         assert scores[1:] == [50, 30, 20, 10]
 
     def test_sort_mixed_type_key_does_not_crash(self):
         table = make_table("m", [("v", SqlType.TEXT)], [(1,), ("x",), (2.5,), (None,)])
         node = Sort(SeqScan(table, "m"), [(ColumnRef("m", "v"), True)])
-        values = [row[0] for row in fuse(node).rows(context())]
+        values = [row[0] for row in run(node, context())]
         assert values[:2] == [1, 2.5]  # numbers first, then text, NULL last
         assert values[-1] is None
 
@@ -113,12 +120,12 @@ class TestSortUnique:
             [(ColumnRef(None, "grp"), True)],
         )
         node = Unique(ordered)
-        assert [row[0] for row in fuse(node).rows(context())] == ["a", "b", None]
+        assert [row[0] for row in run(node, context())] == ["a", "b", None]
 
     def test_sort_spills_when_over_work_mem(self, people):
         ctx = context(work_mem=16)
         node = Sort(SeqScan(people, "p"), [(ColumnRef("p", "id"), True)])
-        list(fuse(node).rows(ctx))
+        list(run(node, ctx))
         assert ctx.counters.spill_bytes > 0
         assert ctx.disk.used_bytes == 0  # released after the sort
 
@@ -138,7 +145,7 @@ class TestAggregates:
             self.agg_specs(ctx.functions),
             est_groups=3,
         )
-        out = {row[0]: (row[1], row[2]) for row in fuse(node).rows(ctx)}
+        out = {row[0]: (row[1], row[2]) for row in run(node, ctx)}
         assert out == {"a": (2, 40), "b": (2, 70), None: (1, None)}
 
     def test_group_aggregate_matches_hash(self, people):
@@ -150,7 +157,7 @@ class TestAggregates:
             self.agg_specs(ctx.functions),
             est_groups=3,
         )
-        out = {row[0]: (row[1], row[2]) for row in fuse(node).rows(ctx)}
+        out = {row[0]: (row[1], row[2]) for row in run(node, ctx)}
         assert out == {"a": (2, 40), "b": (2, 70), None: (1, None)}
 
     def test_distinct_aggregate(self, people):
@@ -159,7 +166,7 @@ class TestAggregates:
             ctx.functions.aggregate("count"), ColumnRef("p", "grp"), True, "__agg0"
         )
         node = HashAggregate(SeqScan(people, "p"), [], [spec], est_groups=1)
-        assert list(fuse(node).rows(ctx)) == [(2,)]  # 'a', 'b' distinct; NULL skipped
+        assert list(run(node, ctx)) == [(2,)]  # 'a', 'b' distinct; NULL skipped
 
 
 class TestJoins:
@@ -182,25 +189,25 @@ class TestJoins:
         node = HashJoin(
             left, right, [ColumnRef("l", "k")], [ColumnRef("r", "k")], est_rows=2
         )
-        assert sorted(fuse(node).rows(context())) == self.expected()
+        assert sorted(run(node, context())) == self.expected()
 
     def test_merge_join(self):
         left, right = self.make_pair()
         node = MergeJoin(
             left, right, [ColumnRef("l", "k")], [ColumnRef("r", "k")], est_rows=2
         )
-        assert sorted(fuse(node).rows(context())) == self.expected()
+        assert sorted(run(node, context())) == self.expected()
 
     def test_nested_loop_with_condition(self):
         left, right = self.make_pair()
         condition = BinaryOp("=", ColumnRef("l", "k"), ColumnRef("r", "k"))
         node = NestedLoopJoin(left, right, condition, est_rows=2)
-        assert sorted(fuse(node).rows(context())) == self.expected()
+        assert sorted(run(node, context())) == self.expected()
 
     def test_cartesian_nested_loop(self):
         left, right = self.make_pair()
         node = NestedLoopJoin(left, right, None, est_rows=12)
-        assert len(list(fuse(node).rows(context()))) == 12
+        assert len(list(run(node, context()))) == 12
 
     def test_null_keys_never_join(self):
         # the NULL rows on both sides must not pair up under any algorithm
@@ -210,7 +217,65 @@ class TestJoins:
             node = cls(
                 left, right, [ColumnRef("l", "k")], [ColumnRef("r", "k")], est_rows=2
             )
-            assert all(row[0] is not None for row in fuse(node).rows(context()))
+            assert all(row[0] is not None for row in run(node, context()))
+
+    def make_array_pair(self):
+        left = make_table(
+            "l", [("k", SqlType.ARRAY), ("lv", SqlType.TEXT)],
+            [([1, 2], "l12"), ([1, "x"], "l1x"), (None, "lnull")],
+        )
+        right = make_table(
+            "r", [("k", SqlType.ARRAY), ("rv", SqlType.TEXT)],
+            [([1, "x"], "r1x"), (None, "rnull")],
+        )
+        return SeqScan(left, "l"), SeqScan(right, "r")
+
+    @pytest.mark.parametrize("algorithm", ["hash", "merge", "nested"])
+    def test_array_keys_join_as_equals_says(self, algorithm):
+        """Every join algorithm pairs array keys as ``=`` does: [1, 'x']
+        matches itself, [1, 2] matches nothing, NULL never joins."""
+        left, right = self.make_array_pair()
+        keys = [ColumnRef("l", "k")], [ColumnRef("r", "k")]
+        condition = BinaryOp("=", ColumnRef("l", "k"), ColumnRef("r", "k"))
+        by_equals = run(NestedLoopJoin(left, right, condition, est_rows=1), context())
+        assert by_equals == [([1, "x"], "l1x", [1, "x"], "r1x")]
+        left, right = self.make_array_pair()
+        node = {
+            "hash": lambda: HashJoin(left, right, *keys, est_rows=1),
+            "merge": lambda: MergeJoin(left, right, *keys, est_rows=1),
+            "nested": lambda: NestedLoopJoin(left, right, condition, est_rows=1),
+        }[algorithm]()
+        assert run(node, context()) == by_equals
+
+    def test_equal_numbers_join_exactly(self):
+        """1 = 1.0 joins; of the integers 2**53 and 2**53 + 1, which round
+        to one float, only the first equals that float, under either
+        equi-join."""
+        big = 2**53
+        for cls in (HashJoin, MergeJoin):
+            left = make_table("l", [("k", SqlType.INTEGER)], [(1,), (big + 1,), (big,)])
+            right = make_table("r", [("k", SqlType.REAL)], [(1.0,), (float(big),)])
+            node = cls(
+                SeqScan(left, "l"), SeqScan(right, "r"),
+                [ColumnRef("l", "k")], [ColumnRef("r", "k")], est_rows=2,
+            )
+            assert sorted(run(node, context())) == [(1, 1.0), (big, float(big))]
+
+    @pytest.mark.parametrize("work_mem", [1 << 20, 64])
+    def test_array_keys_in_sql(self, work_mem):
+        """The same pairing through the planner: a roomy ``work_mem`` plans
+        a Hash Join, a tiny one a Merge Join."""
+        database = Database("arrays", DatabaseConfig(work_mem_bytes=work_mem))
+        database.execute("CREATE TABLE l (k array, v text)")
+        database.execute("CREATE TABLE r (k array, w text)")
+        database.insert_rows("l", [([1, 2], "l12"), ([1, "x"], "l1x"), (None, "lnull")])
+        database.insert_rows("r", [([1, "x"], "r1x"), (None, "rnull")])
+        database.analyze()
+        sql = "SELECT l.v, r.w FROM l, r WHERE l.k = r.k"
+        expected = "Hash Join" if work_mem > 64 else "Merge Join"
+        assert f"{expected}  Cond: l.k = r.k" in database.explain(sql)
+        assert database.execute(sql).rows == [("l1x", "r1x")]
+        database.close()
 
 
 class TestExplainText:
