@@ -22,7 +22,7 @@ import os
 import pytest
 
 from repro.core import SinewDB
-from repro.rdbms.types import type_from_name
+from repro.rdbms.types import collation_key, type_from_name
 from repro.workloads import (
     TABLE1_QUERIES,
     TABLE2_PHYSICAL_ATTRIBUTES,
@@ -79,6 +79,21 @@ def test_t1_plan_flip(systems):
         "HashAggregate  "
     )
     assert "Unique" in systems["physical"].explain(TABLE1_QUERIES["T1"]).splitlines()[0]
+
+
+@pytest.mark.parametrize("query_id", ["T1", "T2"])
+def test_t1_plan_flip_keeps_the_answer(systems, query_id):
+    """The plan flip changes the algorithm, not the answer: T1's DISTINCT
+    (HashAggregate over virtual columns, Sort+Unique over physical ones)
+    and T2's GROUP BY return the same rows in both conditions."""
+    sql = TABLE1_QUERIES[query_id]
+
+    def answer(condition: str) -> list[tuple]:
+        rows = systems[condition].query(sql).rows
+        return sorted(rows, key=lambda row: tuple(map(collation_key, row)))
+
+    virtual = answer("virtual")
+    assert virtual and virtual == answer("physical")
 
 
 @pytest.mark.parametrize("query_id", ["T1", "T2"])

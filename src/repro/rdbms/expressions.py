@@ -16,9 +16,9 @@ For execution, expressions are *compiled*: one compiler
 (:func:`compile_program`) turns a tree into Python source specialised on
 what the statement makes known, with two entry points -- ``compile_expr``
 for a closure over one row tuple, ``repro.rdbms.vectorized.compile_batch``
-for one loop over a batch of them.  The helpers ``_compare``, ``_arith``
-and ``_kleene_*`` below state the semantics the generated code keeps;
-the tests' reference evaluator is built on them.
+for one loop over a batch of them.  Comparisons decide "equal" and "in
+order" by the engine's one collation (:func:`repro.rdbms.types.collation_key`);
+values of different type brackets are never equal and have no order.
 """
 
 from __future__ import annotations
@@ -29,7 +29,18 @@ from typing import Any, Callable, Iterator, Optional, Sequence
 
 from .cost import CostCounters
 from .errors import ExecutionError
-from .types import SqlType, cast_value
+from .types import (
+    ARRAY,
+    BRACKET_TYPES,
+    BRACKETS,
+    BYTES,
+    OTHER,
+    TEXT,
+    SqlType,
+    bracket,
+    cast_value,
+    collation_key,
+)
 
 Row = tuple
 CompiledExpr = Callable[[Row], Any]
@@ -319,46 +330,8 @@ def replace_children(expr: Expr, children: Sequence[Expr]) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# Reference semantics (three-valued logic)
+# Runtime helpers of generated code
 # ---------------------------------------------------------------------------
-
-
-def _compare(op: str, left: Any, right: Any) -> bool | None:
-    """SQL comparison with NULL propagation and type bracketing.
-
-    Cross-type comparisons between numbers work (INTEGER vs REAL); any other
-    cross-type comparison is UNKNOWN (None), mirroring how Sinew's typed
-    extraction sidesteps mixed-type keys by returning NULL for values of the
-    wrong type.
-    """
-    if left is None or right is None:
-        return None
-    left_is_num = isinstance(left, (int, float)) and not isinstance(left, bool)
-    right_is_num = isinstance(right, (int, float)) and not isinstance(right, bool)
-    if left_is_num != right_is_num or (
-        not left_is_num and type(left) is not type(right)
-    ):
-        if op == "=":
-            return False
-        if op in ("<>", "!="):
-            return True
-        return None
-    try:
-        if op == "=":
-            return left == right
-        if op in ("<>", "!="):
-            return left != right
-        if op == "<":
-            return left < right
-        if op == "<=":
-            return left <= right
-        if op == ">":
-            return left > right
-        if op == ">=":
-            return left >= right
-    except TypeError:
-        return None
-    raise ExecutionError(f"unknown comparison operator {op!r}")
 
 
 def _arith(op: str, left: Any, right: Any) -> Any:
@@ -388,22 +361,6 @@ def _arith(op: str, left: Any, right: Any) -> Any:
             raise ExecutionError("division by zero")
         return left % right
     raise ExecutionError(f"unknown arithmetic operator {op!r}")
-
-
-def _kleene_and(left: bool | None, right: bool | None) -> bool | None:
-    if left is False or right is False:
-        return False
-    if left is None or right is None:
-        return None
-    return True
-
-
-def _kleene_or(left: bool | None, right: bool | None) -> bool | None:
-    if left is True or right is True:
-        return True
-    if left is None or right is None:
-        return None
-    return False
 
 
 def like_to_regex(pattern: str) -> re.Pattern:
@@ -486,7 +443,9 @@ _MAX_FACTORIES = 512
 
 #: what generated code may name besides its parameters and the builtins
 _NAMESPACE = {
-    "NUM": (int, float),
+    "BRACKET": BRACKETS.get,
+    "KEY": collation_key,
+    **{f"B{rank}": kinds for rank, kinds in BRACKET_TYPES.items()},
     "SEQ": (list, tuple),
     "ONCE": (None,),
     "arith": _arith,
@@ -498,31 +457,28 @@ _PYTHON_OPERATOR = {
     "=": "==", "<>": "!=", "!=": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">=",
 }
 _MIRRORED = {"==": "==", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
-#: the result of comparing across type brackets (:func:`_compare`)
+#: the result of comparing across type brackets
 _MISMATCH = {"==": "False", "!=": "True"}
-_IS_NUM = "isinstance({0}, NUM) and {0} is not True and {0} is not False"
-#: literal type class -> test that a runtime value is in the same bracket
+#: scalar bracket -> test that a runtime value is in it; two values of one
+#: scalar bracket compare natively as their collation keys do
 _GUARD = {
-    "num": _IS_NUM,
-    "bool": "type({0}) is bool",
-    "str": "type({0}) is str",
-    "bytes": "type({0}) is bytes",
+    rank: (f"type({{0}}) is {kinds[0].__name__}" if len(kinds) == 1 else f"type({{0}}) in B{rank}")
+    for rank, kinds in BRACKET_TYPES.items()
 }
 
-_LITERAL_CLASSES = {int: "num", float: "num", bool: "bool", str: "str", bytes: "bytes"}
-
 #: what emitting a node yields: the source of its value, and for a literal
-#: the type class the generated comparisons specialise on
-Operand = tuple[str, Optional[str]]
+#: the class the generated comparisons specialise on
+Operand = tuple[str, Optional[Any]]
 
 
-def _literal_class(value: Any) -> str | None:
-    """The comparison bracket of a literal, when it is one the generated
-    code tests with a plain ``type() is``; None leaves it to the general
+def _literal_class(value: Any) -> int | str | None:
+    """The bracket of a literal when it is a scalar one the generated code
+    tests with a guard, ``"null"`` for NULL; None leaves it to the general
     comparison."""
     if value is None:
         return "null"
-    return _LITERAL_CLASSES.get(type(value))
+    rank = bracket(value)
+    return rank if rank in _GUARD else None
 
 
 class _Emitter:
@@ -614,9 +570,10 @@ class _Emitter:
         )
 
     def compare(self, op: str, left: Operand, right: Operand) -> Operand:
-        """SQL comparison of two atoms: NULL propagates, numbers compare
-        with numbers, anything else only with its own type (the contract
-        of :func:`_compare`, with ``op`` already a Python operator)."""
+        """SQL comparison of two atoms (``op`` already a Python operator):
+        NULL propagates, values of two brackets are unequal and unordered,
+        scalars of one bracket compare natively, arrays by their
+        collation keys."""
         (a, a_class), (b, b_class) = left, right
         if a_class == "null" or b_class == "null":
             return "None", "null"
@@ -629,14 +586,14 @@ class _Emitter:
             other = "None" if miss == "None" else f"(None if {a} is None else {miss})"
             return self.temp(f"({a} {op} {b}) if {guard} else {other}"), None
         self.temps += 1
-        name = f"t{self.temps}"
+        name, rank = f"t{self.temps}", f"r{self.temps}"
         self.line(f"if {a} is None or {b} is None: {name} = None")
-        self.line(f"elif {_IS_NUM.format(a)}:")
-        self.line(f"    {name} = ({a} {op} {b}) if {_IS_NUM.format(b)} else {miss}")
-        self.line(f"elif type({a}) is not type({b}): {name} = {miss}")
-        self.line("else:")
-        self.line(f"    try: {name} = {a} {op} {b}")
-        self.line(f"    except TypeError: {name} = None")
+        self.line(
+            f"elif ({rank} := BRACKET(type({a}), {OTHER})) != BRACKET(type({b}), {OTHER}): "
+            f"{name} = {miss}"
+        )
+        self.line(f"elif {rank} < {ARRAY}: {name} = {a} {op} {b}")
+        self.line(f"else: {name} = KEY({a}) {op} KEY({b})")
         return name, None
 
     def negate(self, source: str, negated: bool) -> str:
@@ -752,7 +709,7 @@ class _Emitter:
         array = self.value(node.haystack)
         if needle_class == "null":
             return "None", "null"
-        if needle_class in ("str", "bytes"):
+        if needle_class in (TEXT, BYTES):
             # an element of another type never equals a string
             return self.temp(
                 f"({needle[0]} in {array}) if isinstance({array}, SEQ) else None"

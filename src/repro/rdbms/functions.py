@@ -19,7 +19,7 @@ from typing import Any, Callable
 
 from .cost import CostCounters
 from .errors import CatalogError, ExecutionError
-from .types import SqlType
+from .types import SqlType, collation_key
 
 
 @dataclass(eq=False)
@@ -85,11 +85,11 @@ def _sum_step(state: Any, value: Any) -> Any:
 
 
 def _min_step(state: Any, value: Any) -> Any:
-    return value if state is None or value < state else state
+    return value if state is None or collation_key(value) < collation_key(state) else state
 
 
 def _max_step(state: Any, value: Any) -> Any:
-    return value if state is None or value > state else state
+    return value if state is None or collation_key(value) > collation_key(state) else state
 
 
 def _avg_init() -> list:

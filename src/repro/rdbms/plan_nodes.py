@@ -49,6 +49,7 @@ from .errors import ExecutionError
 from .expressions import Expr, SchemaResolver, Star, contains_function_call
 from .functions import AggregateFunction, FunctionRegistry
 from .storage import HeapTable, IndexTarget, KeyRange
+from .types import collation_key
 from .vectorized import BATCH_ROWS, BatchProgram, Stage, compile_batch, rebatch, staged
 
 Row = tuple
@@ -383,38 +384,6 @@ class Limit(_Unary):
         return f"Limit {self.limit}"
 
 
-def _encode_sort_value(value: Any) -> tuple:
-    """Total-order encoding of one non-NULL value: Sort's collation, and
-    the key Hash Join and Merge Join match on.
-
-    Values of mixed types are bucketed by a type rank first so ``sorted``
-    never raises (a type-bracketed collation); containers are encoded
-    recursively so arrays holding NULLs or mixed types compare safely too.
-    Scalars encode equal exactly when ``=`` holds between them, arrays when
-    their elements do one by one: a bool is no number, and a number keeps
-    its value (Python compares ints with floats exactly; ``float()`` would
-    merge distinct integers above 2**53).
-    """
-    if isinstance(value, str):
-        return (2, "str", value)
-    if isinstance(value, bool):
-        return (1, "bool", int(value))
-    if isinstance(value, (int, float)):
-        return (0, "num", value)
-    if isinstance(value, bytes):
-        return (3, "bytes", value)
-    if isinstance(value, (list, tuple)):
-        return (
-            4,
-            "array",
-            tuple(
-                (5, "null", 0) if element is None else _encode_sort_value(element)
-                for element in value
-            ),
-        )
-    return (6, type(value).__name__, repr(value))
-
-
 def sort_rows(decorated: list[tuple[tuple, Row]], ascending: Sequence[bool]) -> None:
     """In-place multi-key sort of ``(key values, row)`` pairs with explicit
     NULL placement.
@@ -431,7 +400,7 @@ def sort_rows(decorated: list[tuple[tuple, Row]], ascending: Sequence[bool]) -> 
             value = pair[0][index]
             if value is None:
                 return (1, ())
-            return (0, _encode_sort_value(value))
+            return (0, collation_key(value))
 
         decorated.sort(key=key, reverse=not ascending[index])
 
@@ -485,7 +454,8 @@ def spilled(context: ExecutionContext, n_rows: int, row_bytes: float) -> Iterato
 
 
 class Unique(_Unary):
-    """Removes duplicates from *sorted* input (pairs with Sort)."""
+    """Removes duplicates from *sorted* input (pairs with Sort): a row is
+    kept when its values' collation keys differ from the last kept row's."""
 
     def __init__(self, child: PlanNode):
         super().__init__(child)
@@ -496,13 +466,14 @@ class Unique(_Unary):
     def batches(
         self, context: ExecutionContext, need: Need | None = None
     ) -> Iterator[list[Row]]:
-        previous: Row | None = None  # no row equals None
+        previous: tuple | None = None  # no row's key is None
         for batch in self.child.batches(context):
             kept = []
             for row in batch:
-                if row != previous:
+                key = tuple(map(collation_key, row))
+                if key != previous:
                     kept.append(row)
-                    previous = row
+                    previous = key
             if kept:
                 yield kept
 
@@ -526,7 +497,8 @@ class _AggregateBase(_Unary):
     A row is folded from one tuple of values: its group key, then the
     argument of every aggregate that has one (``count(*)`` has none).  A
     group is its aggregate states plus, for each DISTINCT aggregate, the
-    set of values it has seen.
+    set of the collation keys of the values it has seen.  Rows
+    fall in one group when their group keys' collation keys are equal.
     """
 
     def __init__(
@@ -582,9 +554,10 @@ class _AggregateBase(_Unary):
                     if value is None and spec.function.skip_nulls:
                         continue
                 if spec.distinct:
-                    if value in seen[index]:
+                    collated = collation_key(value)
+                    if collated in seen[index]:
                         continue
-                    seen[index].add(value)
+                    seen[index].add(collated)
                 states[index] = spec.function.step(states[index], value)
 
         return step
@@ -612,20 +585,22 @@ class HashAggregate(_AggregateBase):
         rows' :meth:`fold_exprs` values."""
         step = self._stepper()
         n_keys = len(self.group_exprs)
-        groups: dict[tuple, tuple[list, list]] = {}
+        # collation keys -> (the group key of its first row, the group)
+        groups: dict[tuple, tuple[tuple, tuple[list, list]]] = {}
         for batch in batches:
             for values in stage(batch):
                 key = values[:n_keys]
-                group = groups.get(key)
-                if group is None:
-                    group = groups[key] = self._new_group()
-                step(group, values)
+                collated = tuple(map(collation_key, key))
+                entry = groups.get(collated)
+                if entry is None:
+                    entry = groups[collated] = (key, self._new_group())
+                step(entry[1], values)
         if not groups and not self.group_exprs:
             # SQL: a global aggregate always yields exactly one row.
             yield [self._finalise((), self._new_group())]
             return
         with spilled(context, len(groups), self.est_row_bytes):
-            yield [self._finalise(key, group) for key, group in groups.items()]
+            yield [self._finalise(key, group) for key, group in groups.values()]
 
     def node_label(self) -> str:
         return "HashAggregate"
@@ -642,15 +617,17 @@ class GroupAggregate(_AggregateBase):
         step = self._stepper()
         n_keys = len(self.group_exprs)
         current_key: tuple = ()
+        current: tuple = ()  # the collation keys of ``current_key``
         group: tuple[list, list] | None = None
         for batch in _paced(self.child, context, need):
             finished = []
             for values in stage(batch):
                 key = values[:n_keys]
-                if group is None or key != current_key:
+                collated = tuple(map(collation_key, key))
+                if group is None or collated != current:
                     if group is not None:
                         finished.append(self._finalise(current_key, group))
-                    current_key, group = key, self._new_group()
+                    current_key, current, group = key, collated, self._new_group()
                 step(group, values)
             if finished:
                 yield finished
@@ -753,10 +730,10 @@ def _join_keys(
     context: ExecutionContext, node: PlanNode, exprs: Sequence[Expr]
 ) -> Callable[[list[Row]], list[tuple | None]]:
     """The join key of each row of a batch of ``node``'s output: the values
-    of ``exprs`` in Sort's collation (:func:`_encode_sort_value`), or None
-    where one is NULL, which joins nothing."""
+    of ``exprs`` in Sort's collation (:func:`collation_key`), or None where
+    one is NULL, which joins nothing."""
     stage = _stage(context, node, exprs)
-    encode = _encode_sort_value
+    encode = collation_key
 
     def keys(batch: list[Row]) -> list[tuple | None]:
         return [None if None in values else tuple(map(encode, values)) for values in stage(batch)]

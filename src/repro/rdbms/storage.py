@@ -34,11 +34,14 @@ from .cost import CostCounters, DiskBudget
 from .errors import ExecutionError
 from .expressions import Literal
 from .types import (
+    NUMBER,
     NUMERIC_TYPES,
     ORDERED_TYPES,
+    TEXT,
     NullStorageModel,
     SqlType,
     TUPLE_HEADER_BYTES,
+    bracket,
     null_overhead_bytes,
     value_size,
 )
@@ -187,27 +190,17 @@ class BufferPool:
                 del self._resident[key]
 
 
-def _numeric_key(value: Any) -> bool:
-    return (
-        isinstance(value, (int, float))
-        and not isinstance(value, bool)
-        and value == value  # NaN equals and orders against nothing
-    )
-
-
-def _text_key(value: Any) -> bool:
-    return type(value) is str
-
-
 def index_key_test(sql_type: SqlType) -> Callable[[Any], bool] | None:
     """Which values an index on a column of ``sql_type`` holds -- and which
-    literals may probe it: those of the column's own comparison bracket
-    (numbers with numbers, text with text, the rule of ``_compare``), the
-    only ones a comparison with such a literal can be TRUE for.  None for
-    a type without an ordering to index."""
+    literals may probe it: those of the column's own type bracket
+    (:func:`~repro.rdbms.types.bracket`: numbers with numbers, text with
+    text), the only ones a comparison with such a literal can be TRUE
+    for, less NaN, which equals and orders against nothing.  None for a
+    type without an ordering to index."""
     if sql_type not in ORDERED_TYPES:
         return None
-    return _numeric_key if sql_type in NUMERIC_TYPES else _text_key
+    rank = NUMBER if sql_type in NUMERIC_TYPES else TEXT
+    return lambda value: bracket(value) == rank and value == value
 
 
 #: one bound of an index probe: ``(low, low_inclusive, high, high_inclusive)``,

@@ -115,6 +115,55 @@ def infer_type(value: Any) -> SqlType:
     raise TypeCastError(f"cannot map Python value of type {type(value).__name__} to SQL")
 
 
+#: The type brackets of the collation, in its order.  Two non-NULL values
+#: are equal or in order only within one bracket: INTEGER and REAL are
+#: the one NUMBER bracket and compare exactly, a BOOLEAN is no number.
+#: An array's NULL element ranks between ARRAY and OTHER.
+NUMBER, BOOLEAN, TEXT, BYTES, ARRAY, OTHER = 0, 1, 2, 3, 4, 6
+
+#: the bracket of each Python type a value can have; any other is OTHER
+BRACKETS = {
+    int: NUMBER, float: NUMBER, bool: BOOLEAN, str: TEXT, bytes: BYTES, list: ARRAY, tuple: ARRAY,
+}
+
+#: the Python types of each scalar bracket, for code that tests a bracket
+#: with ``type(value) in ...``
+BRACKET_TYPES = {
+    rank: tuple(kind for kind, of in BRACKETS.items() if of == rank)
+    for rank in (NUMBER, BOOLEAN, TEXT, BYTES)
+}
+
+_NULL_KEY = (5,)
+
+
+def bracket(value: Any) -> int:
+    """The type bracket of one non-NULL value."""
+    return BRACKETS.get(type(value), OTHER)
+
+
+def collation_key(value: Any) -> tuple:
+    """The engine's one collation: a total-order key for any value.
+
+    For non-NULL values, ``a = b`` is TRUE exactly when their keys are
+    equal, and ``a < b`` exactly when ``a``'s key is smaller (within one
+    bracket).  Across brackets the keys order by bracket, so ``sorted``
+    never raises.  Sort, GROUP BY, DISTINCT, ``count(DISTINCT)``, MIN/MAX,
+    the three joins and the filter's ``=`` all decide with it.  A scalar's
+    key is ``(bracket, value)``, so native comparison of two scalars of
+    one bracket gives the same answer.  An array compares element by
+    element.  NULL gets a key of its own: one group for GROUP BY and
+    DISTINCT, and an element value inside an array.
+    """
+    if value is None:
+        return _NULL_KEY
+    rank = BRACKETS.get(type(value), OTHER)
+    if rank == ARRAY:
+        return (ARRAY, tuple(map(collation_key, value)))
+    if rank == OTHER:
+        return (OTHER, type(value).__name__, repr(value))
+    return (rank, value)
+
+
 def is_instance_of(value: Any, sql_type: SqlType) -> bool:
     """True when ``value`` already has exactly the given SQL type."""
     if value is None:

@@ -119,29 +119,44 @@ class TestStore:
         )
         assert "rows=200" in plan  # the fixed default survives jsonb
 
-    def test_faster_than_text_json_extraction(self, store):
-        import time
+    def test_faster_than_text_json_extraction(self, store, monkeypatch):
+        """The binary store's advantage, counted rather than timed: per row
+        the text store parses the whole document with ``json.loads``, the
+        binary store decodes only the value it was asked for and never
+        the whole document."""
+        import types
 
-        from repro.baselines.pgjson import PgJsonStore
+        from repro.baselines import pgjson
 
-        # enough rows that the parse-per-row gap dwarfs scheduler noise
-        documents = [
-            {"k": f"v{index}", "pad": "x" * 200, "num": index} for index in range(4000)
-        ]
+        documents = [{"k": f"v{index}", "pad": "x" * 200, "num": index} for index in range(200)]
         store.load("t", documents)
-        text_store = PgJsonStore()
+        text_store = pgjson.PgJsonStore()
         text_store.create_collection("t")
         text_store.load("t", DOCS + documents)
+        n_rows = len(DOCS) + len(documents)
 
-        def best(fn):
-            fn()
-            return min(_timed(fn) for _ in range(7))
+        calls = {"json.loads": 0, "decode": 0, "_decode": 0}
 
-        def _timed(fn):
-            start = time.perf_counter()
-            fn()
-            return time.perf_counter() - start
+        def counted(name, function):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
 
-        binary = best(lambda: store.query("SELECT jsonb_get_num(data, 'num') FROM t"))
-        text = best(lambda: text_store.query("SELECT json_get_num(data, 'num') FROM t"))
-        assert binary < text
+            return call
+
+        monkeypatch.setattr(
+            pgjson,
+            "json",
+            types.SimpleNamespace(
+                loads=counted("json.loads", pgjson.json.loads), dumps=pgjson.json.dumps
+            ),
+        )
+        monkeypatch.setattr(jsonb, "decode", counted("decode", jsonb.decode))
+        monkeypatch.setattr(jsonb, "_decode", counted("_decode", jsonb._decode))
+
+        text = text_store.query("SELECT json_get_num(data, 'num') FROM t").rows
+        binary = store.query("SELECT jsonb_get_num(data, 'num') FROM t").rows
+        assert sorted(binary, key=str) == sorted(text, key=str)
+        assert calls["json.loads"] == n_rows  # one whole-document parse per row
+        assert calls["decode"] == 0  # no whole-document decode
+        assert calls["_decode"] == n_rows  # the one scalar asked for, per row

@@ -2,9 +2,10 @@
 
 What the compiler in :mod:`repro.rdbms.expressions` is tested against: no
 code generation, no specialisation, one recursive ``evaluate`` that spells
-every node's SQL semantics out over the helpers the engine documents them
-with (``_compare``, ``_arith``, ``_kleene_and``, ``_kleene_or``).  Kept
-deliberately naive -- it is the specification, not an implementation.
+every node's SQL semantics out: three-valued comparison and logic below,
+the engine's arithmetic helper ``_arith`` and its collation
+(:func:`repro.rdbms.types.collation_key`) for arrays.  Kept deliberately
+naive -- it is the specification, not an implementation.
 """
 
 from __future__ import annotations
@@ -28,14 +29,64 @@ from repro.rdbms.expressions import (
     Resolver,
     UnaryOp,
     _arith,
-    _compare,
-    _kleene_and,
-    _kleene_or,
     like_to_regex,
 )
-from repro.rdbms.types import cast_value
+from repro.rdbms.types import ARRAY, bracket, cast_value, collation_key
 
 COMPARISONS = ("=", "<>", "!=", "<", "<=", ">", ">=")
+
+
+def _compare(op: str, left: Any, right: Any) -> bool | None:
+    """SQL comparison with NULL propagation and type bracketing.
+
+    Values compare only within one type bracket: numbers with numbers
+    (INTEGER vs REAL exactly), a bool with bools, text with text, bytes
+    with bytes, arrays with arrays.  Across brackets ``=`` is FALSE,
+    ``<>`` TRUE and an ordering UNKNOWN (None), mirroring how Sinew's
+    typed extraction sidesteps mixed-type keys by returning NULL for
+    values of the wrong type.  Arrays compare element by element, as
+    Sort orders them (their collation keys).
+    """
+    if left is None or right is None:
+        return None
+    rank = bracket(left)
+    if rank != bracket(right):
+        if op == "=":
+            return False
+        if op in ("<>", "!="):
+            return True
+        return None
+    if rank >= ARRAY:
+        left, right = collation_key(left), collation_key(right)
+    if op == "=":
+        return left == right
+    if op in ("<>", "!="):
+        return left != right
+    if op == "<":
+        return left < right
+    if op == "<=":
+        return left <= right
+    if op == ">":
+        return left > right
+    if op == ">=":
+        return left >= right
+    raise ExecutionError(f"unknown comparison operator {op!r}")
+
+
+def _kleene_and(left: bool | None, right: bool | None) -> bool | None:
+    if left is False or right is False:
+        return False
+    if left is None or right is None:
+        return None
+    return True
+
+
+def _kleene_or(left: bool | None, right: bool | None) -> bool | None:
+    if left is True or right is True:
+        return True
+    if left is None or right is None:
+        return None
+    return False
 
 
 class Calls:

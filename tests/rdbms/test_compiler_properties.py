@@ -5,6 +5,8 @@ references of mixed types including NULL, booleans and arrays -- over
 random rows: the compiled row form, the compiled batch form and the
 tree-walking reference evaluator must agree on every value (and its
 type), on which error is raised, and on the number of counted UDF calls.
+Over the same random rows, the operators that decide "equal" agree with
+each other: GROUP BY hashed or sorted, and the three join algorithms.
 
 Runs in the stress lane (``pytest -m slow``); CI pins the derandomized
 ``ci`` hypothesis profile so failures replay deterministically.
@@ -16,6 +18,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st
 
+from repro.rdbms.cost import CostCounters, DiskBudget
 from repro.rdbms.expressions import (
     AnyPredicate,
     Between,
@@ -30,7 +33,21 @@ from repro.rdbms.expressions import (
     Literal,
     UnaryOp,
 )
-from repro.rdbms.types import SqlType
+from repro.rdbms.functions import FunctionRegistry
+from repro.rdbms.plan_nodes import (
+    AggSpec,
+    ExecutionContext,
+    GroupAggregate,
+    HashAggregate,
+    HashJoin,
+    MergeJoin,
+    NestedLoopJoin,
+    SeqScan,
+    Sort,
+    fuse,
+)
+from repro.rdbms.storage import BufferPool, Column, HeapTable, Schema
+from repro.rdbms.types import SqlType, collation_key
 
 from .differential import COLUMNS, check
 
@@ -87,3 +104,48 @@ EXPRESSIONS = st.recursive(LITERALS | REFERENCES, grow, max_leaves=10)
 @given(expr=EXPRESSIONS, rows=ROWS)
 def test_row_form_batch_form_and_reference_agree(expr, rows):
     check(expr, rows)
+
+
+def _table(rows) -> HeapTable:
+    counters = CostCounters()
+    schema = Schema([Column(name, SqlType.TEXT) for name in COLUMNS])
+    table = HeapTable("t", schema, counters, BufferPool(16, counters), DiskBudget())
+    for row in rows:
+        table.insert(row)
+    return table
+
+
+def _multiset(node) -> list:
+    """The rows ``node`` returns, in the collation's order."""
+    counters = CostCounters()
+    context = ExecutionContext(counters, FunctionRegistry(counters), DiskBudget(), 1 << 20)
+    rows = [row for batch in fuse(node).batches(context) for row in batch]
+    return sorted(map(lambda row: tuple(map(collation_key, row)), rows))
+
+
+@settings(max_examples=200)
+@given(rows=ROWS, key=st.sampled_from(COLUMNS), other=st.sampled_from(COLUMNS))
+def test_hashed_and_sorted_operators_agree(rows, key, other):
+    table = _table(rows)
+    functions = FunctionRegistry()
+    argument = ColumnRef("t", other)
+    specs = [
+        AggSpec(functions.aggregate("count"), None, False, "__agg0"),
+        AggSpec(functions.aggregate("count"), argument, True, "__agg1"),
+        AggSpec(functions.aggregate("min"), argument, False, "__agg2"),
+        AggSpec(functions.aggregate("max"), argument, False, "__agg3"),
+    ]
+    group = [ColumnRef("t", key)]
+    hashed = HashAggregate(SeqScan(table, "t"), group, specs, est_groups=1)
+    ordered = Sort(SeqScan(table, "t"), [(group[0], True)])
+    assert _multiset(hashed) == _multiset(GroupAggregate(ordered, group, specs, est_groups=1))
+
+    outer, inner = [ColumnRef("l", key)], [ColumnRef("r", other)]
+    condition = BinaryOp("=", outer[0], inner[0])
+    joins = [
+        HashJoin(SeqScan(table, "l"), SeqScan(table, "r"), outer, inner, est_rows=1),
+        MergeJoin(SeqScan(table, "l"), SeqScan(table, "r"), outer, inner, est_rows=1),
+        NestedLoopJoin(SeqScan(table, "l"), SeqScan(table, "r"), condition, est_rows=1),
+    ]
+    first, *rest = map(_multiset, joins)
+    assert all(result == first for result in rest)
