@@ -34,7 +34,8 @@ from ..rdbms.types import SqlType
 from . import serializer
 from .catalog import SinewCatalog
 from .extraction_context import DEFAULT_CACHE_CAPACITY, ExtractionContext
-from .serializer import DECODERS, unpack_span, value_at
+from .loader import RESERVOIR_COLUMN
+from .serializer import DECODERS, unpack_ids, unpack_span, value_at
 
 #: extractor method -> the SQL types it tries, in order (``extract_num`` is
 #: INTEGER first, then REAL).  ``exists`` and ``extract_any`` are untyped:
@@ -198,6 +199,33 @@ class ReservoirExtractor:
             position = bisect_left(ids, leaf_id)
             if position < n and ids[position] == leaf_id:
                 return path.decode(value_at(data, n, position))
+        return None
+
+    # -- shapes: which rows can hold a key -----------------------------------
+
+    def shape_of(self, blobs: Sequence[bytes | None]) -> list[tuple | None]:
+        """Each reservoir value's shape, its attr-id run (None for NULL):
+        what a shape index groups rows by.  One header decode per value."""
+        shapes = [None if data is None else unpack_ids(data) for data in blobs]
+        self._context().stats.header_decodes += len(shapes) - shapes.count(None)
+        return shapes
+
+    def shapes(self, method: str, args: tuple, column: str) -> "KeyShapes | None":
+        """The specializer hook a shape index answers ``method(column,
+        *args)`` through, or None where it cannot: anything but a typed
+        or untyped extraction of one top-level key from the reservoir.
+        Such a call is NULL on every row whose shape holds none of the
+        key's attr ids, so the rows it can be non-NULL for are the union
+        of the runs of the shapes that hold one."""
+        if column != RESERVOIR_COLUMN or len(args) != 1:
+            return None
+        key = args[0]
+        if not isinstance(key, str) or "." in key:
+            return None
+        if method == "extract_any":
+            return KeyShapes(self, key, (None,))
+        if method in TYPED_METHODS:
+            return KeyShapes(self, key, TYPED_METHODS[method])
         return None
 
     # -- per-call entry points (non-literal keys, engine internals) ----------
@@ -371,6 +399,47 @@ class ReservoirExtractor:
                     data, parent_id, SqlType.BYTEA, new_sub, self.catalog.type_of
                 )
         return None
+
+
+class KeyShapes:
+    """One extraction call as the shape index reads it
+    (:meth:`ReservoirExtractor.shapes`): ``group`` is the index's group
+    function, :meth:`holders` the attr ids a row's shape must hold one of,
+    :meth:`occurrences` the catalog's row estimate."""
+
+    __slots__ = ("extractor", "key", "types")
+
+    def __init__(self, extractor: ReservoirExtractor, key: str, types: tuple):
+        self.extractor = extractor
+        self.key = key
+        self.types = types
+
+    @property
+    def group(self) -> Callable[[Sequence[bytes | None]], list]:
+        return self.extractor.shape_of
+
+    def holders(self) -> tuple[int, ...]:
+        """The leaf ids :class:`BoundPaths` would read for this call,
+        looked up now: a key that a load added after planning is found."""
+        found: list[int] = []
+        for sql_type in self.types:
+            path = _Path(self.key, sql_type)
+            self.extractor._resolve(path)
+            if path.named is not None:
+                found.extend(attr_id for attr_id, _type in path.named)
+            elif path.leaf_id >= 0:
+                found.append(path.leaf_id)
+        return tuple(found)
+
+    def occurrences(self, table_name: str) -> int | None:
+        """Documents of ``table_name`` holding one of the key's attributes,
+        by the catalog's per-attribute count; None for a table that is no
+        Sinew collection."""
+        table = self.extractor.catalog.tables.get(table_name)
+        if table is None:
+            return None
+        states = [table.columns.get(attr_id) for attr_id in self.holders()]
+        return sum(state.count for state in states if state is not None)
 
 
 class _Request:

@@ -35,6 +35,7 @@ from ..analysis.diagnostics import AMBIGUOUS_COLUMN
 from ..rdbms.errors import PlanningError
 from ..rdbms.expressions import (
     BinaryOp,
+    Cast,
     Coalesce,
     ColumnRef,
     Expr,
@@ -230,6 +231,10 @@ class QueryRewriter:
         name = column.ref.name
         if name == ID_COLUMN or name == RESERVOIR_COLUMN:
             return ColumnRef(binding.name, name)
+        if column.expected is None and len(column.observed_types()) > 1:
+            as_text = self._any_text(binding, column)
+            if as_text is not None:
+                return as_text
         if (
             state is not None
             and state.physical_name
@@ -243,6 +248,24 @@ class QueryRewriter:
             # bridge must consult both
             return Coalesce((physical, self._extraction(binding, column)))
         return self._extraction(binding, column)
+
+    def _any_text(self, binding: Binding, column: BoundColumn) -> Expr | None:
+        """A bare reference to a key stored under several types, as
+        ``extract_key_any`` reads it in every layout: each type's physical
+        column as text, then the reservoir's downcast.  A row holds the
+        key once, so at most one argument is not NULL.  None where no type
+        has a physical column (the extraction alone is that), or where one
+        holds documents or arrays, whose cast is not their downcast."""
+        schema = self._schema(binding)
+        physical = [
+            (attribute.key_type, ColumnRef(binding.name, state.physical_name))
+            for attribute, state in column.states
+            if state.physical_name and state.physical_name in schema
+        ]
+        if not physical or any(t in (SqlType.BYTEA, SqlType.ARRAY) for t, _ref in physical):
+            return None
+        texts = [ref if t is SqlType.TEXT else Cast(ref, SqlType.TEXT) for t, ref in physical]
+        return Coalesce((*texts, self._extraction(binding, column)))
 
     def max_extraction_keys(self) -> int:
         """Max distinct extracted keys over any one binding (0 when none)."""

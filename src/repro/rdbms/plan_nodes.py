@@ -266,15 +266,18 @@ class SeqScan(PlanNode):
 
 
 class IndexScan(PlanNode):
-    """Fetch of the rows one ordered index lists for a condition.
+    """Fetch of the rows one index lists for a condition.
 
-    ``condition`` is the WHERE conjunct the planner read ``target`` (a
-    column or an expression over one) and ``ranges`` from.  The index
-    names candidates; every fetched row is tested against ``condition``
-    itself, as a fragment's first stage (reads run beside writers, and a
-    listed row can have changed by the time it is fetched).  Rows come
-    out in heap order, like a Seq Scan's.  The row estimate is the built
-    index's exact count in ``ranges``, else the ``selectivity`` estimate.
+    ``condition`` is the WHERE conjunct the planner read ``target`` and
+    ``ranges`` from: a column or an expression over one with its key
+    ranges, or the shapes of a column with the call whose key a row must
+    hold (:class:`~repro.rdbms.storage.ShapeTarget`).  The index names
+    candidates; every fetched row is tested against ``condition`` itself,
+    as a fragment's first stage (reads run beside writers, a listed row
+    can have changed by the time it is fetched, and a shape lists every
+    row holding the key, whatever its value).  Rows come out in heap
+    order, like a Seq Scan's.  The row estimate is the built index's
+    exact count for ``ranges``, else the ``selectivity`` estimate.
     """
 
     def __init__(
@@ -282,14 +285,14 @@ class IndexScan(PlanNode):
         table: HeapTable,
         qualifier: str,
         target: IndexTarget,
-        ranges: Sequence[KeyRange],
+        ranges: Sequence[KeyRange] | Any,
         condition: Expr,
         selectivity: float,
     ):
         self.table = table
         self.qualifier = qualifier
         self.target = target
-        self.ranges = list(ranges)
+        self.ranges = ranges
         self.condition = condition
         self.output_columns = [(qualifier, c.name) for c in table.schema]
         count = table.index_count(target, self.ranges)

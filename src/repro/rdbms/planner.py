@@ -21,7 +21,11 @@ once Sinew materializes a virtual column into a physical one:
   is below the sequential scan's.  A built index counts its rows exactly;
   an unbuilt one gets the statistics' estimate, which for a UDF predicate
   is the fixed 200-row default.  A dirty column (a COALESCE) is never
-  eligible.
+  eligible.  A call whose family offers a ``shapes`` hook (Sinew's
+  extraction of a top-level key) may also be answered from the shape
+  index on its column: it lists the rows whose shape holds the key, and
+  is costed by the same rule, with the catalog's count of those rows
+  until the index is built and the index's exact count after.
 * **Join order** is chosen by exhaustive left-deep enumeration with
   cardinality estimates, so a mis-estimated virtual-column filter reorders
   the join tree exactly as the paper shows.
@@ -84,6 +88,7 @@ from .storage import (
     IndexExpression,
     IndexTarget,
     KeyRange,
+    ShapeTarget,
     index_key_test,
 )
 
@@ -296,15 +301,21 @@ class Planner:
             sargable = _index_condition(predicate, table, binding, self.functions)
             if sargable is None:
                 continue
-            scan = IndexScan(table, binding, *sargable, predicate, selectivity)
-            plan = filtered(scan, filters[:position] + filters[position + 1 :])
-            if plan.est_cost < best.est_cost:
-                best = plan
+            scans = [IndexScan(table, binding, *sargable, predicate, selectivity)]
+            shapes = _shape_access(sargable[0], table)
+            if shapes is not None:
+                target, keys, listed = shapes
+                scans.append(IndexScan(table, binding, target, keys, predicate, listed))
+            rest = filters[:position] + filters[position + 1 :]
+            for scan in scans:
+                plan = filtered(scan, rest)
+                if plan.est_cost < best.est_cost:
+                    best = plan
         return best
 
     def index_access(
         self, table: HeapTable, where: Expr | None
-    ) -> tuple[IndexTarget, list[KeyRange]] | None:
+    ) -> tuple[IndexTarget, Any] | None:
         """The index probe :meth:`_scan_plan` would read ``table`` with
         under ``where``, or None where it would scan -- for statements
         that need row ids, not a plan (UPDATE, DELETE)."""
@@ -751,6 +762,22 @@ def _index_target(
     args = tuple(arg.value for arg in subject.args[1:])
     target = IndexExpression(function, subject.args[0].name, args)
     return target, index_key_test(function.return_type)
+
+
+def _shape_access(target: IndexTarget, table: HeapTable) -> tuple[ShapeTarget, Any, float] | None:
+    """The shape index an expression index's call can also be read from:
+    its target, the call to probe it for, and the catalog's estimate of
+    the rows it lists as a selectivity; None where the call's family has
+    no ``shapes`` hook or the hook declines."""
+    if not isinstance(target, IndexExpression):
+        return None
+    family, tag = target.function.specializer
+    hook = getattr(family, "shapes", None)
+    keys = None if hook is None else hook(tag, target.args, target.column)
+    rows = None if keys is None else keys.occurrences(table.name)
+    if rows is None:
+        return None
+    return ShapeTarget(keys.group, target.column), keys, min(1.0, rows / max(1, len(table)))
 
 
 def _index_condition(

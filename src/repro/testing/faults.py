@@ -67,6 +67,8 @@ _KNOWN_POINTS: set[str] = {
     "daemon.after_step",      # slice finished, stats recorded
     # storage engine (repro.rdbms.storage) -- before the page is touched
     "storage.write_row",      # any heap insert/update, context: table=<name>
+    "storage.alter_table",    # ADD/DROP COLUMN: rows changed, schema not yet
+                              # published (a window for delay plans)
     # durable WAL (repro.rdbms.transactions) -- fire only in durable mode
     "wal.append",             # before a record is framed and written
     "wal.fsync",              # before the fsync barrier lands

@@ -16,12 +16,25 @@ from . import binder_corpus
 #: (env, layout, sql) of records that intentionally no longer match: a
 #: mangled physical column name (``k__text``) now reads that column --
 #: through the COALESCE bridge while it is dirty -- where the records
-#: show an extraction of a key named ``k__text``, NULL on every row
+#: show an extraction of a key named ``k__text``, NULL on every row; and a
+#: bare reference to a key of several types once one type has a physical
+#: column, now each type's column as text before ``extract_key_any``
+#: where the records read the most frequent type's column alone
 CHANGED: frozenset[tuple[str, str, str]] = frozenset(
     (env, layout, sql)
     for env in ("mangled",)
     for layout in ("dirty", "settled")
     for sql in ("SELECT k__text FROM t ORDER BY a", "SELECT a FROM t WHERE k__text = 'x'")
+) | frozenset(
+    (env, layout, sql)
+    for layout in ("dirty", "settled")
+    for env, sql in (
+        ("analyzer", "SELECT dyn FROM t"),
+        ("mangled", "SELECT k FROM t ORDER BY a"),
+        ("rewriter", "SELECT dyn FROM t"),
+        ("rewriter", "SELECT dyn FROM t WHERE dyn LIKE 's%'"),
+        ("rewriter", "SELECT _id FROM t WHERE dyn IS NULL"),
+    )
 )
 
 _BY_LAYOUT: dict[tuple[str, str], list[dict]] = defaultdict(list)

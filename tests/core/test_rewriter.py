@@ -280,3 +280,58 @@ class TestMangledPhysicalNames:
         assert mangled.query(sql).rows == [(2,)]
         mangled.run_materializer("t")
         assert mangled.query(sql).rows == [(2,)]
+
+
+class TestMultiTypedBareProjection:
+    """A bare projection of a key stored under several types reads as
+    ``extract_key_any`` -- each value downcast to text -- in every layout,
+    not as whichever type's physical column exists."""
+
+    DOCS = [
+        {"a": 1, "k": 1},
+        {"a": 2, "k": "x"},
+        {"a": 3, "k": 3},
+        {"a": 4, "k": 2.5},
+        {"a": 5, "k": True},
+        {"a": 6},
+    ]
+    SQL = [
+        "SELECT k FROM t ORDER BY a",
+        "SELECT a FROM t WHERE k IS NULL ORDER BY a",
+        "SELECT k, count(*) FROM t GROUP BY k ORDER BY k",
+    ]
+
+    def answers(self, pins, rows_moved):
+        sdb = SinewDB("multi")
+        sdb.create_collection("t")
+        sdb.load("t", self.DOCS)
+        for key_type in pins:
+            sdb.materialize("t", "k", key_type)
+        if rows_moved is None:
+            sdb.run_materializer("t")
+        else:
+            sdb.materializer_step("t", max_rows=rows_moved)
+        answers = [sdb.query(sql).rows for sql in self.SQL]
+        sdb.close()
+        return answers
+
+    def test_three_layouts_agree(self):
+        virtual = self.answers([], None)
+        assert virtual[0] == [("1",), ("x",), ("3",), ("2.5",), ("true",), (None,)]
+        layouts = {
+            "dirty": self.answers([SqlType.INTEGER], 2),
+            "settled": self.answers([SqlType.INTEGER], None),
+            "two types settled": self.answers([SqlType.INTEGER, SqlType.TEXT], None),
+            "three types dirty": self.answers(
+                [SqlType.INTEGER, SqlType.REAL, SqlType.BOOLEAN], 3
+            ),
+        }
+        assert {name: answer for name, answer in layouts.items() if answer != virtual} == {}
+
+    def test_every_physical_type_is_read_as_text(self, sdb):
+        sdb.materialize("t", "dyn", SqlType.INTEGER)
+        sdb.materializer_step("t", max_rows=10)
+        expr = rewritten_items(sdb, "SELECT dyn FROM t")[0].expr
+        assert str(expr) == "COALESCE(CAST(t.dyn AS text), extract_key_any(t.data, 'dyn'))"
+        typed = rewritten_items(sdb, "SELECT dyn + 1 FROM t")[0].expr
+        assert "CAST" not in str(typed)
