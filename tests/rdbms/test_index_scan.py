@@ -16,6 +16,7 @@ from repro.rdbms.database import Database
 from repro.rdbms.plan_nodes import Filter, IndexScan, SeqScan, fuse
 from repro.rdbms.planner import _index_condition
 from repro.rdbms.sql.parser import parse
+from repro.rdbms.storage import ShapeTarget
 from repro.rdbms.types import SqlType
 
 from .index_oracle import assert_indexes_exact
@@ -474,3 +475,68 @@ class TestWritesDuringABuild:
         table.insert((7000, 7))  # no pending list left to grow
         assert 7000 in [row[0] for _rid, row in table.index_fetch(target, ranges)]
         assert_indexes_exact(table)
+
+
+def _letters(values):
+    """A group per value: the sorted letters of a string (None for NULL)."""
+    return [None if value is None else tuple(sorted(set(value))) for value in values]
+
+
+class _Holding:
+    """A shape probe: the rows whose group holds one of ``members``."""
+
+    def __init__(self, *members):
+        self.members = members
+
+    def holders(self):
+        return self.members
+
+
+def test_shape_index_follows_every_write():
+    """A shape index on a plain table, grouped by a function of its own:
+    after every insert, update, delete and undone delete, a probe for any
+    members lists exactly the live rows whose group holds one, in heap
+    order, and groups whose rows are all gone are shed from the member
+    lists once they outnumber the live ones."""
+    rng = random.Random(8)
+    database = Database("shapes")
+    database.execute("CREATE TABLE t (id integer, word text)")
+    table = database.table("t")
+
+    def word():  # mostly a group of its own: groups empty and appear
+        return rng.choice([None, "12", "21", str(rng.randrange(10**5))])
+
+    live = {table.insert((i, word())) for i in range(60)}
+    target = ShapeTarget(_letters, "word")
+    list(table.index_fetch(target, _Holding("1")))  # built
+    index = table._indexes[target]
+    deleted: dict[int, tuple] = {}
+    for step in range(400):
+        draw = rng.random()
+        if draw < 0.25 or not live:
+            live.add(table.insert((1000 + step, word())))
+        elif draw < 0.55:
+            rid = rng.choice(sorted(live))
+            table.update(rid, (rid, word()))
+        elif draw < 0.9:
+            rid = rng.choice(sorted(live))
+            deleted[rid] = table.delete(rid)
+            live.discard(rid)
+        elif deleted:
+            rid, row = deleted.popitem()
+            table.undo_delete(rid, row)
+            live.add(rid)
+        for letters in ("1", "7", "23", "x", "5x"):
+            expected = [
+                rid for rid, row in table.scan()
+                if row[1] is not None and set(letters) & set(row[1])
+            ]
+            got = [rid for rid, _row in table.index_fetch(target, _Holding(*letters))]
+            assert got == expected, (step, letters)
+            assert table.index_count(target, _Holding(*letters)) == len(expected)
+        listed = {group for groups in index.holding.values() for group in groups}
+        assert len(listed - set(index.entries)) <= len(index.entries), step
+    assert index.entries == {
+        group: sorted(rid for rid, row in table.scan() if _letters([row[1]])[0] == group)
+        for group in {_letters([row[1]])[0] for _rid, row in table.scan()} - {None}
+    }
