@@ -468,8 +468,10 @@ class BoundPaths:
 
     Attr ids are looked up when the instance is built.  A key (or a
     nested-document prefix) the dictionary does not know yet stays
-    *unsettled* and is looked up again before every use: a load that
-    runs beside the query may introduce it.
+    *unsettled*: a load that runs beside the query may introduce it.  Ids
+    are never reassigned, so it is looked up again only once the
+    dictionary has grown since the last try, not before every use --
+    ``extract_num`` of an integer key has a REAL path that never settles.
     """
 
     def __init__(
@@ -496,9 +498,16 @@ class BoundPaths:
                 request = _Request(paths, None, None)
             self._requests.append(request)
         self._unsettled = [path for request in self._requests for path in request.paths]
+        #: the dictionary's size when the unsettled paths were last looked up
+        self._known = -1
         self._settle()
 
     def _settle(self) -> None:
+        """Look the unsettled paths up again if the dictionary grew."""
+        known = len(self._extractor.catalog)
+        if known == self._known:
+            return
+        self._known = known
         resolve = self._extractor._resolve
         for path in self._unsettled:
             resolve(path)

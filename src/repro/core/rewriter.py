@@ -46,10 +46,29 @@ from ..rdbms.expressions import (
 )
 from ..rdbms.sql.ast import OrderItem, SelectItem, SelectStatement, Statement
 from ..rdbms.storage import HeapTable
-from ..rdbms.types import SqlType
+from ..rdbms.types import NUMERIC_TYPES, SqlType
 from .catalog import SinewCatalog
 from .extractors import EXTRACT_FUNCTION_FOR_TYPE
 from .loader import ID_COLUMN, RESERVOIR_COLUMN
+
+
+def _read_states(column: BoundColumn) -> list:
+    """The column states a reference reads: the primary one, or -- for a
+    key stored under several types, in a context that asks for one -- each
+    type that context's extraction would return (INTEGER and REAL for a
+    number, TEXT for text), wherever those values are stored.  A row holds
+    the key once, so at most one of them has a value in it."""
+    primary = column.primary()
+    expected = column.expected
+    if primary is None or expected is None or len(column.states) == 1:
+        return [] if primary is None else [primary]
+    numeric = expected in NUMERIC_TYPES
+    states = [
+        state
+        for attribute, state in column.states
+        if attribute.key_type is expected or (numeric and attribute.key_type in NUMERIC_TYPES)
+    ]
+    return states or [primary]
 
 
 class QueryRewriter:
@@ -235,19 +254,18 @@ class QueryRewriter:
             as_text = self._any_text(binding, column)
             if as_text is not None:
                 return as_text
-        if (
-            state is not None
-            and state.physical_name
-            and state.physical_name in self._schema(binding)
-        ):
-            physical = ColumnRef(binding.name, state.physical_name)
-            if state.materialized and not state.dirty:
-                return physical
-            # dirty in either direction (materializing *or* dematerializing):
-            # each row's value lives on exactly one side of the move, so the
-            # bridge must consult both
-            return Coalesce((physical, self._extraction(binding, column)))
-        return self._extraction(binding, column)
+        schema = self._schema(binding)
+        states = _read_states(column)
+        moved = [s for s in states if s.physical_name and s.physical_name in schema]
+        physical = [ColumnRef(binding.name, s.physical_name) for s in moved]
+        if not physical:
+            return self._extraction(binding, column)
+        if len(moved) == len(states) and all(s.materialized and not s.dirty for s in moved):
+            return physical[0] if len(physical) == 1 else Coalesce(tuple(physical))
+        # dirty in either direction (materializing *or* dematerializing),
+        # or a type still virtual: each row's value lives on exactly one
+        # side of the move, so the bridge must consult both
+        return Coalesce((*physical, self._extraction(binding, column)))
 
     def _any_text(self, binding: Binding, column: BoundColumn) -> Expr | None:
         """A bare reference to a key stored under several types, as

@@ -840,11 +840,15 @@ class SinewDB:
     ) -> QueryResult:
         """UPDATE against the logical schema.
 
-        Assignments to clean physical columns write the column; assignments
-        to virtual columns rewrite the serialized reservoir value, row by
-        row, inside one transaction.  A dirty column is mid-move, so each
-        row's write goes where the COALESCE bridge reads it: the physical
-        cell when it holds the value (non-NULL), else the reservoir.
+        A key is written under its literal's type, as a load of the same
+        value would store it, and its occurrences of every other type are
+        dropped, so each row holds the key once (a NULL literal drops them
+        all).  Assignments to clean physical columns write the column;
+        assignments to virtual columns rewrite the serialized reservoir
+        value, row by row, inside one transaction.  A dirty column is
+        mid-move, so each row's write goes where the COALESCE bridge reads
+        it: the physical cell when it holds the value (non-NULL), else the
+        reservoir.
         """
         table_name = statement.table
         table = self.db.table(table_name)
@@ -852,9 +856,9 @@ class SinewDB:
         bound = self._bind(statement)
         where = self._rewriter().rewrite_where(bound)
 
-        # (key, column state or None, type, value) of each assignment;
-        # where it is written is decided under the latch below
-        assignments: list[tuple[str, ColumnState | None, SqlType, Any]] = []
+        # (key, type, value) of each assignment; where each of the key's
+        # types is written is decided under the latch below
+        assignments: list[tuple[str, SqlType, Any]] = []
         for target, (_name, value_expr) in zip(bound.targets, statement.assignments):
             if not isinstance(value_expr, Literal):
                 raise PlanningError(
@@ -862,12 +866,10 @@ class SinewDB:
                     "logical columns"
                 )
             state = target.primary()
-            sql_type = (
-                self.catalog.type_of(state.attr_id)
-                if state is not None
-                else literal_type(value_expr) or SqlType.TEXT
+            sql_type = literal_type(value_expr) or (
+                self.catalog.type_of(state.attr_id) if state is not None else SqlType.TEXT
             )
-            assignments.append((target.key_name, state, sql_type, value_expr.value))
+            assignments.append((target.key_name, sql_type, value_expr.value))
 
         updated = 0
         touched_attrs: dict[int, tuple[str, str]] = {}
@@ -882,7 +884,7 @@ class SinewDB:
             with self.catalog.exclusive_latch("update"):
                 schema = table.schema
                 physical_assignments, reservoir_assignments = self._update_writes(
-                    assignments, schema
+                    assignments, schema, table_catalog
                 )
                 data_position = schema.position_of(RESERVOIR_COLUMN)
                 id_position = schema.position_of(ID_COLUMN)
@@ -891,13 +893,24 @@ class SinewDB:
                     if row is None:
                         continue
                     new_row = list(row)
-                    for position, value in physical_assignments:
+                    for position, value, state in physical_assignments:
+                        held = new_row[position] is not None
                         new_row[position] = value
+                        if held != (value is not None):
+                            state.count += 1 if value is not None else -1
+                            attribute = self.catalog.attribute(state.attr_id)
+                            touched_attrs[state.attr_id] = (
+                                attribute.key_name, attribute.key_type.value
+                            )
                     data = None
                     for key_name, sql_type, value, moving in reservoir_assignments:
                         if moving is not None and new_row[moving] is not None:
                             # the physical cell holds this row's value
                             new_row[moving] = value
+                            if value is None:
+                                attr_id = self.catalog.attribute_id(key_name, sql_type)
+                                table_catalog.state(attr_id).count -= 1
+                                touched_attrs[attr_id] = (key_name, sql_type.value)
                             continue
                         if data is None:
                             data = new_row[data_position]
@@ -907,6 +920,8 @@ class SinewDB:
                             self.extractor.extract_typed(data, key_name, sql_type)
                             is not None
                         )
+                        if value is None and not had_value:
+                            continue  # another type's occurrence this row lacks
                         data = self.extractor.set_path(data, key_name, sql_type, value)
                         attr_id = self.catalog.attribute_id(key_name, sql_type)
                         touched_attrs[attr_id] = (key_name, sql_type.value)
@@ -951,31 +966,43 @@ class SinewDB:
         self.catalog.bump_data_epoch()
         return self._attach_diagnostics(QueryResult(rowcount=updated), bound)
 
-    @staticmethod
     def _update_writes(
-        assignments: list[tuple[str, ColumnState | None, SqlType, Any]],
+        self,
+        assignments: list[tuple[str, SqlType, Any]],
         schema,
-    ) -> tuple[list[tuple[int, Any]], list[tuple[str, SqlType, Any, int | None]]]:
-        """Split UPDATE assignments by where each one is written.
+        table_catalog,
+    ) -> tuple[list[tuple[int, Any, ColumnState]], list[tuple[str, SqlType, Any, int | None]]]:
+        """Split UPDATE assignments by where each is written: the value
+        under its own type, NULL under each other type the key has in the
+        table (which drops that occurrence).
 
         Called under the catalog latch, so the column states and the
         schema are the ones the write meets: the materializer may have
         moved, or dropped, a column since the statement was bound.
-        Returns ``(position, value)`` of clean physical columns and
-        ``(key, type, value, position of a dirty column's physical cell or
-        None)`` of the rest.
+        Returns ``(position, value, state)`` of clean physical columns
+        and ``(key, type, value, position of a dirty column's physical
+        cell or None)`` of the rest.
         """
-        physical: list[tuple[int, Any]] = []
+        physical: list[tuple[int, Any, ColumnState]] = []
         reservoir: list[tuple[str, SqlType, Any, int | None]] = []
-        for key_name, state, sql_type, value in assignments:
-            moving: int | None = None
-            if state is not None and state.physical_name and state.physical_name in schema:
-                position = schema.position_of(state.physical_name)
-                if state.materialized and not state.dirty:
-                    physical.append((position, value))
-                    continue
-                moving = position
-            reservoir.append((key_name, sql_type, value, moving))
+        for key_name, sql_type, value in assignments:
+            writes = [(sql_type, value)] + [
+                (attribute.key_type, None)
+                for attribute in self.catalog.attributes_named(key_name)
+                if attribute.key_type is not sql_type
+                and attribute.attr_id in table_catalog.columns
+            ]
+            for key_type, cell in writes:
+                attr_id = self.catalog.lookup_id(key_name, key_type)
+                state = None if attr_id is None else table_catalog.columns.get(attr_id)
+                moving: int | None = None
+                if state is not None and state.physical_name and state.physical_name in schema:
+                    position = schema.position_of(state.physical_name)
+                    if state.materialized and not state.dirty:
+                        physical.append((position, cell, state))
+                        continue
+                    moving = position
+                reservoir.append((key_name, key_type, cell, moving))
         return physical, reservoir
 
     def _document_of_row(self, table, row: tuple) -> dict[str, Any]:

@@ -270,8 +270,10 @@ class IndexScan(PlanNode):
 
     ``condition`` is the WHERE conjunct the planner read ``target`` and
     ``ranges`` from: a column or an expression over one with its key
-    ranges, or the shapes of a column with the call whose key a row must
-    hold (:class:`~repro.rdbms.storage.ShapeTarget`).  The index names
+    ranges (or a COALESCE of those, read from the union of their indexes:
+    :class:`~repro.rdbms.storage.UnionTarget`), or the shapes of a column
+    with the call whose key a row must hold
+    (:class:`~repro.rdbms.storage.ShapeTarget`).  The index names
     candidates; every fetched row is tested against ``condition`` itself,
     as a fragment's first stage (reads run beside writers, a listed row
     can have changed by the time it is fetched, and a shape lists every

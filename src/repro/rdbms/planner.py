@@ -20,12 +20,17 @@ once Sinew materializes a virtual column into a physical one:
   (:class:`~repro.rdbms.plan_nodes.IndexScan`); it is taken when its cost
   is below the sequential scan's.  A built index counts its rows exactly;
   an unbuilt one gets the statistics' estimate, which for a UDF predicate
-  is the fixed 200-row default.  A dirty column (a COALESCE) is never
-  eligible.  A call whose family offers a ``shapes`` hook (Sinew's
-  extraction of a top-level key) may also be answered from the shape
-  index on its column: it lists the rows whose shape holds the key, and
-  is costed by the same rule, with the catalog's count of those rows
-  until the index is built and the index's exact count after.
+  is the fixed 200-row default.  A ``COALESCE`` of such subjects -- the
+  bridge Sinew reads a dirty column through,
+  ``COALESCE(num, extract_key_num(data, 'num'))`` -- is read from the
+  union of their indexes (``using num | extract_key_num(data, 'num')``),
+  costed with the members' exact counts once all are built and, until
+  then, with the statistics of its plain column.  A call whose family
+  offers a ``shapes`` hook (Sinew's extraction of a top-level key) may
+  also be answered from the shape index on its column: it lists the rows
+  whose shape holds the key, and is costed by the same rule, with the
+  catalog's count of those rows until the index is built and the index's
+  exact count after.
 * **Join order** is chosen by exhaustive left-deep enumeration with
   cardinality estimates, so a mis-estimated virtual-column filter reorders
   the join tree exactly as the paper shows.
@@ -48,6 +53,7 @@ from .errors import CatalogError, PlanningError
 from .expressions import (
     Between,
     BinaryOp,
+    Coalesce,
     ColumnRef,
     Expr,
     FunctionCall,
@@ -89,6 +95,7 @@ from .storage import (
     IndexTarget,
     KeyRange,
     ShapeTarget,
+    UnionTarget,
     index_key_test,
 )
 
@@ -301,6 +308,8 @@ class Planner:
             sargable = _index_condition(predicate, table, binding, self.functions)
             if sargable is None:
                 continue
+            if isinstance(sargable[0], UnionTarget):
+                selectivity = _bridge_selectivity(predicate, sargable[0], binding, estimator)
             scans = [IndexScan(table, binding, *sargable, predicate, selectivity)]
             shapes = _shape_access(sargable[0], table)
             if shapes is not None:
@@ -736,8 +745,20 @@ def _index_target(
 
     A plain column of ``table``, or a call of a non-volatile function
     with a specializer hook on such a column and literals -- the shape the
-    compiler hands that hook, ``extract_key_num(data, 'dyn1')``.
+    compiler hands that hook, ``extract_key_num(data, 'dyn1')``.  A
+    ``COALESCE`` of such subjects (Sinew's bridge over a dirty column) is
+    read from the union of their indexes, for a literal every one of them
+    accepts: its value is its first non-NULL argument's, and that
+    argument's index lists the row.
     """
+    if isinstance(subject, Coalesce):
+        found = [_index_target(arg, table, binding, functions) for arg in subject.args]
+        if any(f is None or f[1] is None or isinstance(f[0], UnionTarget) for f in found):
+            return None
+        tests = [holds for _target, holds in found]
+        union = UnionTarget(tuple(target for target, _holds in found))
+        return union, lambda value: all(holds(value) for holds in tests)
+
     def own_column(expr: Expr) -> bool:
         return (
             isinstance(expr, ColumnRef)
@@ -778,6 +799,26 @@ def _shape_access(target: IndexTarget, table: HeapTable) -> tuple[ShapeTarget, A
     if rows is None:
         return None
     return ShapeTarget(keys.group, target.column), keys, min(1.0, rows / max(1, len(table)))
+
+
+def _bridge_selectivity(
+    predicate: Expr, target: UnionTarget, binding: str, estimator: SelectivityEstimator
+) -> float:
+    """What ``predicate`` on a union's COALESCE selects, estimated as on
+    the union's plain column: the logical column holds the same values
+    wherever a row keeps its own, and that column has statistics where
+    the extraction has only the fixed UDF default."""
+    column = next((member for member in target.members if isinstance(member, str)), None)
+    if column is None:
+        return estimator.estimate(predicate)
+    physical = ColumnRef(binding, column)
+
+    def read(expr: Expr) -> Expr:
+        if isinstance(expr, Coalesce):
+            return physical
+        return replace_children(expr, [read(child) for child in expr.children()])
+
+    return estimator.estimate(read(predicate))
 
 
 def _index_condition(

@@ -253,9 +253,27 @@ class ShapeTarget:
         return f"shapes({self.column})"
 
 
-#: what an index is on: a column name, an expression over one column, or
-#: the shapes of one column
-IndexTarget = Union[str, IndexExpression, ShapeTarget]
+@dataclass(frozen=True)
+class UnionTarget:
+    """The rows any of ``members`` -- columns or expressions over one, of
+    one table -- lists for the same key ranges.  Nothing is built for the
+    union itself: each member is an index of its own, and a probe reads
+    them all under one hold of the index lock
+    (:meth:`HeapTable.index_fetch`).  Sinew's COALESCE bridge over a
+    dirty column is the case: ``COALESCE(num, extract_key_num(data,
+    'num'))`` is in range only where its first non-NULL argument is, and
+    that argument's index lists the row.
+    """
+
+    members: tuple
+
+    def __str__(self) -> str:
+        return " | ".join(str(member) for member in self.members)
+
+
+#: what an index is on: a column name, an expression over one column, the
+#: shapes of one column, or a union of the first two
+IndexTarget = Union[str, IndexExpression, ShapeTarget, UnionTarget]
 
 
 class ColumnIndex:
@@ -813,33 +831,55 @@ class HeapTable:
         on ``target`` lists for ``ranges``: key ranges of an ordered
         index, the call a shape index is probed for.
 
-        The first probe of a target builds its index with one scan.  Rows
-        are fetched after the index lock is released, so beside a writer a
-        row can have changed since it was listed: the caller evaluates its
+        The first probe of a target builds its index with one scan; a
+        union builds each member it lacks and reads every member's rows
+        under one hold of the index lock, so a writer that moves a row
+        from one member to another (the materializer moving a value out
+        of the reservoir) is seen before or after, never half-way.  Rows
+        are fetched after the lock is released, so beside a writer a row
+        can have changed since it was listed: the caller evaluates its
         predicate on the row it gets, as it would on a scanned one.
         """
-        index = self._indexes.get(target)
-        if index is None or index.entries is None:
-            with self._build_lock:
-                index = self._indexes.get(target) or self._build(target)
-        probe = index.resolve(ranges)
-        with self._index_lock:
-            self.counters.index_probes += 1
-            rids = index.rids(probe)
+        members = target.members if isinstance(target, UnionTarget) else (target,)
+        while True:
+            indexes = [self._built(member) for member in members]
+            probes = [index.resolve(ranges) for index in indexes]
+            with self._index_lock:
+                # a schema change in between dropped them: build again
+                if all(self._indexes.get(m) is index for m, index in zip(members, indexes)):
+                    self.counters.index_probes += 1
+                    rids = indexes[0].rids(probes[0])
+                    for index, probe in zip(indexes[1:], probes[1:]):
+                        if self.faults is not None:
+                            self.faults.fire("storage.index_probe", table=self.name)
+                        rids = sorted({*rids, *index.rids(probe)})
+                    break
         for rid in rids:
             row = self.fetch(rid)
             if row is not None:
                 yield rid, row
 
-    def index_count(self, target: IndexTarget, ranges: Any) -> int | None:
-        """How many rows the index on ``target`` lists for ``ranges`` (an
-        entry in two ranges counts twice); None while it is not built."""
+    def _built(self, target: IndexTarget) -> ColumnIndex | ShapeIndex:
+        """The index on ``target``, built first if it is not."""
         index = self._indexes.get(target)
         if index is None or index.entries is None:
+            with self._build_lock:
+                index = self._indexes.get(target) or self._build(target)
+        return index
+
+    def index_count(self, target: IndexTarget, ranges: Any) -> int | None:
+        """How many rows the index on ``target`` lists for ``ranges`` (an
+        entry in two ranges, or of two members of a union, counts twice);
+        None while it, or a member, is not built."""
+        members = target.members if isinstance(target, UnionTarget) else (target,)
+        indexes = [self._indexes.get(member) for member in members]
+        if any(index is None or index.entries is None for index in indexes):
             return None
-        probe = index.resolve(ranges)
+        probes = [index.resolve(ranges) for index in indexes]
         with self._index_lock:
-            return None if index.entries is None else index.count(probe)
+            if any(index.entries is None for index in indexes):
+                return None
+            return sum(index.count(probe) for index, probe in zip(indexes, probes))
 
     def _build(self, target: IndexTarget) -> ColumnIndex | ShapeIndex:
         """Build the index on ``target`` with one scan (build lock held).

@@ -69,6 +69,8 @@ _KNOWN_POINTS: set[str] = {
     "storage.write_row",      # any heap insert/update, context: table=<name>
     "storage.alter_table",    # ADD/DROP COLUMN: rows changed, schema not yet
                               # published (a window for delay plans)
+    "storage.index_probe",    # a union probe read one member, not the next
+                              # (index lock held: writers wait it out)
     # durable WAL (repro.rdbms.transactions) -- fire only in durable mode
     "wal.append",             # before a record is framed and written
     "wal.fsync",              # before the fsync barrier lands

@@ -19,7 +19,10 @@ from . import binder_corpus
 #: show an extraction of a key named ``k__text``, NULL on every row; and a
 #: bare reference to a key of several types once one type has a physical
 #: column, now each type's column as text before ``extract_key_any``
-#: where the records read the most frequent type's column alone
+#: where the records read the most frequent type's column alone; and a
+#: numeric predicate on a key whose most frequent type is text, now the
+#: key's numeric column where the records compare the text column with a
+#: number
 CHANGED: frozenset[tuple[str, str, str]] = frozenset(
     (env, layout, sql)
     for env in ("mangled",)
@@ -34,6 +37,10 @@ CHANGED: frozenset[tuple[str, str, str]] = frozenset(
         ("rewriter", "SELECT dyn FROM t"),
         ("rewriter", "SELECT dyn FROM t WHERE dyn LIKE 's%'"),
         ("rewriter", "SELECT _id FROM t WHERE dyn IS NULL"),
+        ("rewriter", "SELECT _id FROM t WHERE dyn > 5"),
+        ("rewriter", "SELECT _id FROM t WHERE dyn BETWEEN 1 AND 5"),
+        ("rewriter", "SELECT n FROM t WHERE dyn >= 0"),
+        ("rewriter", "SELECT _id FROM t WHERE dyn >= 0"),
     )
 )
 

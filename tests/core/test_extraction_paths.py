@@ -217,3 +217,28 @@ def signature_of(exec_stats: dict) -> tuple[int, int]:
         exec_stats["subdoc_decodes"] + exec_stats["subdoc_cache_hits"],
     )
 
+
+
+def test_unsettled_path_is_looked_up_again_only_when_the_dictionary_grows(setup):
+    """``extract_num`` of a key held only as an integer has a REAL path
+    that never settles; it is looked up again when a load adds to the
+    dictionary, not on every row."""
+    extractor, loader, blobs = setup
+    catalog = extractor.catalog
+    lookups = []
+    lookup_id = catalog.lookup_id
+    catalog.lookup_id = lambda *args: lookups.append(args) or lookup_id(*args)
+    row = extractor.bind([("extract_num", ("other",))])
+    batch = extractor.bind([("extract_num", ("other",))])
+    assert len(lookups) == 4  # INTEGER and REAL, once per instance
+    for _ in range(500):
+        assert [row.one(blob) for blob in blobs] == [None] * 4 + [1, None]
+        assert batch.columns(blobs) == [[None] * 4 + [1, None]]
+    assert len(lookups) == 4
+    later = loader.serialize_document({"other": 2.5})  # REAL "other" is new
+    assert row.one(later) == 2.5 and batch.columns([later]) == [[2.5]]
+    assert len(lookups) == 6  # the REAL path, once per instance
+    for _ in range(500):
+        row.one(later)
+        batch.columns([later])
+    assert len(lookups) == 6

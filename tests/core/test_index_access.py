@@ -10,7 +10,9 @@ after every step each live index must equal a fresh build -- an
 expression index ``sorted((f(data), rid))`` over the live rows where that
 is not NULL, a shape index each attr-id run's rids -- and every lookup
 must return what the documents say,
-whether its key is virtual, dirty or physical at that moment.  A seeded
+whether its key is virtual, dirty or physical at that moment; while a
+key is dirty, the union probe of its COALESCE bridge must return what a
+scan with the same filter does.  A seeded
 walk runs in tier 1, a hypothesis state machine over the same steps in
 the slow lane.
 """
@@ -24,7 +26,8 @@ from repro.nobench.generator import NoBenchGenerator
 from repro.rdbms.plan_nodes import Filter, IndexScan, SeqScan, fuse
 from repro.rdbms.planner import _index_condition, _shape_access
 from repro.rdbms.sql.parser import parse
-from repro.rdbms.storage import IndexExpression
+from repro.rdbms.expressions import Coalesce
+from repro.rdbms.storage import IndexExpression, UnionTarget
 from repro.rdbms.types import SqlType
 
 from ..rdbms.index_oracle import assert_indexes_exact
@@ -85,17 +88,38 @@ class TestEligibility:
         assert delta["tuples_scanned"] == 1500 + 2 * len(expected)
         assert_indexes_exact(sdb.db.table("t"), typed=True)
 
-    def test_dirty_column_keeps_the_coalesce_scan_until_it_is_clean(self):
+    def test_dirty_column_probes_the_union_of_its_two_indexes(self):
+        """While ``num`` is dirty its COALESCE bridge is read from the
+        column index on ``num`` and the expression index on the
+        reservoir's ``num`` together; once clean, from the first alone."""
         sdb = self.build()
         sdb.load("t", [document(5000)])  # num is dirty again
         sql = "SELECT note FROM t WHERE num = 5000"
         plan = sdb.explain(sql)
-        assert "COALESCE" in plan and "Index Scan" not in plan
+        assert "Index Scan on t using num | extract_key_num(data, 'num')" in plan
+        assert "Index Cond: (COALESCE(t.num, extract_key_num(t.data, 'num')) = 5000)" in plan
+        before = sdb.db.counters.snapshot()
         assert sdb.query(sql).rows == [("n5000",)]
-        sdb.run_materializer("t")
-        assert "Index Scan" in sdb.explain(sql)
-        assert sdb.query(sql).rows == [("n5000",)]
+        delta = sdb.db.counters.diff(before)
+        # one scan per member to build, then the one row listed
+        assert delta["index_builds"] == 2 and delta["index_probes"] == 1
+        assert delta["tuples_scanned"] == 2 * 1501 + 1
+        before = sdb.db.counters.snapshot()
+        assert sdb.query("SELECT note FROM t WHERE num BETWEEN 4999 AND 5001").rows == [("n5000",)]
+        assert sdb.execute("UPDATE t SET note = 'x' WHERE num = 5000").rowcount == 1
+        delta = sdb.db.counters.diff(before)
+        assert delta["index_builds"] == 0 and delta["index_probes"] == 2
+        # the listed row once per probe, and once more for the UPDATE's write
+        assert delta["tuples_scanned"] == 3
         assert_indexes_exact(sdb.db.table("t"), typed=True)
+        sdb.run_materializer("t")  # the move re-keys the row in both indexes
+        assert_indexes_exact(sdb.db.table("t"), typed=True)
+        plan = sdb.explain(sql)
+        assert "Index Scan on t using num  " in plan and "COALESCE" not in plan
+        before = sdb.db.counters.snapshot()
+        assert sdb.query(sql).rows == [("x",)]
+        delta = sdb.db.counters.diff(before)
+        assert delta["index_builds"] == 0 and delta["index_probes"] == 1
 
     def test_update_on_a_clean_column_stops_scanning(self):
         sdb = self.build()
@@ -355,6 +379,9 @@ class IndexModel:
         self.expression_indexes: set[str] = set()
         #: (key, operator) pairs the shape path was checked on with rows
         self.shape_checks: set[tuple[str, str]] = set()
+        #: (key, operator) pairs a dirty key's union probe was checked on
+        #: with rows
+        self.bridge_checks: set[tuple[str, str]] = set()
         self.checks = 0
         self.load(400)
         for key in ("num", "tag"):
@@ -508,6 +535,31 @@ class IndexModel:
             plan = self.sdb.explain(f"SELECT num FROM nb WHERE {predicate}")
             assert "Index Scan on nb using shapes(data)" in plan, predicate
 
+    def check_bridge(self, probe: int) -> None:
+        """For each key of ``t`` that is dirty now, one operator in turn:
+        the union probe of its COALESCE bridge returns exactly the rows of
+        a Seq Scan + Filter over the same predicate."""
+        if not self.docs:
+            return
+        db, table = self.sdb.db, self.sdb.db.table("t")
+        rewriter = self.sdb._rewriter()
+        docs = list(self.docs.values())
+        for key in KEYS:
+            holders = [doc for doc in docs if key in doc]
+            doc, other = holders[probe % len(holders)], holders[(probe // 7) % len(holders)]
+            op = SHAPE_OPS[(probe + len(key)) % len(SHAPE_OPS)]
+            predicate = shape_predicate(doc, key, op, other)
+            where = rewriter.rewrite_where(parse(f"SELECT * FROM t WHERE {predicate}"))
+            if not any(isinstance(node, Coalesce) for node in where.children()):
+                continue  # not dirty now
+            sargable = _index_condition(where, table, "t", db.functions)
+            assert sargable is not None and isinstance(sargable[0], UnionTarget), predicate
+            by_union = run_plan(db, IndexScan(table, "t", *sargable, where, 1.0))
+            by_scan = run_plan(db, Filter(SeqScan(table, "t"), where, 1.0))
+            assert [repr(row) for row in by_union] == [repr(row) for row in by_scan], predicate
+            if by_scan:
+                self.bridge_checks.add((key, op))
+
     def check(self, probe: int) -> None:
         """Lookups through whatever path the planner picks now (an index
         where the column is clean, the bridge where it is dirty) agree
@@ -533,6 +585,7 @@ class IndexModel:
             rows = sdb.db.execute(f"SELECT k, v FROM side WHERE k = {k}").rows
             assert sorted(rows) == sorted(row for row in self.side if row[0] == k)
         self.check_shapes(probe)
+        self.check_bridge(probe)
         self.check_indexes()
 
 
@@ -569,6 +622,8 @@ def test_seeded_walk_keeps_indexes_exact(tmp_path):
         } <= model.expression_indexes
         # and the shape path on every key and operator, with rows to return
         assert model.shape_checks == {(key, op) for key in SHAPE_KEYS for op in SHAPE_OPS}
+        # and the union probe on every key and operator while it was dirty
+        assert model.bridge_checks == {(key, op) for key in KEYS for op in SHAPE_OPS}
     finally:
         model.close()
 

@@ -335,3 +335,53 @@ class TestMultiTypedBareProjection:
         assert str(expr) == "COALESCE(CAST(t.dyn AS text), extract_key_any(t.data, 'dyn'))"
         typed = rewritten_items(sdb, "SELECT dyn + 1 FROM t")[0].expr
         assert "CAST" not in str(typed)
+
+
+class TestMultiTypedTypedRead:
+    """A context that asks for one type of a multi-typed key reads that
+    type's values wherever they are stored -- the reservoir, or the type's
+    own physical column -- not the primary type's physical column."""
+
+    DOCS = [{"a": 1, "k": 1}, {"a": 2, "k": "x"}, {"a": 3, "k": 3}, {"a": 4, "k": 2.5}]
+    SQL = [
+        "SELECT a FROM t WHERE k = 'x'",
+        "SELECT a FROM t WHERE k >= 'a' ORDER BY a",
+        "SELECT a FROM t WHERE k > 2 ORDER BY a",
+        "SELECT a FROM t WHERE k IN (1, 2.5) ORDER BY a",
+    ]
+
+    def answers(self, pins, rows_moved):
+        sdb = SinewDB("typed")
+        sdb.create_collection("t")
+        sdb.load("t", self.DOCS)
+        for key_type in pins:
+            sdb.materialize("t", "k", key_type)
+        if rows_moved is None:
+            sdb.run_materializer("t")
+        else:
+            sdb.materializer_step("t", max_rows=rows_moved)
+        answers = [sdb.query(sql).rows for sql in self.SQL]
+        sdb.close()
+        return answers
+
+    def test_three_layouts_agree(self):
+        virtual = self.answers([], None)
+        assert virtual == [[(2,)], [(2,)], [(3,), (4,)], [(1,), (4,)]]
+        layouts = {
+            "dirty": self.answers([SqlType.INTEGER], 2),
+            "settled": self.answers([SqlType.INTEGER], None),
+            "two types settled": self.answers([SqlType.INTEGER, SqlType.TEXT], None),
+            "two numeric types dirty": self.answers([SqlType.INTEGER, SqlType.REAL], 1),
+        }
+        assert {name: answer for name, answer in layouts.items() if answer != virtual} == {}
+
+    def test_text_context_reads_the_reservoir_past_the_integer_column(self):
+        sdb = SinewDB("typed_read")
+        sdb.create_collection("t")
+        sdb.load("t", self.DOCS)
+        sdb.materialize("t", "k", SqlType.INTEGER)
+        sdb.run_materializer("t")
+        where = sdb._rewriter().rewrite_where(parse("SELECT a FROM t WHERE k = 'x'"))
+        assert str(where) == "(extract_key_text(t.data, 'k') = 'x')"
+        where = sdb._rewriter().rewrite_where(parse("SELECT a FROM t WHERE k > 2"))
+        assert str(where) == "(COALESCE(t.k, extract_key_num(t.data, 'k')) > 2)"

@@ -108,3 +108,38 @@ class TestMultiCollection:
             "SELECT x.extra FROM t w, v x WHERE w.a = x.a AND w.a < 2"
         )
         assert sorted(result.column(0)) == ["e0", "e1"]
+
+
+@pytest.mark.parametrize("pins, rows_moved", [
+    ((), None),
+    ((SqlType.INTEGER,), 1),
+    ((SqlType.INTEGER,), None),
+    ((SqlType.INTEGER, SqlType.TEXT), None),
+])
+def test_update_writes_under_the_literal_type(pins, rows_moved):
+    """An UPDATE stores the value under its literal's type, as a load
+    would, and drops the key's occurrence of any other type: each row
+    holds the key once, in every layout."""
+    sdb = SinewDB("update_types")
+    sdb.create_collection("t")
+    sdb.load("t", [{"a": 1, "k": 1}, {"a": 2, "k": "x"}, {"a": 3, "k": 3}])
+    for key_type in pins:
+        sdb.materialize("t", "k", key_type)
+    if rows_moved is None:
+        sdb.run_materializer("t")
+    elif pins:
+        sdb.materializer_step("t", max_rows=rows_moved)
+    assert sdb.execute("UPDATE t SET k = 'y' WHERE a = 1").rowcount == 1
+    assert sdb.execute("UPDATE t SET k = 5 WHERE a = 2").rowcount == 1
+    assert sdb.execute("UPDATE t SET k = NULL WHERE a = 3").rowcount == 1
+    assert sdb.query("SELECT a FROM t WHERE k = 'x'").rows == []
+    assert sdb.query("SELECT a FROM t WHERE k = 'y'").rows == [(1,)]
+    assert sdb.query("SELECT a FROM t WHERE k = 5").rows == [(2,)]
+    assert sdb.query("SELECT a FROM t WHERE k IS NULL").rows == [(3,)]
+    assert [doc for _id, doc in sdb.documents("t")] == [
+        {"a": 1, "k": "y"}, {"a": 2, "k": 5}, {"a": 3},
+    ]
+    assert all(not report.findings for report in sdb.check())
+    sdb.run_materializer("t")
+    assert sdb.query("SELECT a, k FROM t ORDER BY a").rows == [(1, "y"), (2, "5"), (3, None)]
+    sdb.close()

@@ -410,3 +410,66 @@ def test_first_shape_lookup_races_loader_and_daemon():
     assert any(isinstance(target, ShapeTarget) for target in table._indexes)
     assert_indexes_exact(table, typed=True)
     sdb.close()
+
+
+def test_bridge_lookups_race_the_daemon_moving_their_column():
+    """While ``num`` is dirty a lookup probes the union of the index on
+    ``num`` and the one on ``extract_key_num(data, 'num')``, beside the
+    daemon moving those very values from the reservoir into the column --
+    re-keying each row from the second index to the first.  A probe reads
+    both members under one hold of the index lock.  A delay at
+    ``storage.index_probe``, between reading the two members, widens the
+    window a probe that released the lock in between would leave open: the
+    daemon moves the row after the column's index was read and before the
+    reservoir's, and the lookup finds nothing.  Each lookup asks for a row
+    just past the daemon's cursor, and every one must find it."""
+    BASE = 800
+    sdb = SinewDB(
+        "bridge_race",
+        SinewConfig(daemon_step_rows=20, daemon_idle_sleep=0.001),
+    )
+    sdb.create_collection(TABLE)
+    sdb.load(TABLE, [_document(i) for i in range(BASE)])  # row id i holds num i
+    sdb.materialize(TABLE, "num", SqlType.INTEGER)  # dirty: the daemon moves it
+    (state,) = sdb.catalog.table(TABLE).dirty_columns()
+    plan = sdb.explain(f"SELECT note FROM {TABLE} WHERE num = 1")
+    assert f"Index Scan on {TABLE} using num | extract_key_num(data, 'num')" in plan
+    injector = FaultInjector()
+    sdb.attach_faults(injector)
+    injector.plan("materializer.before_row_move", "delay", delay=0.0005, at=1, count=None)
+    injector.plan("storage.index_probe", "delay", delay=0.003, at=1, count=None)
+
+    failures: list[str] = []
+    found = [0]
+
+    def lookups(offset: int) -> None:
+        try:
+            while state.dirty and state.cursor < BASE - 10:
+                wanted = state.cursor + offset
+                rows = sdb.query(f"SELECT note FROM {TABLE} WHERE num = {wanted}").rows
+                if rows != [(f"n{wanted}",)]:
+                    failures.append(f"num {wanted} loaded, lookup gave {rows}")
+                found[0] += 1
+        except Exception as exc:  # noqa: BLE001 - reported below
+            failures.append(f"lookup thread raised {exc!r}")
+
+    sdb.start_daemon()
+    try:
+        threads = [threading.Thread(target=lookups, args=(i,), daemon=True) for i in (1, 3)]
+        for thread in threads:
+            thread.start()
+        _join(threads)
+        deadline = time.monotonic() + 60
+        while state.dirty and time.monotonic() < deadline:
+            sdb.daemon.kick()
+            time.sleep(0.01)
+    finally:
+        sdb.stop_daemon()
+    assert not failures, "\n".join(failures[:5])
+    assert found[0] >= 20 and injector.fired("storage.index_probe") >= found[0]
+    assert not state.dirty
+    table = sdb.db.table(TABLE)
+    extraction = IndexExpression(sdb.db.functions.scalar("extract_key_num"), "data", ("num",))
+    assert {"num", extraction} <= set(table._indexes)
+    assert_indexes_exact(table, typed=True)
+    sdb.close()
