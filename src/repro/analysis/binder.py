@@ -18,14 +18,15 @@ walk over the table's column states.  The same walk yields:
   NULL on every row becomes ``NULL`` in the bound statement, so it costs
   no extraction UDF calls.
 
-The proof obligation for pruning is strict: the operand must be a pure
-virtual-column extraction (no materialized or dirty attribute of that
-key), the expected extraction type is the one the rewrite emits (derived
-here, once, from literal context), and the catalog must show **zero**
-occurrences of any compatible type.  Counts never under-count (deletes
-leave them stale-high), so ``count == 0`` proves extraction yields NULL
-on every row, which makes ``NULL`` an *exact* replacement under SQL's
-three-valued logic -- in WHERE, under NOT, under AND/OR alike.
+The proof obligation for pruning is strict: the expected extraction type
+is the one the rewrite reads (derived here, once, from literal context),
+and the catalog must show **zero** occurrences of any compatible type.
+The rewrite reads a key in that type alone, from whichever side of a
+materializer move holds each value, so the proof holds in every layout.
+Counts never under-count (deletes leave them stale-high), so
+``count == 0`` proves extraction yields NULL on every row, which makes
+``NULL`` an *exact* replacement under SQL's three-valued logic -- in
+WHERE, under NOT, under AND/OR alike.
 
 The rewrite (:class:`repro.core.rewriter.QueryRewriter`) is a function
 of the bound statement; ``SinewDB.lint`` and :func:`analyze` read only
@@ -85,8 +86,9 @@ _NULL = Literal(None)
 #: Which stored attribute types a typed extraction can return non-NULL for
 #: (numeric extraction reads INTEGER and REAL attributes, every other
 #: extraction reads exactly its own type); the keys are the types that
-#: have a typed extraction function.
-_COMPATIBLE_TYPES = {
+#: have a typed extraction function.  The rewrite reads a reference in
+#: context T from exactly the attributes of T's row, in every layout.
+COMPATIBLE_TYPES = {
     SqlType.INTEGER: _NUMERIC_TYPES,
     SqlType.REAL: _NUMERIC_TYPES,
     SqlType.TEXT: frozenset({SqlType.TEXT}),
@@ -191,10 +193,6 @@ class BoundColumn(Expr):
         if not self.states:
             return None
         return min(self.states, key=lambda s: (not s[1].materialized, -s[1].count))[1]
-
-    def movable(self) -> bool:
-        """Whether any attribute of the key is (or is becoming) physical."""
-        return any([state.materialized or state.dirty for _a, state in self.states])
 
     def observed_types(self) -> set[SqlType]:
         """Types of the key with at least one stored occurrence."""
@@ -421,7 +419,7 @@ class Binder:
         elif type(expr) is IsNull:
             types = [None]
         elif type(expr) is Cast:
-            types = [expr.target if expr.target in _COMPATIBLE_TYPES else expected]
+            types = [expr.target if expr.target in COMPATIBLE_TYPES else expected]
         bound = replace_children(
             expr, [self._expr(child, t) for child, t in zip(children, types)]
         )
@@ -649,7 +647,7 @@ class Binder:
     def _lint_projection(self, column: BoundColumn) -> None:
         """Warn on bare projections of multi-typed keys (downcast to text)."""
         binding = column.binding
-        if binding is None or not binding.sinew or column.movable():
+        if binding is None or not binding.sinew:
             return
         observed = column.observed_types()
         if len(observed) > 1:
@@ -679,13 +677,12 @@ class Binder:
             or binding.table_catalog is None
             or operand.name == ID_COLUMN
             or operand.name == RESERVOIR_COLUMN
-            or column.movable()  # the value may live in a physical column
         ):
             return False
         if column.states:
-            if expected is None or expected not in _COMPATIBLE_TYPES:
+            if expected is None or expected not in COMPATIBLE_TYPES:
                 return False
-            compatible = _COMPATIBLE_TYPES[expected]
+            compatible = COMPATIBLE_TYPES[expected]
             live = sum([s.count for a, s in column.states if a.key_type in compatible])
             if live > 0:
                 return False

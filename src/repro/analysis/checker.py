@@ -187,11 +187,8 @@ class _CheckRun:
 
         data_position = table.schema.position_of(_RESERVOIR_COLUMN)
         states = list(table_catalog.columns.values()) if table_catalog else []
-        physical_positions = {
-            state.attr_id: table.schema.position_of(state.physical_name)
-            for state in states
-            if state.physical_name and state.physical_name in table.schema
-        }
+        placements = table_catalog.placements(table.schema) if table_catalog else []
+        physical_positions = {state.attr_id: placement.position for state, placement in placements}
 
         reservoir_counts: Counter[int] = Counter()
         physical_counts: Counter[int] = Counter()

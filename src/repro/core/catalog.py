@@ -23,11 +23,14 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from ..latching import TrackedLock, latch_tracker, requires_latch
 from ..rdbms.errors import CatalogError, ConcurrencyError
 from ..rdbms.types import SqlType
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..rdbms.storage import Schema
 
 #: Default bound on how long a blocking latch acquisition may wait before
 #: giving up with a clear :class:`ConcurrencyError` (seconds).
@@ -57,6 +60,16 @@ class Attribute:
     key_type: SqlType
 
 
+class Placement(NamedTuple):
+    """Where an attribute's values live when a physical column holds any:
+    ``settled`` when it holds all of them, else *moving* -- each row's
+    value is on one side of a materializer move, in either direction."""
+
+    name: str
+    position: int
+    settled: bool
+
+
 @dataclass
 class ColumnState:
     """Per-table bookkeeping for one attribute (Figure 4b)."""
@@ -84,6 +97,16 @@ class ColumnState:
     #: so a move could hide values from it mid-scan.  Runtime-only -- not
     #: logged; recovery restarts with no in-flight queries.
     flip_epoch: int = 0
+
+    def placement(self, schema: "Schema") -> Placement | None:
+        """Where this attribute's values live in a heap ``schema``: None
+        while every value is in the reservoir, else its physical column,
+        settled once materialized and clean.  The one test of a column's
+        placement that readers of stored values make."""
+        name = self.physical_name
+        if name is None or name not in schema:
+            return None
+        return Placement(name, schema.position_of(name), self.materialized and not self.dirty)
 
     def density(self, n_documents: int) -> float:
         """Fraction of the table's documents containing this attribute."""
@@ -129,6 +152,16 @@ class TableCatalog:
 
     def materialized_columns(self) -> list[ColumnState]:
         return [state for state in self.columns.values() if state.materialized]
+
+    def placements(self, schema: "Schema") -> list[tuple[ColumnState, Placement]]:
+        """``(state, placement)`` of every attribute with a physical column
+        in ``schema``, in attribute order."""
+        return [
+            (state, placement)
+            for state in self.columns.values()
+            if state.physical_name is not None
+            and (placement := state.placement(schema)) is not None
+        ]
 
 
 class SinewCatalog:
@@ -234,6 +267,21 @@ class SinewCatalog:
         if table_name not in self.tables:
             self.tables[table_name] = TableCatalog(table_name)
         return self.tables[table_name]
+
+    def host(self, table_name: str, key_name: str, schema: "Schema") -> Placement | None:
+        """Where the nearest ancestor object of dotted ``key_name`` that
+        has a physical column lives (section 4.2: a nested object stored
+        as its own serialized column holds the key inside it), or None
+        when the key lives in the reservoir."""
+        columns = self.table(table_name).columns
+        parts = key_name.split(".")
+        for split in range(len(parts) - 1, 0, -1):
+            parent_id = self.lookup_id(".".join(parts[:split]), SqlType.BYTEA)
+            parent = columns.get(parent_id) if parent_id is not None else None
+            placement = parent.placement(schema) if parent is not None else None
+            if placement is not None:
+                return placement
+        return None
 
     def record_occurrence(self, table_name: str, attr_id: int, count: int = 1) -> None:
         self.table(table_name).state(attr_id).count += count

@@ -275,9 +275,16 @@ class ReservoirExtractor:
         """Untyped extraction; non-text values are downcast to text."""
         if data is None:
             return None
-        return self._any_text(self._lookup(data, key, None), key)
+        return self._found_as_text(self._lookup(data, key, None), key)
 
-    def _any_text(self, found: tuple[SqlType, bytes] | None, key: str) -> str | None:
+    def downcast(self, value: bytes | list | None, key: str) -> str | None:
+        """A document or array physical column's cell as ``extract_any``
+        renders the same value in the reservoir."""
+        if isinstance(value, (bytes, bytearray, memoryview)):
+            return self._downcast(bytes(value), SqlType.BYTEA, key)
+        return self._downcast(value, SqlType.ARRAY, key)
+
+    def _found_as_text(self, found: tuple[SqlType, bytes] | None, key: str) -> str | None:
         if found is None:
             return None
         sql_type, raw = found
@@ -491,7 +498,7 @@ class BoundPaths:
                 request = _Request(
                     [_Path(key, None)],
                     None,
-                    lambda found, key=key: extractor._any_text(found, key),
+                    lambda found, key=key: extractor._found_as_text(found, key),
                 )
             else:
                 paths = [_Path(key, sql_type) for sql_type in TYPED_METHODS[method]]
@@ -647,5 +654,7 @@ def register_extraction_udfs(
             return_type,
             specializer=(extractor, method) if method != "to_json" else None,
         )
+    # the rewrite's text read of a document or array physical column
+    functions.register_scalar("sinew_downcast", extractor.downcast, SqlType.TEXT)
     # scope the extractor's id-run memo to each execution's lifetime
     functions.register_query_listener(extractor)

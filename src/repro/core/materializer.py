@@ -175,6 +175,8 @@ class ColumnMaterializer:
 
         data_position = table.schema.position_of(RESERVOIR_COLUMN)
         column_position = table.schema.position_of(physical_name)
+        host = self.catalog.host(table_name, attribute.key_name, table.schema)
+        host_position = None if host is None else host.position
         cursor = min(state.cursor, self._max_rid(table))
         examined = 0
         n_rids = self._max_rid(table)
@@ -189,7 +191,7 @@ class ColumnMaterializer:
                 )
                 moved = self._move_row_value(
                     table, cursor, row, state, attribute.key_type,
-                    data_position, column_position,
+                    data_position, column_position, host_position,
                 )
                 if moved:
                     report.rows_moved += 1
@@ -219,18 +221,18 @@ class ColumnMaterializer:
         key_type: SqlType,
         data_position: int,
         column_position: int,
+        host_position: int | None,
     ) -> bool:
         """Move one row's value to its correct location (atomic update).
 
         A dotted key whose ancestor object is itself materialized (section
-        4.2: a nested object stored as its own serialized column) may live
-        in that ancestor's physical cell rather than the reservoir, so the
-        move sources from -- and returns values to -- whichever side holds
-        the parent document for this row.
+        4.2: a nested object stored as its own serialized column, at
+        ``host_position``) may live in that ancestor's physical cell rather
+        than the reservoir, so the move sources from -- and returns values
+        to -- whichever side holds the parent document for this row.
         """
         attribute = self.catalog.attribute(state.attr_id)
         data = row[data_position]
-        host_position = self._ancestor_cell_position(table, attribute.key_name)
         new_row = list(row)
         if state.materialized:
             value = None
@@ -305,28 +307,6 @@ class ColumnMaterializer:
         """True while some in-flight query predates this column's flip."""
         oldest = self.catalog.oldest_active_epoch()
         return oldest is not None and oldest < state.flip_epoch
-
-    def _ancestor_cell_position(self, table, key: str) -> int | None:
-        """Schema position of the nearest materialized ancestor's physical
-        column, or None when no ancestor object of ``key`` is materialized."""
-        if "." not in key:
-            return None
-        table_catalog = self.catalog.table(table.name)
-        parts = key.split(".")
-        for split in range(len(parts) - 1, 0, -1):
-            prefix = ".".join(parts[:split])
-            parent_id = self.catalog.lookup_id(prefix, SqlType.BYTEA)
-            if parent_id is None:
-                continue
-            parent = table_catalog.columns.get(parent_id)
-            if (
-                parent is not None
-                and parent.materialized
-                and parent.physical_name
-                and parent.physical_name in table.schema
-            ):
-                return table.schema.position_of(parent.physical_name)
-        return None
 
     @requires_latch("catalog")
     def _finish_column(self, table_name: str, state: ColumnState, key_name: str) -> None:

@@ -4,23 +4,39 @@ Queries arrive written against the *logical* universal relation.  The
 binder (:mod:`repro.analysis.binder`) resolves each column reference to
 its catalog state and the type its context expects; the rewriter maps the
 bound statement onto the *physical* hybrid schema before it reaches the
-RDBMS:
+RDBMS.
 
-* a reference to a clean **physical** column passes through (renamed if the
-  physical column name was mangled on a collision);
-* a reference to a **dirty** column becomes
-  ``COALESCE(physical, extract_key_*(data, 'key'))`` so both locations are
-  consulted while the materializer is mid-move;
-* a reference to a **virtual** column becomes a typed extraction UDF call
-  over the column reservoir.
+Every reference to a key is read through one table.  Its context gives
+the type T it is read as: the type of the literal it meets, text under
+``||`` and LIKE, a number under arithmetic and SUM/AVG, a CAST's target.
+An unconstrained reference (a projection, ORDER BY, GROUP BY, IS NULL,
+MIN/MAX) reads the key's one observed type -- or, for a key stored under
+several types, every type downcast to text, the paper's
+``extract_key_any``.  Each attribute of the key whose type T's extraction
+returns (INTEGER and REAL both, for a number) contributes by where its
+values live (:meth:`~repro.core.catalog.ColumnState.placement`):
 
-The extraction *type* comes from the semantics of the query: comparing
-against a numeric literal selects numeric extraction (values of other types
-yield NULL rather than an error -- the multi-typed-key behaviour that the
-Postgres JSON baseline cannot express), string contexts select text
-extraction, and a bare projection with no constraint extracts the
-attribute's dominant type, falling back to the paper's
-downcast-to-string behaviour for multi-typed keys.
+=============  ==============================================
+placement      contributes
+=============  ==============================================
+settled        its physical column
+moving         its physical column, then the reservoir
+reservoir      the reservoir
+=============  ==============================================
+
+The read is the COALESCE of the contributions, with the reservoir's
+``extract_key_T(data, 'k')`` last and once (alone when nothing else
+contributes).  An attribute of another type contributes nothing: its
+physical column is never cast nor read raw, so values of other types
+read as NULL -- "rather than throwing an exception for type mismatches"
+-- in every layout, exactly as the all-virtual extraction reads them.
+Under the downcast a number or boolean column is read through the text
+cast and a document or array column through ``sinew_downcast``.  A dotted
+key's reservoir read goes through the same table once more, for its
+nearest ancestor object with a physical column
+(:meth:`~repro.core.catalog.SinewCatalog.host`).  A row holds a key once,
+so at most one argument of the COALESCE is not NULL; the planner derives
+index targets (the union over a COALESCE among them) from the read.
 
 ``matches(keys, query)`` predicates (section 4.3) are rewritten into a text
 index probe keyed by the table's ``_id`` column.
@@ -30,7 +46,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from ..analysis.binder import Binder, Binding, BoundColumn, BoundStatement
+from ..analysis.binder import COMPATIBLE_TYPES, Binder, Binding, BoundColumn, BoundStatement
 from ..analysis.diagnostics import AMBIGUOUS_COLUMN
 from ..rdbms.errors import PlanningError
 from ..rdbms.expressions import (
@@ -46,29 +62,10 @@ from ..rdbms.expressions import (
 )
 from ..rdbms.sql.ast import OrderItem, SelectItem, SelectStatement, Statement
 from ..rdbms.storage import HeapTable
-from ..rdbms.types import NUMERIC_TYPES, SqlType
-from .catalog import SinewCatalog
+from ..rdbms.types import SqlType
+from .catalog import Attribute, SinewCatalog
 from .extractors import EXTRACT_FUNCTION_FOR_TYPE
 from .loader import ID_COLUMN, RESERVOIR_COLUMN
-
-
-def _read_states(column: BoundColumn) -> list:
-    """The column states a reference reads: the primary one, or -- for a
-    key stored under several types, in a context that asks for one -- each
-    type that context's extraction would return (INTEGER and REAL for a
-    number, TEXT for text), wherever those values are stored.  A row holds
-    the key once, so at most one of them has a value in it."""
-    primary = column.primary()
-    expected = column.expected
-    if primary is None or expected is None or len(column.states) == 1:
-        return [] if primary is None else [primary]
-    numeric = expected in NUMERIC_TYPES
-    states = [
-        state
-        for attribute, state in column.states
-        if attribute.key_type is expected or (numeric and attribute.key_type in NUMERIC_TYPES)
-    ]
-    return states or [primary]
 
 
 class QueryRewriter:
@@ -181,26 +178,26 @@ class QueryRewriter:
             return self._rewrite_matches(expr)
         rewritten = replace_children(expr, [self._rewrite(c) for c in expr.children()])
         if type(expr) is BinaryOp and expr.op == "=" and self.use_text_index:
-            prefilter = self._index_prefilter(expr)
+            prefilter = self._index_prefilter(expr, rewritten)
             if prefilter is not None:
                 # index probe first (cheap set membership), exact
                 # extraction recheck only on the candidates
                 return BinaryOp("AND", prefilter, rewritten)
         return rewritten
 
-    def _index_prefilter(self, expr: BinaryOp) -> Expr | None:
+    def _index_prefilter(self, expr: BinaryOp, rewritten: BinaryOp) -> Expr | None:
         """Index probe for ``virtual_text_column = 'literal'`` predicates.
 
         Applies only when one side is a single-token text literal and the
-        other resolves to a *virtual* column of a Sinew table (physical
-        columns already have statistics and fast access).
+        other is read as the reservoir extraction alone (a physical
+        column, settled or moving, already has statistics and indexes).
         """
         from .text_index import tokenize
 
         if type(expr.left) is BoundColumn and type(expr.right) is Literal:
-            column, literal = expr.left, expr.right
+            column, read, literal = expr.left, rewritten.left, expr.right
         elif type(expr.right) is BoundColumn and type(expr.left) is Literal:
-            column, literal = expr.right, expr.left
+            column, read, literal = expr.right, rewritten.right, expr.left
         else:
             return None
         if not isinstance(literal.value, str):
@@ -208,15 +205,14 @@ class QueryRewriter:
         terms = tokenize(literal.value)
         if len(terms) != 1:
             return None  # multi-token equality is not a term lookup
-        binding, name = column.binding, column.ref.name
-        if binding is None or not binding.sinew or name in (ID_COLUMN, RESERVOIR_COLUMN):
+        binding = column.binding
+        if type(read) is not FunctionCall or read.args[0] != ColumnRef(
+            binding.name, RESERVOIR_COLUMN
+        ):
             return None
-        state = column.primary()
-        if state is not None and state.materialized:
-            return None  # physical columns don't need the index
         return FunctionCall(
             "sinew_matches",
-            (ColumnRef(binding.name, ID_COLUMN), Literal(name), Literal(terms[0])),
+            (ColumnRef(binding.name, ID_COLUMN), Literal(column.key_name), Literal(terms[0])),
         )
 
     def _rewrite_matches(self, expr: FunctionCall) -> Expr:
@@ -250,40 +246,45 @@ class QueryRewriter:
         name = column.ref.name
         if name == ID_COLUMN or name == RESERVOIR_COLUMN:
             return ColumnRef(binding.name, name)
-        if column.expected is None and len(column.observed_types()) > 1:
-            as_text = self._any_text(binding, column)
-            if as_text is not None:
-                return as_text
-        schema = self._schema(binding)
-        states = _read_states(column)
-        moved = [s for s in states if s.physical_name and s.physical_name in schema]
-        physical = [ColumnRef(binding.name, s.physical_name) for s in moved]
-        if not physical:
-            return self._extraction(binding, column)
-        if len(moved) == len(states) and all(s.materialized and not s.dirty for s in moved):
-            return physical[0] if len(physical) == 1 else Coalesce(tuple(physical))
-        # dirty in either direction (materializing *or* dematerializing),
-        # or a type still virtual: each row's value lives on exactly one
-        # side of the move, so the bridge must consult both
-        return Coalesce((*physical, self._extraction(binding, column)))
+        return self._read(binding, column)
 
-    def _any_text(self, binding: Binding, column: BoundColumn) -> Expr | None:
-        """A bare reference to a key stored under several types, as
-        ``extract_key_any`` reads it in every layout: each type's physical
-        column as text, then the reservoir's downcast.  A row holds the
-        key once, so at most one argument is not NULL.  None where no type
-        has a physical column (the extraction alone is that), or where one
-        holds documents or arrays, whose cast is not their downcast."""
-        schema = self._schema(binding)
-        physical = [
-            (attribute.key_type, ColumnRef(binding.name, state.physical_name))
-            for attribute, state in column.states
-            if state.physical_name and state.physical_name in schema
-        ]
-        if not physical or any(t in (SqlType.BYTEA, SqlType.ARRAY) for t, _ref in physical):
-            return None
-        texts = [ref if t is SqlType.TEXT else Cast(ref, SqlType.TEXT) for t, ref in physical]
-        return Coalesce((*texts, self._extraction(binding, column)))
+    def _read(self, binding: Binding, column: BoundColumn) -> Expr:
+        """The read of a key: the (placement, context) table of the
+        module docstring."""
+        expected = column.expected
+        if expected is None:
+            observed = column.observed_types()
+            if len(observed) == 1:
+                (expected,) = observed
+        reads = COMPATIBLE_TYPES.get(expected)  # None: every type, as text
+        schema = self.sinew_tables[binding.table_name].schema
+        parts: list[Expr] = []
+        reservoir = False
+        for attribute, state in column.states:
+            if reads is not None and attribute.key_type not in reads:
+                continue  # another type's column: never cast, never read raw
+            placement = state.placement(schema)
+            if placement is not None:
+                ref = ColumnRef(binding.name, placement.name)
+                parts.append(ref if reads is not None else _as_text(ref, attribute))
+            reservoir = reservoir or placement is None or not placement.settled
+        if reservoir or not parts:
+            function = EXTRACT_FUNCTION_FOR_TYPE.get(expected, "extract_key_any")
+            parts.append(self._extraction(binding, function, column.key_name, schema))
+        return parts[0] if len(parts) == 1 else Coalesce(tuple(parts))
+
+    def _extraction(self, binding: Binding, function: str, key_name: str, schema) -> Expr:
+        """``function(data, 'key')`` -- or, for a dotted key whose ancestor
+        object has a physical column, the same table's read of that host."""
+        self.extraction_keys.setdefault(binding.name, set()).add(key_name)
+        reservoir = FunctionCall(
+            function, (ColumnRef(binding.name, RESERVOIR_COLUMN), Literal(key_name))
+        )
+        host = self.catalog.host(binding.table_name, key_name, schema)
+        if host is None:
+            return reservoir
+        hosted = FunctionCall(function, (ColumnRef(binding.name, host.name), Literal(key_name)))
+        return hosted if host.settled else Coalesce((hosted, reservoir))
 
     def max_extraction_keys(self) -> int:
         """Max distinct extracted keys over any one binding (0 when none)."""
@@ -291,48 +292,13 @@ class QueryRewriter:
             return 0
         return max(len(keys) for keys in self.extraction_keys.values())
 
-    def _schema(self, binding: Binding):
-        return self.sinew_tables[binding.table_name].schema
 
-    def _extraction(self, binding: Binding, column: BoundColumn) -> Expr:
-        """Build the typed extraction UDF call for a virtual column.
-
-        An unconstrained context extracts the key's single observed type,
-        or ``extract_key_any`` (downcast to text) for a multi-typed key.
-        When an *ancestor* of a dotted key is materialized (section 4.2:
-        a nested object stored as its own serialized physical column), the
-        extraction reads from that physical column instead of the
-        reservoir -- with the usual COALESCE bridge while the ancestor is
-        dirty.
-        """
-        expected, key_name = column.expected, column.key_name
-        if expected is None:
-            observed = column.observed_types()
-            if len(observed) == 1:
-                (expected,) = observed
-        self.extraction_keys.setdefault(binding.name, set()).add(key_name)
-        function = EXTRACT_FUNCTION_FOR_TYPE.get(expected, "extract_key_any")
-        reservoir_call = FunctionCall(
-            function, (ColumnRef(binding.name, RESERVOIR_COLUMN), Literal(key_name))
-        )
-        columns = self.catalog.table(binding.table_name).columns
-        parts = key_name.split(".")
-        for split in range(len(parts) - 1, 0, -1):
-            parent_id = self.catalog.lookup_id(".".join(parts[:split]), SqlType.BYTEA)
-            state = columns.get(parent_id) if parent_id is not None else None
-            if (
-                state is None
-                or not state.physical_name
-                or state.physical_name not in self._schema(binding)
-            ):
-                continue
-            physical_call = FunctionCall(
-                function, (ColumnRef(binding.name, state.physical_name), Literal(key_name))
-            )
-            if state.dirty:
-                # mid-move either way: the parent document may sit on
-                # either side for any given row
-                return Coalesce((physical_call, reservoir_call))
-            if state.materialized:
-                return physical_call
-        return reservoir_call
+def _as_text(ref: ColumnRef, attribute: Attribute) -> Expr:
+    """A physical column read as ``extract_key_any`` renders its values."""
+    key_type = attribute.key_type
+    if key_type is SqlType.TEXT:
+        return ref
+    if key_type is SqlType.BYTEA or key_type is SqlType.ARRAY:
+        # a container's text cast is not its JSON downcast
+        return FunctionCall("sinew_downcast", (ref, Literal(attribute.key_name)))
+    return Cast(ref, SqlType.TEXT)

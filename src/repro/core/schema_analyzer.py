@@ -207,10 +207,9 @@ class SchemaAnalyzer:
         data_position = table.schema.position_of(RESERVOIR_COLUMN)
         physical_positions: dict[int, int] = {}
         for state in states:
-            if state.physical_name and state.physical_name in table.schema:
-                physical_positions[state.attr_id] = table.schema.position_of(
-                    state.physical_name
-                )
+            placement = state.placement(table.schema)
+            if placement is not None:
+                physical_positions[state.attr_id] = placement.position
 
         distinct: dict[int, set] = {}
         saturated: set[int] = set()

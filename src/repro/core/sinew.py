@@ -743,17 +743,16 @@ class SinewDB:
                 )
             for binding in expand_over:
                 phys_specs: list[tuple[str, SqlType, int]] = []
-                table_catalog = self.catalog.table(sinew_bindings[binding])
-                for state in table_catalog.materialized_columns():
-                    if not state.physical_name:
-                        continue
+                table_name = sinew_bindings[binding]
+                schema = self.db.table(table_name).schema
+                for state, placement in self.catalog.table(table_name).placements(schema):
                     attribute = self.catalog.attribute(state.attr_id)
                     phys_specs.append(
                         (attribute.key_name, attribute.key_type, len(items))
                     )
                     items.append(
                         SelectItem(
-                            ColumnRef(binding, state.physical_name),
+                            ColumnRef(binding, placement.name),
                             f"__{binding}__{attribute.key_name}",
                         )
                     )
@@ -995,13 +994,11 @@ class SinewDB:
             for key_type, cell in writes:
                 attr_id = self.catalog.lookup_id(key_name, key_type)
                 state = None if attr_id is None else table_catalog.columns.get(attr_id)
-                moving: int | None = None
-                if state is not None and state.physical_name and state.physical_name in schema:
-                    position = schema.position_of(state.physical_name)
-                    if state.materialized and not state.dirty:
-                        physical.append((position, cell, state))
-                        continue
-                    moving = position
+                placement = None if state is None else state.placement(schema)
+                if placement is not None and placement.settled:
+                    physical.append((placement.position, cell, state))
+                    continue
+                moving = None if placement is None else placement.position
                 reservoir.append((key_name, key_type, cell, moving))
         return physical, reservoir
 
@@ -1009,16 +1006,9 @@ class SinewDB:
         """The stored document of one heap row of a collection."""
         data = row[table.schema.position_of(RESERVOIR_COLUMN)]
         phys_specs: list[tuple[str, SqlType, int]] = []
-        for state in self.catalog.table(table.name).materialized_columns():
-            if state.physical_name and state.physical_name in table.schema:
-                attribute = self.catalog.attribute(state.attr_id)
-                phys_specs.append(
-                    (
-                        attribute.key_name,
-                        attribute.key_type,
-                        table.schema.position_of(state.physical_name),
-                    )
-                )
+        for state, placement in self.catalog.table(table.name).placements(table.schema):
+            attribute = self.catalog.attribute(state.attr_id)
+            phys_specs.append((attribute.key_name, attribute.key_type, placement.position))
         document = self.extractor.to_dict(data) if data else {}
         return self._assemble_document(document, phys_specs, row)
 

@@ -22,7 +22,10 @@ from . import binder_corpus
 #: where the records read the most frequent type's column alone; and a
 #: numeric predicate on a key whose most frequent type is text, now the
 #: key's numeric column where the records compare the text column with a
-#: number
+#: number; and a comparison whose type the key never holds, which the
+#: records prune as provably NULL (SNW202) only while no type of the key
+#: has a physical column, and now prune in every layout, since the
+#: rewrite reads a key only in the type its context asks for
 CHANGED: frozenset[tuple[str, str, str]] = frozenset(
     (env, layout, sql)
     for env in ("mangled",)
@@ -41,6 +44,10 @@ CHANGED: frozenset[tuple[str, str, str]] = frozenset(
         ("rewriter", "SELECT _id FROM t WHERE dyn BETWEEN 1 AND 5"),
         ("rewriter", "SELECT n FROM t WHERE dyn >= 0"),
         ("rewriter", "SELECT _id FROM t WHERE dyn >= 0"),
+        ("analyzer", "SELECT url FROM t WHERE url > 5"),
+        ("analyzer", "SELECT url FROM t WHERE hits LIKE 'a%'"),
+        ("analyzer", "SELECT url FROM t WHERE hits > 10 OR url > 5"),
+        ("analyzer", "SELECT url FROM t WHERE NOT (url > 5)"),
     )
 )
 

@@ -242,6 +242,10 @@ def test_first_expression_lookup_races_loader_and_daemon():
     failures: list[str] = []
     loading = threading.Event()
     done = threading.Event()
+    # a lookup ran before the ADD COLUMN, and one began after it, however
+    # the threads are scheduled: the index is built on both sides of it
+    probed = threading.Event()
+    added = threading.Event()
 
     def loader() -> None:
         try:
@@ -252,23 +256,29 @@ def test_first_expression_lookup_races_loader_and_daemon():
                 acknowledged.extend(numbers)
                 loading.set()
                 if batch == 15:
+                    probed.wait(timeout=30)
                     sdb.materialize(TABLE, "note", SqlType.TEXT)
+                    added.set()
         except Exception as exc:  # noqa: BLE001 - reported below
             failures.append(f"loader raised {exc!r}")
         finally:
             loading.set()
+            added.set()
             done.set()
 
     def lookups(thread_id: int) -> None:
         try:
             loading.wait(timeout=30)
-            iteration = 0
-            while not done.is_set() or iteration < 20:
+            iteration, after = 0, False
+            while not done.is_set() or iteration < 20 or not after:
                 iteration += 1
+                late = added.is_set()
                 wanted = acknowledged[-1 - (iteration * (thread_id + 1)) % 40]
                 rows = sdb.query(f"SELECT num FROM {TABLE} WHERE dyn1 = {wanted}").rows
                 if rows != [(wanted,)]:
                     failures.append(f"dyn1 {wanted} acknowledged, lookup gave {rows}")
+                probed.set()
+                after = after or late
         except Exception as exc:  # noqa: BLE001
             failures.append(f"lookup thread raised {exc!r}")
 
