@@ -363,7 +363,7 @@ class ReservoirExtractor:
         """Remove a (possibly nested) attribute from a serialized document."""
         attr_id = self.catalog.lookup_id(key, sql_type)
         if attr_id is not None and serializer.has_attribute(data, attr_id):
-            return serializer.remove_attribute(data, attr_id, self.catalog.type_of)
+            return serializer.remove_attribute(data, attr_id)
         rewritten = self._rewrite_parent(
             data, key, lambda sub: self.remove_path(sub, key, sql_type)
         )
@@ -378,17 +378,13 @@ class ReservoirExtractor:
         """
         attr_id = self.catalog.attribute_id(key, sql_type)
         if "." not in key or serializer.has_attribute(data, attr_id):
-            return serializer.add_attribute(
-                data, attr_id, sql_type, value, self.catalog.type_of
-            )
+            return serializer.add_attribute(data, attr_id, sql_type, value)
         rewritten = self._rewrite_parent(
             data, key, lambda sub: self.set_path(sub, key, sql_type, value)
         )
         if rewritten is not None:
             return rewritten
-        return serializer.add_attribute(
-            data, attr_id, sql_type, value, self.catalog.type_of
-        )
+        return serializer.add_attribute(data, attr_id, sql_type, value)
 
     def _rewrite_parent(
         self, data: bytes, key: str, transform: Callable[[bytes], bytes]
@@ -403,7 +399,7 @@ class ReservoirExtractor:
                 sub_document = serializer.extract(data, parent_id, SqlType.BYTEA)
                 new_sub = transform(sub_document)
                 return serializer.add_attribute(
-                    data, parent_id, SqlType.BYTEA, new_sub, self.catalog.type_of
+                    data, parent_id, SqlType.BYTEA, new_sub
                 )
         return None
 

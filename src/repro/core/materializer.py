@@ -4,38 +4,47 @@ Maintains the dynamic physical schema by moving attribute values between
 the column reservoir and physical columns.  Design requirements carried
 over from the paper:
 
-* **Incremental and interruptible** -- materialization proceeds row by
-  row; ``step(max_rows)`` can stop at any point and resume later, so the
-  process can yield to foreground queries.  A partially moved column is
-  *dirty*, and the query rewriter wraps it in ``COALESCE(physical,
+* **Incremental and interruptible** -- materialization proceeds in
+  *slices*: ``step(max_rows)`` walks up to ``max_rows`` row ids once,
+  from the lowest cursor of the table's dirty columns, and then stops, so
+  the process can yield to foreground queries.  A partially moved column
+  is *dirty*, and the query rewriter wraps it in ``COALESCE(physical,
   extract(...))`` until the move completes.
-* **Per-row atomicity** -- each row move is one atomic update (a
-  transaction here), but the materialization as a whole is not a
-  transaction.
+* **Per-slice transaction; each row atomic** -- a slice rewrites each
+  row once for every dirty column whose cursor has reached it (one
+  fetch, one heap update, one WAL UPDATE record) and commits all its
+  rows as one transaction, together with the columns' progress cursors.
+  The paper makes each row move its own transaction; what it requires
+  holds either way: no row is ever seen half moved, and the
+  materialization as a whole is not a transaction.
 * **Mutual exclusion with the loader** -- via the catalog latch, so that
   once the row cursor reaches the end of the table every value is in its
   correct location and the dirty bit can be cleared.  Acquisition blocks
   (bounded) by default so the materializer and a concurrent loader take
   turns instead of failing.
 * **Crash safety** -- the per-column progress cursor lives in the catalog
-  (:attr:`~repro.core.catalog.ColumnState.cursor`) and is advanced only
-  *after* each row move commits, so a crash at any instant leaves a state
-  from which re-running ``step`` converges: re-examining an already-moved
-  row is a no-op (the value is no longer on the source side).  The named
-  ``materializer.*`` fault-injection points (see
-  :mod:`repro.testing.faults`) let tests kill the process between any two
-  of these transitions.
+  (:attr:`~repro.core.catalog.ColumnState.cursor`); a slice logs each
+  advanced cursor inside its own transaction and publishes it in memory
+  only after that commits, so a crash (or a fault) mid-slice discards
+  the whole slice and re-running ``step`` resumes from the previous
+  slice's end: re-examining an already-moved row is a no-op (the value
+  is no longer on the source side).  The named ``materializer.*``
+  fault-injection points (see :mod:`repro.testing.faults`) let tests
+  kill the process between any two of these transitions.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import Any
 
 from ..latching import requires_latch
 from ..rdbms.database import Database
 from ..rdbms.errors import CatalogError
+from ..rdbms.storage import Schema
 from ..rdbms.types import SqlType
+from . import serializer
 from .catalog import (
     DEFAULT_LATCH_TIMEOUT,
     ColumnState,
@@ -51,8 +60,22 @@ class MaterializerReport:
     """Progress accounting for materializer activity."""
 
     rows_examined: int = 0
+    #: values moved: a row counts once for each key it moved
     rows_moved: int = 0
     columns_completed: list[str] = field(default_factory=list)
+
+
+@dataclass
+class _ColumnMove:
+    """One dirty column as a slice applies it: where its value lives in
+    a row image, and the column's cursor when the slice began."""
+
+    state: ColumnState
+    key: str
+    key_type: SqlType
+    position: int
+    host: int | None
+    cursor: int
 
 
 class ColumnMaterializer:
@@ -80,10 +103,10 @@ class ColumnMaterializer:
         )
 
     def step(self, table_name: str, max_rows: int = 1000) -> MaterializerReport:
-        """Process up to ``max_rows`` row-moves, then stop.
+        """Run one slice over up to ``max_rows`` row ids, then stop.
 
-        Works on one dirty column at a time (lowest attribute id first).
-        Returns a report; when no dirty column remains the report is empty.
+        Every dirty column the query drain barrier does not hold rides
+        along; returns a report, empty when no dirty column remains.
         """
         report = MaterializerReport()
         with self.catalog.exclusive_latch(
@@ -92,11 +115,8 @@ class ColumnMaterializer:
             timeout=self.latch_timeout,
         ):
             self._fire("materializer.before_step", table=table_name)
-            budget = max_rows
-            for state in self.pending(table_name):
-                if budget <= 0:
-                    break
-                budget -= self._process_column(table_name, state, budget, report)
+            if max_rows > 0:
+                self._slice(table_name, max_rows, report)
         return report
 
     def run_to_completion(self, table_name: str, batch_rows: int = 10000) -> MaterializerReport:
@@ -137,171 +157,186 @@ class ColumnMaterializer:
     # ------------------------------------------------------------------
 
     @requires_latch("catalog")
-    def _process_column(
-        self,
-        table_name: str,
-        state: ColumnState,
-        budget: int,
-        report: MaterializerReport,
-    ) -> int:
-        """Advance one dirty column by up to ``budget`` rows; returns the
-        number of rows examined."""
-        attribute = self.catalog.attribute(state.attr_id)
+    def _slice(self, table_name: str, max_rows: int, report: MaterializerReport) -> None:
+        """Walk rids from the lowest cursor of the slice's columns, apply
+        each column whose cursor is at or below the rid, and commit the
+        rewritten rows and the advanced cursors as one transaction."""
         table = self.db.table(table_name)
+        # A column a query planned before its direction flip still reads is
+        # left out: that plan cannot see the destination side of a move, so
+        # moving its rows now would hide values from the scan.  The daemon
+        # (or run_to_completion) takes it once the pre-flip queries drain.
+        states = [
+            state
+            for state in self.pending(table_name)
+            if self._ready(table_name, state) and not self._blocked_by_queries(state)
+        ]
+        if not states:
+            return
+        schema = table.schema
+        data_position = schema.position_of(RESERVOIR_COLUMN)
+        n_rids = self._max_rid(table)
+        moves = [self._column_move(table_name, schema, state, n_rids) for state in states]
+        start = min(move.cursor for move in moves)
+        end = min(n_rids, start + max_rows)
 
+        manager = self.db.txn_manager
+        txn = None
+        try:
+            for rid in range(start, end):
+                row = table.fetch(rid)
+                if row is None:
+                    continue
+                image = row
+                moved_keys = []
+                for move in moves:
+                    if move.cursor <= rid:
+                        moved = self._move_value(image, move, data_position)
+                        if moved is not None:
+                            image = moved
+                            moved_keys.append(move.key)
+                if not moved_keys:
+                    continue
+                keys = tuple(moved_keys)
+                self._fire("materializer.before_row_move", table=table_name, keys=keys, rid=rid)
+                if txn is None:
+                    txn = manager.begin()
+                size = table.tuple_bytes(image)
+                old = table.update(rid, image, size)
+                txn.log_update(
+                    table.name,
+                    rid,
+                    size,
+                    undo=lambda rid=rid, old=old: table.update(rid, old),
+                    payload=image,
+                )
+                report.rows_moved += len(keys)
+                self._fire("materializer.after_row_move", table=table_name, keys=keys, rid=rid)
+            if txn is not None:
+                # The progress cursors ride in the slice's transaction, so a
+                # recovered database resumes from exactly the slices whose
+                # moves became durable.
+                for move in moves:
+                    if move.cursor < end:
+                        self.db.log_catalog(
+                            {
+                                "op": "cursor",
+                                "table": table.name,
+                                "attr_id": move.state.attr_id,
+                                "cursor": end,
+                            },
+                            txn=txn,
+                        )
+        except BaseException:
+            if txn is not None:
+                manager.finish(txn, commit=False)
+            raise
+        if txn is not None:
+            manager.finish(txn)
+        report.rows_examined += end - start
+
+        for move in moves:
+            move.state.cursor = max(move.cursor, end)
+            if move.state.cursor >= n_rids:
+                # Cursor reached the end under the latch: the column is clean.
+                self._finish_column(table_name, move.state, move.key)
+                report.columns_completed.append(move.key)
+
+    @requires_latch("catalog")
+    def _ready(self, table_name: str, state: ColumnState) -> bool:
+        """Make sure a dirty column's physical side exists; False (after
+        clearing the column) when a dematerialization already dropped it."""
         if state.materialized:
             self._ensure_physical_column(table_name, state)
         physical_name = state.physical_name
-        if physical_name is None or physical_name not in table.schema:
-            if state.materialized:
-                raise CatalogError(
-                    f"column {attribute.key_name!r} marked materialized but has "
-                    "no physical column"
-                )
-            # Dematerialization finished earlier and column was dropped.
-            state.physical_name = None
-            state.cursor = 0
-            state.dirty = False
-            self.db.log_catalog(column_state_payload(table_name, state))
-            return 0
+        if physical_name is not None and physical_name in self.db.table(table_name).schema:
+            return True
+        if state.materialized:
+            key_name = self.catalog.attribute(state.attr_id).key_name
+            raise CatalogError(
+                f"column {key_name!r} marked materialized but has no physical column"
+            )
+        # Dematerialization finished earlier and column was dropped.
+        state.physical_name = None
+        state.cursor = 0
+        state.dirty = False
+        self.db.log_catalog(column_state_payload(table_name, state))
+        return False
 
-        if self._blocked_by_queries(state):
-            # A query planned before this column's direction flip is still
-            # running; its plan cannot see the destination side of a move,
-            # so moving rows now would hide values from its scan.  Skip the
-            # slice -- the daemon (or run_to_completion) retries once the
-            # pre-flip queries drain.
-            return 0
+    def _column_move(
+        self, table_name: str, schema: Schema, state: ColumnState, n_rids: int
+    ) -> _ColumnMove:
+        attribute = self.catalog.attribute(state.attr_id)
+        host = self.catalog.host(table_name, attribute.key_name, schema)
+        assert state.physical_name is not None
+        return _ColumnMove(
+            state=state,
+            key=attribute.key_name,
+            key_type=attribute.key_type,
+            position=schema.position_of(state.physical_name),
+            host=None if host is None else host.position,
+            cursor=min(state.cursor, n_rids),
+        )
 
-        data_position = table.schema.position_of(RESERVOIR_COLUMN)
-        column_position = table.schema.position_of(physical_name)
-        host = self.catalog.host(table_name, attribute.key_name, table.schema)
-        host_position = None if host is None else host.position
-        cursor = min(state.cursor, self._max_rid(table))
-        examined = 0
-        n_rids = self._max_rid(table)
-
-        while cursor < n_rids and examined < budget:
-            row = table.fetch(cursor)
-            examined += 1
-            if row is not None:
-                self._fire(
-                    "materializer.before_row_move",
-                    table=table_name, key=attribute.key_name, rid=cursor,
-                )
-                moved = self._move_row_value(
-                    table, cursor, row, state, attribute.key_type,
-                    data_position, column_position, host_position,
-                )
-                if moved:
-                    report.rows_moved += 1
-                self._fire(
-                    "materializer.after_row_move",
-                    table=table_name, key=attribute.key_name, rid=cursor,
-                )
-            cursor += 1
-            # Persist progress after every committed row move so a crash
-            # resumes mid-column instead of restarting it.
-            state.cursor = cursor
-        report.rows_examined += examined
-
-        if cursor >= n_rids:
-            # Cursor reached the end under the latch: the column is clean.
-            self._finish_column(table_name, state, attribute.key_name)
-            report.columns_completed.append(attribute.key_name)
-        return examined
-
-    @requires_latch("catalog")
-    def _move_row_value(
-        self,
-        table,
-        rid: int,
-        row: tuple,
-        state: ColumnState,
-        key_type: SqlType,
-        data_position: int,
-        column_position: int,
-        host_position: int | None,
-    ) -> bool:
-        """Move one row's value to its correct location (atomic update).
+    def _move_value(self, row: tuple, move: _ColumnMove, data_position: int) -> tuple | None:
+        """The row image with one column's value moved to its correct
+        side, or None when the row has nothing to move for it.
 
         A dotted key whose ancestor object is itself materialized (section
         4.2: a nested object stored as its own serialized column, at
-        ``host_position``) may live in that ancestor's physical cell rather
+        ``move.host``) may live in that ancestor's physical cell rather
         than the reservoir, so the move sources from -- and returns values
         to -- whichever side holds the parent document for this row.
         """
-        attribute = self.catalog.attribute(state.attr_id)
+        host = move.host
         data = row[data_position]
         new_row = list(row)
-        if state.materialized:
-            value = None
-            if data is not None:
-                value = self.extractor.extract_typed(
-                    data, attribute.key_name, key_type
-                )
-            if value is not None:
-                new_row[data_position] = self.extractor.remove_path(
-                    data, attribute.key_name, key_type
-                )
+        if move.state.materialized:
+            taken = None if data is None else self._take(data, move)
+            if taken is not None:
+                value, new_row[data_position] = taken
             else:
                 # not in the reservoir: the parent object may already have
                 # moved to its own physical column for this row
-                cell = row[host_position] if host_position is not None else None
-                if cell is None:
-                    return False
-                value = self.extractor.extract_typed(
-                    cell, attribute.key_name, key_type
-                )
-                if value is None:
-                    return False
-                new_row[host_position] = self.extractor.remove_path(
-                    cell, attribute.key_name, key_type
-                )
-            new_row[column_position] = value
+                cell = row[host] if host is not None else None
+                taken = None if cell is None else self._take(cell, move)
+                if taken is None:
+                    return None
+                value, new_row[host] = taken
+            new_row[move.position] = value
         else:
-            value = row[column_position]
+            value = row[move.position]
             if value is None:
-                return False
-            cell = row[host_position] if host_position is not None else None
+                return None
+            extractor, key, key_type = self.extractor, move.key, move.key_type
+            cell = row[host] if host is not None else None
             if cell is not None:
                 # the parent document lives in its physical column for this
                 # row; returning the value there keeps the nesting intact
-                new_row[host_position] = self.extractor.set_path(
-                    cell, attribute.key_name, key_type, value
-                )
+                new_row[host] = extractor.set_path(cell, key, key_type, value)
             else:
                 if data is None:
-                    from . import serializer
-
                     data = serializer.serialize([])
-                new_row[data_position] = self.extractor.set_path(
-                    data, attribute.key_name, key_type, value
-                )
-            new_row[column_position] = None
-        with self.db.txn_manager.autocommit() as txn:
-            replacement = tuple(new_row)
-            old = table.update(rid, replacement)
-            txn.log_update(
-                table.name,
-                rid,
-                table.tuple_bytes(replacement),
-                undo=lambda rid=rid, old=old: table.update(rid, old),
-                payload=replacement,
-            )
-            # The progress cursor rides in the same transaction as the row
-            # move, so a recovered database resumes from exactly the rows
-            # whose moves became durable.
-            self.db.log_catalog(
-                {
-                    "op": "cursor",
-                    "table": table.name,
-                    "attr_id": state.attr_id,
-                    "cursor": rid + 1,
-                },
-                txn=txn,
-            )
-        return True
+                new_row[data_position] = extractor.set_path(data, key, key_type, value)
+            new_row[move.position] = None
+        return tuple(new_row)
+
+    def _take(self, document: bytes, move: _ColumnMove) -> tuple[Any, bytes] | None:
+        """``(value, document without it)`` when ``document`` holds the
+        column's attribute, else None.  A top-level key is the column's
+        own attr id in the document's header; a dotted one may sit in a
+        nested document, which the extractor walks."""
+        key, key_type = move.key, move.key_type
+        if "." in key:
+            value = self.extractor.extract_typed(document, key, key_type)
+            if value is None:
+                return None
+            return value, self.extractor.remove_path(document, key, key_type)
+        attr_id = move.state.attr_id
+        value = serializer.extract(document, attr_id, key_type)
+        if value is None:
+            return None
+        return value, serializer.remove_attribute(document, attr_id)
 
     def _blocked_by_queries(self, state: ColumnState) -> bool:
         """True while some in-flight query predates this column's flip."""

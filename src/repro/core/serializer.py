@@ -305,35 +305,59 @@ def iterate(data: bytes) -> Iterator[tuple[int, bytes]]:
         ]
 
 
-def remove_attribute(data: bytes, attr_id: int, sql_type_of) -> bytes:
+def remove_attribute(data: bytes, attr_id: int) -> bytes:
     """Return a copy of the document without ``attr_id``.
 
-    ``sql_type_of`` maps attr_id -> SqlType (the catalog dictionary).  Used
-    by the column materializer when moving a value out of the reservoir
-    into a physical column.
+    A header splice: the id and its offset leave their runs, the later
+    offsets shift down by the value's width and the body loses that
+    slice.  No value is decoded, and the bytes equal what serializing the
+    remaining attributes afresh would give.  Used by the column
+    materializer when moving a value out of the reservoir.
     """
-    kept: list[tuple[int, SqlType, Any]] = []
-    for aid, raw in iterate(data):
-        if aid == attr_id:
-            continue
-        sql_type = sql_type_of(aid)
-        kept.append((aid, sql_type, decode_value(raw, sql_type)))
-    return serialize(kept)
+    n, ids, offsets, base = _unpack_header(data)
+    position = bisect_left(ids, attr_id)
+    if position >= n or ids[position] != attr_id:
+        return data
+    start, end = offsets[position], offsets[position + 1]
+    width = end - start
+    header = _run(2 * n).pack(
+        n - 1,
+        *ids[:position],
+        *ids[position + 1 :],
+        *offsets[:position],
+        *[offset - width for offset in offsets[position + 1 :]],
+    )
+    return b"".join(
+        (header, data[base : base + start], data[base + end : base + offsets[n]])
+    )
 
 
-def add_attribute(data: bytes, attr_id: int, sql_type: SqlType, value: Any, sql_type_of) -> bytes:
-    """Return a copy of the document with ``attr_id`` set to ``value``.
+def add_attribute(data: bytes, attr_id: int, sql_type: SqlType, value: Any) -> bytes:
+    """Return a copy of the document with ``attr_id`` set to ``value``
+    (removed when ``value`` is None).
 
-    Used by the materializer when dematerializing a physical column back
-    into the reservoir, and by Sinew's UPDATE path for virtual columns.
+    A header splice like :func:`remove_attribute`: only the new value is
+    encoded.  Used by the materializer when dematerializing a physical
+    column back into the reservoir, and by Sinew's UPDATE path for
+    virtual columns.
     """
-    kept: list[tuple[int, SqlType, Any]] = []
-    for aid, raw in iterate(data):
-        if aid == attr_id:
-            continue
-        existing_type = sql_type_of(aid)
-        kept.append((aid, existing_type, decode_value(raw, existing_type)))
-    if value is not None:
-        kept.append((attr_id, sql_type, value))
-    return serialize(kept)
-
+    if value is None:
+        return remove_attribute(data, attr_id)
+    encoded = encode_value(value, sql_type)
+    n, ids, offsets, base = _unpack_header(data)
+    position = bisect_left(ids, attr_id)
+    start = offsets[position]
+    if position < n and ids[position] == attr_id:  # replace the value
+        end = offsets[position + 1]
+        count, new_ids, later = n, ids, offsets[position + 1 :]
+    else:  # insert it: the later offsets include the one at ``position``
+        end = start
+        count, later = n + 1, offsets[position:]
+        new_ids = (*ids[:position], attr_id, *ids[position:])
+    shift = len(encoded) - (end - start)
+    header = _run(2 * count + 2).pack(
+        count, *new_ids, *offsets[: position + 1], *[offset + shift for offset in later]
+    )
+    return b"".join(
+        (header, data[base : base + start], encoded, data[base + end : base + offsets[n]])
+    )

@@ -931,11 +931,12 @@ class SinewDB:
                     if data is not None:
                         new_row[data_position] = data
                     replacement = tuple(new_row)
-                    old = table.update(rid, replacement)
+                    size = table.tuple_bytes(replacement)
+                    old = table.update(rid, replacement, size)
                     txn.log_update(
                         table_name,
                         rid,
-                        table.tuple_bytes(replacement),
+                        size,
                         undo=lambda rid=rid, old=old: table.update(rid, old),
                         payload=replacement,
                     )

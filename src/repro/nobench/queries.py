@@ -506,11 +506,13 @@ class PgJsonNoBench(NoBenchAdapter):
                 new_row[data_position] = json_module.dumps(
                     document, separators=(",", ":")
                 )
-                old = table.update(rid, tuple(new_row))
+                replacement = tuple(new_row)
+                size = table.tuple_bytes(replacement)
+                old = table.update(rid, replacement, size)
                 txn.log_update(
                     TABLE,
                     rid,
-                    table.tuple_bytes(tuple(new_row)),
+                    size,
                     undo=lambda rid=rid, old=old: table.update(rid, old),
                 )
                 updated += 1

@@ -528,11 +528,12 @@ class Database:
         return len(rows)
 
     def _insert_row(self, table: HeapTable, row: tuple, txn: Transaction) -> int:
-        rid = table.insert(row)
+        size = table.tuple_bytes(row)
+        rid = table.insert(row, size)
         txn.log_insert(
             table.name,
             rid,
-            table.tuple_bytes(row),
+            size,
             undo=lambda: table.delete(rid),
             payload=row,
         )
@@ -597,11 +598,12 @@ class Database:
                 for position, value_fn in assignments:
                     new_row[position] = value_fn(row)
                 replacement = tuple(new_row)
-                old = table.update(rid, replacement)
+                size = table.tuple_bytes(replacement)
+                old = table.update(rid, replacement, size)
                 txn.log_update(
                     table.name,
                     rid,
-                    table.tuple_bytes(replacement),
+                    size,
                     undo=lambda rid=rid, old=old: table.update(rid, old),
                     payload=replacement,
                 )

@@ -532,8 +532,10 @@ class HeapTable:
 
     # -- mutation -----------------------------------------------------------
 
-    def insert(self, row: tuple) -> int:
-        """Append a row, returning its row id."""
+    def insert(self, row: tuple, size: int | None = None) -> int:
+        """Append a row, returning its row id.  A caller that logs the
+        write passes the row's :meth:`tuple_bytes` as ``size``, so it is
+        computed once."""
         if self.faults is not None:
             self.faults.fire("storage.write_row", table=self.name, op="insert")
         if len(row) != len(self.schema):
@@ -541,7 +543,8 @@ class HeapTable:
                 f"row arity {len(row)} does not match schema arity "
                 f"{len(self.schema)} of table {self.name!r}"
             )
-        size = self.tuple_bytes(row)
+        if size is None:
+            size = self.tuple_bytes(row)
         if not self.pages or not self.pages[-1].has_room(size):
             self.pages.append(Page(self.page_bytes))
             self.disk.charge(self.page_bytes)
@@ -559,8 +562,9 @@ class HeapTable:
         self.total_bytes += size
         return rid
 
-    def update(self, rid: int, row: tuple) -> tuple:
-        """Replace the row at ``rid`` in place; returns the old row."""
+    def update(self, rid: int, row: tuple, size: int | None = None) -> tuple:
+        """Replace the row at ``rid`` in place; returns the old row.
+        ``size`` is the new row's :meth:`tuple_bytes`, as for :meth:`insert`."""
         if self.faults is not None:
             self.faults.fire("storage.write_row", table=self.name, op="update")
         page_no, slot_no = self._locate(rid)
@@ -569,7 +573,7 @@ class HeapTable:
         if old is None:
             raise ExecutionError(f"row {rid} of {self.name!r} is deleted")
         old_size = self.tuple_bytes(old)
-        new_size = self.tuple_bytes(row)
+        new_size = self.tuple_bytes(row) if size is None else size
         self._write(old, row, lambda: self._place(page, slot_no, row, rid))
         page.used_bytes += new_size - old_size
         self.total_bytes += new_size - old_size

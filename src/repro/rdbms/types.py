@@ -308,12 +308,22 @@ def value_size(value: Any, sql_type: SqlType) -> int:
     if sql_type is SqlType.ARRAY:
         inner = 0
         for element in value:
-            if element is None:
-                continue
-            inner += value_size(element, infer_type(element))
+            kind = type(element)
+            width = _FIXED_WIDTHS.get(kind)
+            if width is not None:
+                inner += width
+            elif kind is str:
+                inner += VARLENA_HEADER_BYTES + len(element.encode("utf-8"))
+            elif element is not None:
+                inner += value_size(element, infer_type(element))
         # array header: ndims/flags/elemtype + per-element presence
         return VARLENA_HEADER_BYTES + 12 + len(value) + inner
     raise TypeCastError(f"no size rule for {sql_type}")
+
+
+#: :func:`value_size` of an array element by its exact Python type, for
+#: the fixed-width types: these and strings skip the type inference
+_FIXED_WIDTHS = {bool: 1, int: 8, float: 8}
 
 
 class NullStorageModel(enum.Enum):

@@ -20,12 +20,14 @@ The workload is two phases:
   this same durable prefix.
 * **armed steps**, each followed by its mark: ``load2`` (8 more
   documents), ``update`` (one-row UPDATE), ``settle2`` (materialize ``b``
-  + run the materializer), ``ckpt``, ``close``.
+  + run the materializer in slices of :data:`SETTLE_SLICE_ROWS` rows),
+  ``ckpt``, ``close``.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 
@@ -41,6 +43,8 @@ COLLECTION = "events"
 BATCH_A = [{"a": i, "b": f"s{i}", "tag": "base"} for i in range(12)]
 BATCH_B = [{"a": 100 + i, "c": f"c{i}", "tag": "extra"} for i in range(8)]
 UPDATE_SQL = "UPDATE events SET b = 'updated' WHERE a = 3"
+#: rows per materializer slice in ``settle2``: the 20 rows take four
+SETTLE_SLICE_ROWS = 6
 
 
 class CrashingInjector(FaultInjector):
@@ -54,16 +58,27 @@ class CrashingInjector(FaultInjector):
     and :func:`main` exits at the workload level instead.
     """
 
+    def __init__(self, point: str):
+        super().__init__()
+        self.point = point
+        #: the context of every hit of the armed point, oldest first
+        self.trail: list[dict] = []
+
     def fire(self, point: str, **context) -> None:
+        if point == self.point:
+            self.trail.append(context)
         try:
             super().fire(point, **context)
         except InjectedFault:
             if point == "wal.torn_write":
                 raise
-            _crash()
+            _crash(self.trail)
 
 
-def _crash() -> None:
+def _crash(trail: list[dict] | None = None) -> None:
+    if trail is not None:
+        # where the fault landed: the parent test checks its context
+        print(f"FAULT {json.dumps(trail, default=repr)}")
     sys.stdout.flush()
     sys.stderr.flush()
     os._exit(CRASH_EXIT)
@@ -93,7 +108,7 @@ def main(argv: list[str] | None = None) -> int:
     _mark("base")
 
     if options.point:
-        injector = CrashingInjector()
+        injector = CrashingInjector(options.point)
         injector.plan(options.point, "raise", at=options.at)
         sdb.attach_faults(injector)
 
@@ -103,6 +118,8 @@ def main(argv: list[str] | None = None) -> int:
         sdb.query(UPDATE_SQL)
         _mark("update")
         sdb.materialize(COLLECTION, "b", SqlType.TEXT)
+        # several slices, so a kill can land after one has committed
+        sdb.materializer.run_to_completion(COLLECTION, SETTLE_SLICE_ROWS)
         sdb.run_materializer(COLLECTION)
         _mark("settle2")
         sdb.checkpoint()

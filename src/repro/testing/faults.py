@@ -59,8 +59,8 @@ _KNOWN_POINTS: set[str] = {
     "loader.after_insert",    # heap rows written, latch still held
     # column materializer (repro.core.materializer) -- all under the latch
     "materializer.before_step",         # latch acquired, nothing examined yet
-    "materializer.before_row_move",     # row fetched, atomic move not started
-    "materializer.after_row_move",      # row moved, progress cursor not yet advanced
+    "materializer.before_row_move",     # row image rewritten for its moved keys, not written
+    "materializer.after_row_move",      # row written in the slice's transaction, not committed
     "materializer.before_clear_dirty",  # cursor at end, dirty bit still set
     # background daemon (repro.core.background) -- outside the latch
     "daemon.before_step",     # about to take a materializer slice

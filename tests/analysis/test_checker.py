@@ -134,7 +134,6 @@ class TestSeededCorruption:
             attribute.attr_id,
             SqlType.TEXT,
             "sneaky",
-            lambda aid: sdb.catalog.attribute(aid).key_type,
         )
         bad = list(row)
         bad[data_position] = data

@@ -309,11 +309,12 @@ class TestCacheCorrectness:
                 observed_moves = injector.hits.get(
                     "materializer.after_row_move", 0
                 )
-                if observed_moves >= 2 * len(DOCS):  # both columns moved
+                # a slice rewrites each row once for both columns
+                if observed_moves >= len(DOCS):
                     break
         finally:
             sdb.daemon.stop()
-        assert observed_moves >= 2 * len(DOCS)
+        assert observed_moves >= len(DOCS)
         # and after the dust settles the answer is still the same
         assert sdb.query(MULTIKEY).rows == truth
         assert sdb.query(MULTIKEY, use_extraction_cache=False).rows == truth

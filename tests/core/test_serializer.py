@@ -107,32 +107,27 @@ class TestIterateAndMutate:
         assert [aid for aid, _raw in pairs] == [1, 2]
 
     def test_remove_attribute(self):
-        types = {1: SqlType.INTEGER, 2: SqlType.TEXT, 3: SqlType.REAL}
         data = serializer.serialize(
             [triple(1, SqlType.INTEGER, 10), triple(2, SqlType.TEXT, "x"),
              triple(3, SqlType.REAL, 1.5)]
         )
-        smaller = serializer.remove_attribute(data, 2, types.__getitem__)
+        smaller = serializer.remove_attribute(data, 2)
         assert serializer.attribute_ids(smaller) == [1, 3]
         assert serializer.extract(smaller, 1, SqlType.INTEGER) == 10
         assert serializer.extract(smaller, 2, SqlType.TEXT) is None
         assert len(smaller) < len(data)
 
     def test_add_attribute_inserts_and_replaces(self):
-        types = {1: SqlType.INTEGER, 2: SqlType.TEXT}
         data = serializer.serialize([triple(1, SqlType.INTEGER, 10)])
-        added = serializer.add_attribute(data, 2, SqlType.TEXT, "new", types.__getitem__)
+        added = serializer.add_attribute(data, 2, SqlType.TEXT, "new")
         assert serializer.extract(added, 2, SqlType.TEXT) == "new"
-        replaced = serializer.add_attribute(
-            added, 2, SqlType.TEXT, "newer", types.__getitem__
-        )
+        replaced = serializer.add_attribute(added, 2, SqlType.TEXT, "newer")
         assert serializer.extract(replaced, 2, SqlType.TEXT) == "newer"
         assert serializer.attribute_count(replaced) == 2
 
     def test_add_attribute_none_removes(self):
-        types = {1: SqlType.INTEGER}
         data = serializer.serialize([triple(1, SqlType.INTEGER, 10)])
-        cleared = serializer.add_attribute(data, 1, SqlType.INTEGER, None, types.__getitem__)
+        cleared = serializer.add_attribute(data, 1, SqlType.INTEGER, None)
         assert serializer.attribute_count(cleared) == 0
 
 
@@ -216,10 +211,9 @@ class TestProperties:
     def test_remove_then_absent_others_unchanged(self, doc):
         if not doc:
             return
-        types = {aid: t for aid, t, _v in doc}
         data = serializer.serialize(doc)
         victim = doc[0][0]
-        smaller = serializer.remove_attribute(data, victim, types.__getitem__)
+        smaller = serializer.remove_attribute(data, victim)
         assert not serializer.has_attribute(smaller, victim)
         for attr_id, sql_type, value in doc[1:]:
             assert serializer.extract(smaller, attr_id, sql_type) == value

@@ -38,6 +38,7 @@ from repro.testing.crash_child import (
     BATCH_B,
     COLLECTION,
     CRASH_EXIT,
+    SETTLE_SLICE_ROWS,
     UPDATE_SQL,
 )
 
@@ -48,7 +49,9 @@ STEPS = ("load2", "update", "settle2", "ckpt", "close")
 
 
 def run_child(dbpath: Path, point: str | None = None, at: int = 1):
-    """Run the crash child; returns (returncode, marks, stderr)."""
+    """Run the crash child; returns (returncode, marks, stderr, trail),
+    ``trail`` being the context of every hit of the armed point up to the
+    one that crashed (empty when none did)."""
     cmd = [sys.executable, "-m", "repro.testing.crash_child", str(dbpath)]
     if point is not None:
         cmd += ["--point", point, "--at", str(at)]
@@ -62,7 +65,15 @@ def run_child(dbpath: Path, point: str | None = None, at: int = 1):
         for line in proc.stdout.splitlines()
         if line.startswith("MARK ")
     ]
-    return proc.returncode, marks, proc.stderr
+    trail = next(
+        (
+            json.loads(line.split(" ", 1)[1])
+            for line in proc.stdout.splitlines()
+            if line.startswith("FAULT ")
+        ),
+        [],
+    )
+    return proc.returncode, marks, proc.stderr, trail
 
 
 def canonical_docs(sdb: SinewDB) -> list[str]:
@@ -98,7 +109,7 @@ def expected_docs(steps_done: set[str]) -> list[str]:
 def control(tmp_path_factory):
     """One uninterrupted run: the reference final state."""
     dbpath = tmp_path_factory.mktemp("control") / "db"
-    rc, marks, stderr = run_child(dbpath)
+    rc, marks, stderr, _trail = run_child(dbpath)
     assert rc == 0, stderr
     assert marks == ["base", *STEPS]
     sdb = SinewDB.open(dbpath)
@@ -129,9 +140,12 @@ MATRIX = [
     ("wal.append", 1),
     # mid-armed-phase append (lands after load2's commit)
     ("wal.append", 12),
-    # deep append: lands inside the settle2 row-move transactions, so the
-    # reopened database must resume the column move from its cursor
+    # deep append: the UPDATE record of row 7, the second row of settle2's
+    # second slice (checked below by the fault's context), so the reopened
+    # database must resume the column move from the first slice's end
     ("wal.append", 30),
+    # the same row, killed after its move: the whole slice is discarded
+    ("materializer.after_row_move", SETTLE_SLICE_ROWS + 2),
     # crash at the fsync barrier: the COMMIT frame is already flushed to
     # the OS, so the in-flight transaction may come back fully visible
     ("wal.fsync", 1),
@@ -141,17 +155,30 @@ MATRIX = [
     ("checkpoint.catalog", 1),
     ("checkpoint.truncate", 1),
 ]
+#: the cases above that crash inside a materializer slice
+MID_SLICE = {"wal.append": 30, "materializer.after_row_move": SETTLE_SLICE_ROWS + 2}
 
 
 @pytest.mark.parametrize("point,at", MATRIX, ids=[f"{p}@{a}" for p, a in MATRIX])
 def test_crash_recovery_matrix(tmp_path, control, point, at):
     dbpath = tmp_path / "db"
-    rc, marks, stderr = run_child(dbpath, point, at)
+    rc, marks, stderr, trail = run_child(dbpath, point, at)
     assert rc == CRASH_EXIT, f"fault never fired: rc={rc} stderr={stderr}"
     assert marks and marks[0] == "base"
 
     done = set(marks) - {"base"}
     in_flight = next((s for s in STEPS if s not in done), None)
+    mid_slice = MID_SLICE.get(point) == at
+    if mid_slice:
+        # the crash hit the second row of settle2's second slice
+        assert in_flight == "settle2"
+        crashed = trail[-1]
+        if point == "wal.append":
+            in_txn = [c["record_type"] for c in trail if c["txn_id"] == crashed["txn_id"]]
+            assert in_txn == ["begin", "update", "update"]
+            assert crashed["table"] == COLLECTION
+        else:
+            assert crashed == {"table": COLLECTION, "keys": ["b"], "rid": SETTLE_SLICE_ROWS + 1}
 
     sdb = SinewDB.open(dbpath)
     try:
@@ -172,6 +199,13 @@ def test_crash_recovery_matrix(tmp_path, control, point, at):
             # transaction must have been discarded
             allowed = {tuple(expected_docs(done))}
         assert tuple(observed) in allowed
+
+        if mid_slice:
+            # the first slice committed with its cursor, the second is gone
+            state = sdb.catalog.table(COLLECTION).state(
+                sdb.catalog.lookup_id("b", SqlType.TEXT)
+            )
+            assert state.dirty and state.cursor == SETTLE_SLICE_ROWS
 
         recovery = sdb.last_recovery
         assert recovery is not None and recovery["had_checkpoint"]
@@ -224,7 +258,7 @@ def test_crash_recovery_matrix(tmp_path, control, point, at):
 def test_clean_restart_replays_nothing(tmp_path, control):
     """A cleanly closed database reopens without touching the WAL."""
     dbpath = tmp_path / "db"
-    rc, marks, stderr = run_child(dbpath)
+    rc, marks, stderr, _trail = run_child(dbpath)
     assert rc == 0, stderr
     sdb = SinewDB.open(dbpath)
     try:

@@ -432,11 +432,15 @@ def test_bridge_lookups_race_the_daemon_moving_their_column():
     window a probe that released the lock in between would leave open: the
     daemon moves the row after the column's index was read and before the
     reservoir's, and the lookup finds nothing.  Each lookup asks for a row
-    just past the daemon's cursor, and every one must find it."""
+    just past the daemon's cursor, and every one must find it.  The
+    cursor moves a whole slice at a time, so the lookups stop two slices
+    before the end: a lookup planned after the column's last slice would
+    find it clean and probe no union."""
     BASE = 800
+    SLICE = 20
     sdb = SinewDB(
         "bridge_race",
-        SinewConfig(daemon_step_rows=20, daemon_idle_sleep=0.001),
+        SinewConfig(daemon_step_rows=SLICE, daemon_idle_sleep=0.001),
     )
     sdb.create_collection(TABLE)
     sdb.load(TABLE, [_document(i) for i in range(BASE)])  # row id i holds num i
@@ -454,7 +458,7 @@ def test_bridge_lookups_race_the_daemon_moving_their_column():
 
     def lookups(offset: int) -> None:
         try:
-            while state.dirty and state.cursor < BASE - 10:
+            while state.dirty and state.cursor < BASE - 2 * SLICE:
                 wanted = state.cursor + offset
                 rows = sdb.query(f"SELECT note FROM {TABLE} WHERE num = {wanted}").rows
                 if rows != [(f"n{wanted}",)]:
