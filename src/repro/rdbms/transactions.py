@@ -9,8 +9,8 @@ to actually exist, which this module provides.
 
 Two modes
 ---------
-* **In-memory** (the default, ``directory=None``): the WAL is a record
-  stream with byte accounting (record counts and bytes flow into the shared
+* **In-memory** (the default, ``directory=None``): the WAL counts records
+  and bytes but keeps none (the counts flow into the shared
   :class:`~repro.rdbms.cost.CostCounters` so the harness can model fsync
   latency).  Rollback is implemented with per-transaction undo entries
   applied in reverse order.  A process exit loses everything.
@@ -238,10 +238,6 @@ class WriteAheadLog:
         self.directory = Path(directory) if directory is not None else None
         self.segment_bytes = max(1024, segment_bytes)
         self.group_commit_every = max(1, group_commit_every)
-        #: full record history (in-memory mode only; durable logs live on
-        #: disk and keep only the per-active-transaction index in memory)
-        self.records: list[WalRecord] = []
-        self._by_txn: dict[int, list[WalRecord]] = {}
         self._lsn = itertools.count(1)
         self._lock = threading.RLock()
         #: optional FaultInjector; fires ``wal.append`` / ``wal.fsync`` /
@@ -513,15 +509,8 @@ class WriteAheadLog:
             self.counters.wal_records += 1
             self.counters.wal_bytes += self.RECORD_HEADER_BYTES + payload_bytes
             if not self.durable:
-                self.records.append(record)
-                self._by_txn.setdefault(txn_id, []).append(record)
+                # counted only: an abort undoes through its undo list
                 return record
-            # Durable path: keep only *active* transactions indexed (the
-            # log itself lives on disk and segments rotate out of memory).
-            if record_type in (WalRecordType.COMMIT, WalRecordType.ABORT):
-                self._by_txn.pop(txn_id, None)
-            else:
-                self._by_txn.setdefault(txn_id, []).append(record)
             if self.degraded:
                 # Only ABORT reaches here while degraded (guard above); its
                 # undo already ran in memory and recovery discards the
@@ -574,18 +563,6 @@ class WriteAheadLog:
 
     def __len__(self) -> int:
         return self.total_records
-
-    def records_for(self, txn_id: int) -> list[WalRecord]:
-        """Records of one transaction, via the per-transaction index.
-
-        O(records of that transaction), not O(log length): abort/undo
-        paths stay flat as the log grows.  In durable mode only *active*
-        transactions are indexed (finished ones live in the segments, which
-        rotate out of memory); the in-memory log keeps full history, which
-        preserves the original post-commit introspection behaviour.
-        """
-        with self._lock:
-            return list(self._by_txn.get(txn_id, ()))
 
     def segment_count(self) -> int:
         if self.directory is None:
@@ -720,8 +697,7 @@ class TransactionManager:
         #: guards txn-id allocation and the ``active`` dict: ``begin()``
         #: runs concurrently from service worker threads (explicit BEGIN,
         #: autocommit DML) and the materializer daemon's autocommit, and
-        #: a duplicated txn_id would corrupt the WAL's per-txn index and
-        #: recovery replay
+        #: a duplicated txn_id would corrupt recovery replay
         self._lock = threading.Lock()
         self.next_txn_id = 1
         self.active: dict[int, Transaction] = {}

@@ -9,7 +9,10 @@ from repro.rdbms.errors import TransactionError
 from repro.rdbms.transactions import (
     TransactionManager,
     TxnState,
+    WalRecord,
     WalRecordType,
+    WriteAheadLog,
+    scan_wal,
 )
 
 
@@ -18,23 +21,38 @@ def make_manager() -> tuple[TransactionManager, CostCounters]:
     return TransactionManager(counters), counters
 
 
+def make_durable_manager(directory) -> TransactionManager:
+    """A manager over an on-disk log (fsync batched away), which keeps the
+    records an in-memory log only counts."""
+    counters = CostCounters()
+    wal = WriteAheadLog(counters, directory, group_commit_every=1_000_000)
+    wal.activate()
+    return TransactionManager(counters, wal)
+
+
+def logged(manager: TransactionManager) -> list[WalRecord]:
+    return scan_wal(manager.wal.directory).records
+
+
 class TestWal:
-    def test_lsn_monotonic(self):
-        manager, _counters = make_manager()
+    def test_lsn_monotonic(self, tmp_path):
+        manager = make_durable_manager(tmp_path)
         txn = manager.begin()
         txn.log_insert("t", 0, 10, undo=lambda: None)
         txn.log_insert("t", 1, 10, undo=lambda: None)
         manager.finish(txn)
-        lsns = [record.lsn for record in manager.wal.records]
+        lsns = [record.lsn for record in logged(manager)]
         assert lsns == sorted(lsns)
         assert len(set(lsns)) == len(lsns)
 
-    def test_record_types_for_committed_txn(self):
-        manager, _counters = make_manager()
+    def test_record_types_for_committed_txn(self, tmp_path):
+        manager = make_durable_manager(tmp_path)
         txn = manager.begin()
         txn.log_update("t", 3, 20, undo=lambda: None)
         manager.finish(txn)
-        types = [record.record_type for record in manager.wal.records_for(txn.txn_id)]
+        types = [
+            record.record_type for record in logged(manager) if record.txn_id == txn.txn_id
+        ]
         assert types == [
             WalRecordType.BEGIN,
             WalRecordType.UPDATE,
@@ -106,13 +124,13 @@ class TestAutocommit:
 
 
 class TestTransactionManagerThreadSafety:
-    def test_concurrent_begin_finish_allocates_unique_ids(self):
+    def test_concurrent_begin_finish_allocates_unique_ids(self, tmp_path):
         # regression: next_txn_id was an unsynchronized read-modify-write
         # and `active` was mutated without a lock; the service layer calls
         # begin() from worker threads concurrently with the materializer
-        # daemon's autocommit, and a duplicated txn_id corrupts the WAL's
-        # per-txn index and recovery replay
-        manager, _counters = make_manager()
+        # daemon's autocommit, and a duplicated txn_id corrupts recovery
+        # replay
+        manager = make_durable_manager(tmp_path)
         n_threads, per_thread = 8, 200
         barrier = threading.Barrier(n_threads)
         ids: list[int] = []
@@ -142,7 +160,7 @@ class TestTransactionManagerThreadSafety:
         # WAL BEGIN frames match the handed-out ids one-to-one
         begin_ids = [
             record.txn_id
-            for record in manager.wal.records
+            for record in logged(manager)
             if record.record_type is WalRecordType.BEGIN
         ]
         assert sorted(begin_ids) == sorted(ids)

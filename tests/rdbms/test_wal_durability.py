@@ -294,38 +294,7 @@ class TestFaultPoints:
         assert injector.fired("wal.append") == 0
 
 
-class TestRecordsForIndex:
-    def test_in_memory_keeps_full_history(self):
-        db = Database("mem")
-        db.execute("CREATE TABLE t (a integer)")
-        db.insert_rows("t", [(1,)])
-        wal = db.wal
-        committed = [t for t in range(1, wal.last_lsn + 1) if wal.records_for(t)]
-        assert committed  # post-commit introspection still works
-        types = [r.record_type for r in wal.records_for(committed[0])]
-        assert types[0] is WalRecordType.BEGIN
-        assert types[-1] is WalRecordType.COMMIT
-
-    def test_durable_mode_evicts_finished_txns(self, tmp_path):
-        db = durable_db(tmp_path / "db")
-        db.execute("CREATE TABLE t (a integer)")
-        db.insert_rows("t", [(1,)])
-        txn = db.txn_manager.begin()
-        table = db.table("t")
-        rid = table.insert((9,))
-        txn.log_insert("t", rid, 8, undo=lambda r=rid: None, payload=(9,))
-        # active txn is indexed; the committed autocommit one is evicted
-        active = db.wal.records_for(txn.txn_id)
-        assert [r.record_type for r in active] == [
-            WalRecordType.BEGIN,
-            WalRecordType.INSERT,
-        ]
-        assert all(
-            not db.wal.records_for(t) for t in range(1, txn.txn_id)
-        )
-        db.txn_manager.finish(txn, commit=True)
-        assert db.wal.records_for(txn.txn_id) == []
-
+class TestWalStatus:
     def test_wal_status_surface(self, tmp_path):
         db = durable_db(tmp_path / "db")
         db.execute("CREATE TABLE t (a integer)")

@@ -130,8 +130,8 @@ class TestErrorMapping:
 
     def test_malformed_frame_keeps_connection_alive(self, service):
         with connect(service) as client:
-            client._sock.sendall(b"this is not json\n")
-            response = decode_message(client._file.readline())
+            client._writer.sendall(b"this is not json\n")
+            response = decode_message(client._reader.readline())
             assert response["ok"] is False
             assert response["error"]["code"] == "protocol"
             assert client.ping()
@@ -254,8 +254,8 @@ class TestAdmissionControl:
         client.query("UPDATE docs SET a = 99 WHERE a = 1")
         # vanish without COMMIT or a polite close; the makefile() handle
         # shares the fd, so close both or no FIN ever reaches the server
-        client._file.close()
-        client._sock.close()
+        client._reader.close()
+        client._writer.close()
         import time
 
         for _ in range(100):
