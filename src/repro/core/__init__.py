@@ -8,6 +8,7 @@ The pieces map one-to-one onto Figure 1 of the paper:
 * :mod:`repro.core.schema_analyzer` -- materialization policy (3.1.3)
 * :mod:`repro.core.materializer` -- incremental column moves (3.1.4)
 * :mod:`repro.core.background` -- the background materializer daemon (3.1.4)
+  and the self-restarting worker loop it shares with the checkpointer
 * :mod:`repro.core.rewriter` -- logical-to-physical SQL rewriting (3.2.2)
 * :mod:`repro.core.text_index` -- inverted index / matches() (4.3)
 * :mod:`repro.core.arrays` -- array storage strategies (4.2)
@@ -15,7 +16,13 @@ The pieces map one-to-one onto Figure 1 of the paper:
 """
 
 from .arrays import ArrayConfig, ArrayStorageManager, ArrayStrategy
-from .background import DaemonStatus, MaterializerDaemon, RecoveryReport
+from .background import (
+    BackgroundWorker,
+    DaemonStatus,
+    MaterializerDaemon,
+    RecoveryReport,
+    SupervisorPolicy,
+)
 from .catalog import Attribute, ColumnState, SinewCatalog, TableCatalog
 from .document import DocumentError, flatten, infer_sql_type, parse_document
 from .extractors import ReservoirExtractor
@@ -38,6 +45,7 @@ __all__ = [
     "ArrayStrategy",
     "AnalyzerReport",
     "Attribute",
+    "BackgroundWorker",
     "ColumnMaterializer",
     "ColumnState",
     "DaemonStatus",
@@ -55,6 +63,7 @@ __all__ = [
     "SinewConfig",
     "SinewDB",
     "SinewLoader",
+    "SupervisorPolicy",
     "TableCatalog",
     "flatten",
     "infer_sql_type",

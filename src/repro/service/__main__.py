@@ -55,11 +55,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         help="graceful-shutdown grace period for in-flight statements",
     )
-    parser.add_argument(
-        "--no-supervise",
-        action="store_true",
-        help="do not supervise the daemon/checkpointer (crashes stay down)",
-    )
     return parser
 
 
@@ -97,7 +92,6 @@ def main(argv: list[str] | None = None) -> int:
             executor_threads=args.executor_threads,
             checkpoint_interval=args.checkpoint,
             drain_timeout=args.drain_timeout,
-            supervise=not args.no_supervise,
         ),
     )
     try:

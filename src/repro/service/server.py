@@ -41,10 +41,11 @@ Fault tolerance (DESIGN.md section 13):
 * **degraded mode**: a WAL I/O failure flips the engine read-only
   (structured ``degraded`` errors for writes, SELECTs keep working);
   the ``recover`` op / ``\\service recover`` brings it back;
-* **supervision**: with ``ServiceConfig.supervise`` the materializer
-  daemon and the background checkpointer are watched by a
-  :class:`~repro.core.supervisor.Supervisor` (bounded-backoff restart,
-  permanent trip surfaced in the ``health`` op).
+* **supervision**: the materializer daemon and the background
+  checkpointer restart themselves after a crash
+  (:class:`~repro.core.background.BackgroundWorker`: bounded backoff, a
+  permanent trip surfaced in the ``health`` op, and a stop always wins
+  over a pending restart).
 
 Fault injection: the per-connection paths fire ``service.accept``,
 ``service.execute`` and ``service.respond``, and shutdown fires
@@ -62,9 +63,9 @@ import threading
 from dataclasses import dataclass, field
 from typing import Any
 
+from ..core.background import BackgroundWorker
 from ..core.plan_cache import DEFAULT_PLAN_CACHE_SIZE, PlanCache
 from ..core.sinew import SinewDB
-from ..core.supervisor import PeriodicWorker
 from ..latching import TrackedLock
 from ..rdbms.errors import (
     CatalogError,
@@ -150,9 +151,6 @@ class ServiceConfig:
     #: shutdown grace: in-flight statements get this many seconds to
     #: finish before sessions are closed (open transactions roll back)
     drain_timeout: float = 5.0
-    #: watch the materializer daemon + checkpointer with a Supervisor
-    #: (bounded-backoff restart; see repro.core.supervisor)
-    supervise: bool = True
     #: per-session rid -> outcome dedup journal capacity (LRU backstop
     #: for clients that never ack)
     journal_capacity: int = 256
@@ -187,8 +185,7 @@ class SinewService:
         self._server: asyncio.AbstractServer | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._stopping: asyncio.Event | None = None
-        self._checkpoint_worker: PeriodicWorker | None = None
-        self._owns_supervisor = False
+        self._checkpoint_worker: BackgroundWorker | None = None
         self._draining = False
         self._shutting_down = False
         #: journals of disconnected sessions, claimable via ``resume``
@@ -233,31 +230,27 @@ class SinewService:
             self._handle_connection, self.config.host, self.config.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
-        supervisor = None
-        if self.config.supervise:
-            self._owns_supervisor = self.sdb.supervisor is None
-            supervisor = self.sdb.supervise()
+        policy = self.sdb.supervise()
         if self.config.checkpoint_interval is not None and self.sdb.db.path is not None:
-            self._checkpoint_worker = PeriodicWorker(
-                "checkpointer", self.config.checkpoint_interval, self._checkpoint_tick
+            checkpointer = BackgroundWorker(
+                "checkpointer",
+                self.config.checkpoint_interval,
+                self._checkpoint_tick,
+                policy=policy,
             )
-            self._checkpoint_worker.start()
-            if supervisor is not None:
-                supervisor.add(self._checkpoint_worker)
+            checkpointer.faults = self.sdb.faults
+            self.sdb.workers[checkpointer.name] = checkpointer
+            checkpointer.start()
+            self._checkpoint_worker = checkpointer
         self._ready.set()
         try:
             await self._stopping.wait()
             await self._drain()
         finally:
             self._shutting_down = True
-            # stop the supervisor first so it cannot restart the
-            # checkpointer we are about to stop
-            if self._owns_supervisor and self.sdb.supervisor is not None:
-                self.sdb.supervisor.stop()
-                self.sdb.supervisor = None
-                self._owns_supervisor = False
             if self._checkpoint_worker is not None:
                 self._checkpoint_worker.stop()
+                self.sdb.workers.pop(self._checkpoint_worker.name, None)
             self._server.close()
             await self._server.wait_closed()
             for session in list(self.sessions.values()):
@@ -835,42 +828,25 @@ class SinewService:
         Unlike ``status`` this stays answerable while the engine is
         degraded or draining -- it reads flags and counters only.
         """
-        wal = self.sdb.db.wal
-        daemon = self.sdb.daemon
-        supervisor = self.sdb.supervisor
-        degraded = bool(wal.durable and wal.degraded)
-        status = "ok"
-        if degraded:
-            status = "degraded"
-        if self._draining:
-            status = "draining"
+        health = self.sdb.health()
         checkpointer = self._checkpoint_worker
-        return {
-            "status": status,
-            "draining": self._draining,
-            "degraded": degraded,
-            "degraded_reason": wal.degraded_reason if wal.durable else None,
-            "sessions": len(self.sessions),
-            "inflight": self._inflight,
-            "daemon": {
-                "state": daemon.state,
-                "alive": daemon.is_alive(),
-                "last_error": daemon.last_error,
-                "last_error_at": daemon.last_error_at,
-            },
-            "checkpointer": None
+        health.update(
+            status="draining" if self._draining else health["status"],
+            draining=self._draining,
+            sessions=len(self.sessions),
+            inflight=self._inflight,
+            checkpointer=None
             if checkpointer is None
             else {
                 "state": checkpointer.state,
                 "ticks": checkpointer.ticks,
                 "last_error": checkpointer.last_error,
             },
-            "supervisor": None if supervisor is None else supervisor.status(),
-            "tripped": [] if supervisor is None else supervisor.tripped(),
-        }
+        )
+        return health
 
     # ------------------------------------------------------------------
-    # background checkpointer (a supervisable PeriodicWorker)
+    # background checkpointer (a BackgroundWorker ticking this)
     # ------------------------------------------------------------------
 
     def _checkpoint_tick(self) -> None:
@@ -883,8 +859,8 @@ class SinewService:
         try:
             done = self._checkpoint_once()
         except DaemonKilled:
-            # injected crash: escape so the worker freezes and the
-            # supervisor's restart/trip machinery takes over
+            # injected crash: escape so the worker crashes and its
+            # restart/trip machinery takes over
             raise
         except Exception:
             self.counters["checkpoints_skipped"] += 1

@@ -299,51 +299,31 @@ class SinewShell:
             return
         if self.remote is not None:
             health = self.remote.health()
-            self._print(
+            head = (
                 f"service: {health['status']}  sessions: {health['sessions']}  "
                 f"inflight: {health['inflight']}"
             )
-            daemon = health.get("daemon") or {}
-            line = f"  daemon: {daemon.get('state')}"
-            if daemon.get("last_error"):
-                line += f" (last error: {daemon['last_error']})"
-            self._print(line)
-            if health.get("degraded"):
-                self._print(f"  degraded: {health.get('degraded_reason')}")
-            supervisor = health.get("supervisor") or {}
-            for name, info in supervisor.items():
-                self._print(
-                    f"  supervisor[{name}]: restarts={info['restarts']} "
-                    f"failures={info['consecutive_failures']} "
-                    f"tripped={info['tripped']}"
-                )
-            for name in health.get("tripped") or []:
-                self._print(f"  TRIPPED: {name} (\\service recover to reset)")
-            return
-        wal = self.sdb.db.wal
-        degraded = bool(wal.durable and wal.degraded)
-        self._print(f"engine: {'degraded' if degraded else 'ok'}")
-        if degraded:
-            self._print(f"  degraded: {wal.degraded_reason}")
-        daemon_status = self.sdb.daemon.status()
-        self._print(
-            f"  daemon: {daemon_status.state}"
-            + (
-                f" (last error: {daemon_status.last_error})"
-                if daemon_status.last_error
-                else ""
-            )
-        )
-        supervisor = self.sdb.supervisor
-        if supervisor is None:
-            self._print("  supervisor: (not running)")
-            return
-        for name, info in supervisor.status().items():
+        else:
+            health = self.sdb.health()
+            head = f"engine: {health['status']}"
+        self._print(head)
+        daemon = health["daemon"]
+        line = f"  daemon: {daemon['state']}"
+        if daemon["last_error"]:
+            line += f" (last error: {daemon['last_error']})"
+        self._print(line)
+        if health["degraded"]:
+            self._print(f"  degraded: {health['degraded_reason']}")
+        if health["supervisor"] is None:
+            self._print("  supervisor: (off)")
+        for name, info in (health["supervisor"] or {}).items():
             self._print(
                 f"  supervisor[{name}]: restarts={info['restarts']} "
                 f"failures={info['consecutive_failures']} "
                 f"tripped={info['tripped']}"
             )
+        for name in health["tripped"]:
+            self._print(f"  TRIPPED: {name} (\\service recover to reset)")
 
     def _wal(self, arguments: list[str]) -> None:
         """``\\wal [status|checkpoint]`` -- default status."""

@@ -88,8 +88,8 @@ _KNOWN_POINTS: set[str] = {
     "service.execute",        # request decoded, statement not yet executed
     "service.respond",        # statement done, response not yet written
     "service.drain",          # stop requested, drain phase not yet started
-    # daemon supervision (repro.core.supervisor)
-    "supervisor.restart",     # crash detected, restart not yet attempted
+    # worker supervision (repro.core.background)
+    "supervisor.restart",     # crash counted, backoff waited, restart not yet attempted
 }
 
 
