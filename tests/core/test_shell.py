@@ -77,6 +77,20 @@ class TestMetaCommands:
         sh.run_line("\\frobnicate")
         assert "unknown meta-command" in output_of(out)
 
+    def test_service_status_embedded(self, shell):
+        sh, out, _tmp = shell
+        sh.run_line("\\service")
+        text = output_of(out)
+        assert "engine: ok" in text
+        assert "  daemon: idle" in text
+        assert "  supervisor: (off)" in text
+        sh.sdb.supervise()
+        sh.run_line("\\service status")
+        assert (
+            "  supervisor[materializer]: restarts=0 failures=0 tripped=False"
+            in output_of(out)
+        )
+
     def test_daemon_status_default(self, shell):
         sh, out, _tmp = shell
         sh.run_line("\\daemon")

@@ -375,6 +375,26 @@ def test_shell_connect_round_trip(sdb):
         shell.sdb.close()
 
 
+def test_shell_service_status_renders_remote_health(sdb):
+    """``\\service status`` over the wire renders the ``health`` dict."""
+    import io
+
+    from repro.shell import SinewShell
+
+    with SinewService(sdb, ServiceConfig(port=0)) as service:
+        out = io.StringIO()
+        shell = SinewShell(out=out)
+        shell.run_line(f"\\connect 127.0.0.1:{service.port}")
+        shell.run_line("\\service status")
+        shell.run_line("\\disconnect")
+        text = out.getvalue()
+        assert "service: ok  sessions: 1  inflight: 0" in text
+        assert "  daemon: idle" in text
+        # the service always supervises the engine's workers
+        assert "  supervisor[materializer]: restarts=0" in text
+        shell.sdb.close()
+
+
 def test_frame_compactness():
     """Responses are single lines (the framing invariant)."""
     frame = encode_message({"rows": [[1, "two\nlines"]]})
