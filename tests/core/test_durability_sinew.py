@@ -72,20 +72,6 @@ class TestLifecycle:
         assert sdb2.collections() == ["keep"]
         sdb2.close()
 
-    def test_text_index_rebuilt_on_reopen(self, tmp_path):
-        from repro.core import SinewConfig
-
-        config = SinewConfig(enable_text_index=True)
-        sdb = SinewDB.open(tmp_path / "db", config=config)
-        sdb.create_collection("t")
-        sdb.load("t", [{"msg": "hello world"}, {"msg": "goodbye"}])
-        sdb.close()
-
-        sdb2 = SinewDB.open(tmp_path / "db", config=config)
-        assert sdb2.text_index is not None
-        assert sdb2.text_index.search_term(None, "hello")
-        sdb2.close()
-
 
 class TestMaterializationResume:
     def test_cursor_resumes_mid_column(self, tmp_path):

@@ -208,8 +208,13 @@ class TestDocumentsIterator:
 
 
 class TestTextSearch:
+    @staticmethod
+    def instance(name, path=None):
+        config = SinewConfig(enable_text_index=True)
+        return SinewDB(name, config) if path is None else SinewDB.open(path, config=config)
+
     def make_indexed(self):
-        sdb = SinewDB("txt", SinewConfig(enable_text_index=True))
+        sdb = self.instance("txt")
         sdb.create_collection("posts")
         sdb.load(
             "posts",
@@ -240,9 +245,65 @@ class TestTextSearch:
         )
         assert result.column(0) == [9]
 
-    def test_matches_without_index_raises(self, sdb):
-        with pytest.raises(PlanningError, match="text index"):
-            sdb.query("SELECT url FROM webrequests WHERE matches('*', 'x')")
+    def test_matches_on_a_default_instance(self, sdb):
+        result = sdb.query("SELECT hits FROM webrequests WHERE matches('owner', 'smith')")
+        assert result.rows == [(15,)]
+        assert sdb.query("SELECT hits FROM webrequests WHERE matches('*', 'x')").rows == []
+
+    def test_collections_keep_their_own_index(self):
+        sdb = self.instance("two")
+        sdb.create_collection("a")
+        sdb.create_collection("b")
+        sdb.load("a", [{"t": "apple"}, {"t": "pear"}])
+        sdb.load("b", [{"t": "zebra"}, {"t": "lion"}])
+        assert sdb.query("SELECT _id, t FROM a WHERE matches('*', 'zebra')").rows == []
+        assert sdb.query("SELECT _id, t FROM a WHERE matches('*', 'apple')").rows == [
+            (0, "apple")
+        ]
+        assert sdb.query("SELECT _id, t FROM b WHERE matches('*', 'apple')").rows == []
+        assert sdb.query("SELECT _id, t FROM b WHERE matches('*', 'zebra')").rows == [
+            (0, "zebra")
+        ]
+
+    def test_rollback_undoes_the_index(self):
+        sdb = self.instance("undo")
+        sdb.create_collection("a")
+        sdb.load("a", [{"n": 1, "t": "apple"}, {"n": 2, "t": "pear"}])
+        assert sdb.query("SELECT _id FROM a WHERE matches('*', 'apple')").rows == [(0,)]
+        session = sdb.create_session("txn")
+        sdb.execute("BEGIN", session=session)
+        sdb.execute("UPDATE a SET t = 'kiwi' WHERE n = 1", session=session)
+        sdb.execute("ROLLBACK", session=session)
+        assert sdb.query("SELECT t FROM a WHERE n = 1").rows == [("apple",)]
+        assert sdb.query("SELECT _id, t FROM a WHERE matches('*', 'apple')").rows == [
+            (0, "apple")
+        ]
+        assert sdb.query("SELECT _id, t FROM a WHERE matches('*', 'kiwi')").rows == []
+
+    def test_materialized_key_stays_searchable(self):
+        sdb = self.instance("settled")
+        sdb.create_collection("a")
+        sdb.load("a", [{"n": 1, "t": "apple"}, {"n": 2, "t": "pear"}])
+        sdb.materialize("a", "t", SqlType.TEXT)
+        sdb.run_materializer("a")
+        assert sdb.query("SELECT n FROM a WHERE matches('t', 'apple')").rows == [(1,)]
+        assert sdb.query("SELECT n FROM a WHERE matches('*', 'pear')").rows == [(2,)]
+
+    def test_matches_answers_after_reopen(self, tmp_path):
+        sdb = self.instance("db", tmp_path / "db")
+        sdb.create_collection("t")
+        sdb.load("t", [{"msg": "hello world"}, {"msg": "goodbye"}])
+        sdb.close()
+
+        reopened = self.instance("db", tmp_path / "db")
+        try:
+            # the open rebuilds no index: the first matches() builds it
+            assert reopened.db.counters.index_builds == 0
+            assert not reopened.db.table("t")._indexes
+            result = reopened.query("SELECT msg FROM t WHERE matches('*', 'hello')")
+            assert result.rows == [("hello world",)]
+        finally:
+            reopened.close()
 
     def test_index_follows_updates(self):
         sdb = self.make_indexed()
