@@ -3,16 +3,16 @@
 section 4.3).
 
 A support-ticket system: tickets are JSON documents with structured
-fields, free-text subjects, and tag arrays.  The inverted text index lets
-SQL WHERE clauses use ``matches(keys, query)`` -- term search, field
-faceting, prefix and fuzzy matching -- next to ordinary relational
-predicates, and completely unstructured log lines live alongside via the
-generic text field.
+fields, free-text subjects, and tag arrays.  SQL WHERE clauses use
+``matches(keys, query)`` -- term search, field faceting, prefix and fuzzy
+matching -- next to ordinary relational predicates; each collection's
+inverted index is built by its first search.  Completely unstructured log
+lines live alongside as one-field documents of their own collection.
 
 Run:  python examples/text_search.py
 """
 
-from repro.core import SinewConfig, SinewDB
+from repro.core import SinewDB
 
 TICKETS = [
     {
@@ -54,7 +54,7 @@ TICKETS = [
 
 
 def main() -> None:
-    sdb = SinewDB("tickets", SinewConfig(enable_text_index=True))
+    sdb = SinewDB("tickets")
     sdb.create_collection("tickets")
     sdb.load("tickets", TICKETS)
 
@@ -98,15 +98,17 @@ def main() -> None:
     print(" ", sorted(result.column(0)))
 
     # -- completely unstructured data alongside (section 4.3's last point)
-    sdb.text_index.index_text(
-        900, "2014-06-22 14:03:11 ERROR payments-db: replication lag exceeded"
-    )
-    print("\nunstructured log line findable through the same index:")
-    print(" ", sorted(sdb.text_index.matches("*", "replication lag")))
+    sdb.create_collection("logs")
+    line = "2014-06-22 14:03:11 ERROR payments-db: replication lag exceeded"
+    sdb.load("logs", [{"line": line}])
+    print("\nunstructured log line findable through the same search:")
+    result = sdb.query("SELECT line FROM logs WHERE matches('*', 'replication lag')")
+    print(" ", result.column(0))
 
-    # -- the index also answers numeric ranges on virtual columns
-    print("\nindex-side numeric range 2 <= id <= 4 (row ids of the matches):")
-    print(" ", sorted(sdb.text_index.search_range("id", 2, 4)))
+    # -- a numeric range on a virtual column is an ordinary predicate
+    print("\nnumeric range 2 <= id <= 4 (row ids of the matches):")
+    result = sdb.query("SELECT _id FROM tickets WHERE id BETWEEN 2 AND 4")
+    print(" ", sorted(result.column(0)))
 
 
 if __name__ == "__main__":

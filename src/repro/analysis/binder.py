@@ -108,7 +108,7 @@ _ARITY: dict[str, tuple[int, int | None]] = {
     "round": (1, 2),
     "array_length": (1, 1),
     "matches": (2, 2),
-    "sinew_matches": (3, 3),
+    "sinew_matches": (3, None),
     "sinew_exists": (2, 2),
     "sinew_to_json": (1, 1),
     "sinew_check": (1, 1),

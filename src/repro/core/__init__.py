@@ -10,7 +10,7 @@ The pieces map one-to-one onto Figure 1 of the paper:
 * :mod:`repro.core.background` -- the background materializer daemon (3.1.4)
   and the self-restarting worker loop it shares with the checkpointer
 * :mod:`repro.core.rewriter` -- logical-to-physical SQL rewriting (3.2.2)
-* :mod:`repro.core.text_index` -- inverted index / matches() (4.3)
+* :mod:`repro.core.text_index` -- full-text search, matches() (4.3)
 * :mod:`repro.core.arrays` -- array storage strategies (4.2)
 * :mod:`repro.core.sinew` -- the ``SinewDB`` facade
 """
@@ -36,7 +36,7 @@ from .schema_analyzer import (
     SchemaAnalyzer,
 )
 from .sinew import SinewConfig, SinewDB
-from .text_index import InvertedTextIndex, tokenize
+from .text_index import TextQuery, document_terms, tokenize
 
 __all__ = [
     "AnalyzerDecision",
@@ -52,7 +52,6 @@ __all__ = [
     "DocumentError",
     "MaterializerDaemon",
     "RecoveryReport",
-    "InvertedTextIndex",
     "LoadReport",
     "MaterializationPolicy",
     "MaterializerReport",
@@ -65,6 +64,8 @@ __all__ = [
     "SinewLoader",
     "SupervisorPolicy",
     "TableCatalog",
+    "TextQuery",
+    "document_terms",
     "flatten",
     "infer_sql_type",
     "parse_document",

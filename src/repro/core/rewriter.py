@@ -38,8 +38,9 @@ nearest ancestor object with a physical column
 so at most one argument of the COALESCE is not NULL; the planner derives
 index targets (the union over a COALESCE among them) from the read.
 
-``matches(keys, query)`` predicates (section 4.3) are rewritten into a text
-index probe keyed by the table's ``_id`` column.
+``matches(keys, query)`` (section 4.3) becomes one ``sinew_matches``
+call over the parts of the one Sinew table's logical documents, which the
+planner may answer from that table's text index.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ from ..analysis.binder import COMPATIBLE_TYPES, Binder, Binding, BoundColumn, Bo
 from ..analysis.diagnostics import AMBIGUOUS_COLUMN
 from ..rdbms.errors import PlanningError
 from ..rdbms.expressions import (
-    BinaryOp,
     Cast,
     Coalesce,
     ColumnRef,
@@ -75,24 +75,11 @@ class QueryRewriter:
     or a parsed statement that they first bind against ``sinew_tables``.
     Apart from the per-attribute access counts it bumps for the schema
     analyzer (section 3.1.3), the rewrite reads only the bound statement.
-
-    With ``use_text_index=True`` (requires the instance's inverted index),
-    equality predicates on *virtual* text columns are additionally
-    prefiltered through the index -- "rewriting predicates over virtual
-    columns into queries of the text index" (section 4.3) -- with the
-    original extraction kept as an exactness recheck on the candidates,
-    the way an RDBMS rechecks lossy index results.
     """
 
-    def __init__(
-        self,
-        catalog: SinewCatalog,
-        sinew_tables: dict[str, HeapTable],
-        use_text_index: bool = False,
-    ):
+    def __init__(self, catalog: SinewCatalog, sinew_tables: dict[str, HeapTable]):
         self.catalog = catalog
         self.sinew_tables = sinew_tables
-        self.use_text_index = use_text_index
         #: binding -> distinct keys the rewritten statement extracts per
         #: row of that binding; tags multi-key queries so the executor can
         #: size its decoded-header cache expectations (EXPLAIN ANALYZE
@@ -176,54 +163,24 @@ class QueryRewriter:
             return expr
         if type(expr) is FunctionCall and expr.name == "matches":
             return self._rewrite_matches(expr)
-        rewritten = replace_children(expr, [self._rewrite(c) for c in expr.children()])
-        if type(expr) is BinaryOp and expr.op == "=" and self.use_text_index:
-            prefilter = self._index_prefilter(expr, rewritten)
-            if prefilter is not None:
-                # index probe first (cheap set membership), exact
-                # extraction recheck only on the candidates
-                return BinaryOp("AND", prefilter, rewritten)
-        return rewritten
-
-    def _index_prefilter(self, expr: BinaryOp, rewritten: BinaryOp) -> Expr | None:
-        """Index probe for ``virtual_text_column = 'literal'`` predicates.
-
-        Applies only when one side is a single-token text literal and the
-        other is read as the reservoir extraction alone (a physical
-        column, settled or moving, already has statistics and indexes).
-        """
-        from .text_index import tokenize
-
-        if type(expr.left) is BoundColumn and type(expr.right) is Literal:
-            column, read, literal = expr.left, rewritten.left, expr.right
-        elif type(expr.right) is BoundColumn and type(expr.left) is Literal:
-            column, read, literal = expr.right, rewritten.right, expr.left
-        else:
-            return None
-        if not isinstance(literal.value, str):
-            return None
-        terms = tokenize(literal.value)
-        if len(terms) != 1:
-            return None  # multi-token equality is not a term lookup
-        binding = column.binding
-        if type(read) is not FunctionCall or read.args[0] != ColumnRef(
-            binding.name, RESERVOIR_COLUMN
-        ):
-            return None
-        return FunctionCall(
-            "sinew_matches",
-            (ColumnRef(binding.name, ID_COLUMN), Literal(column.key_name), Literal(terms[0])),
-        )
+        return replace_children(expr, [self._rewrite(c) for c in expr.children()])
 
     def _rewrite_matches(self, expr: FunctionCall) -> Expr:
-        """``matches(keys, query)`` -> text-index probe on ``_id``."""
+        """``matches(keys, query)`` -> ``sinew_matches(data, keys, query,
+        key, column, ...)``: the reservoir and each physical column with
+        the key it holds, what a row's logical document is assembled from."""
         if len(expr.args) != 2:
             raise PlanningError("matches() takes exactly two arguments")
         if len(self._sinew_bindings) != 1:
             raise PlanningError("matches() requires exactly one Sinew table in FROM")
-        keys, query = [self._rewrite(arg) for arg in expr.args]
-        probe_id = ColumnRef(self._sinew_bindings[0].name, ID_COLUMN)
-        return FunctionCall("sinew_matches", (probe_id, keys, query))
+        binding = self._sinew_bindings[0]
+        args = [ColumnRef(binding.name, RESERVOIR_COLUMN)]
+        args += [self._rewrite(arg) for arg in expr.args]
+        schema = self.sinew_tables[binding.table_name].schema
+        for state, placement in self.catalog.table(binding.table_name).placements(schema):
+            key_name = self.catalog.attribute(state.attr_id).key_name
+            args += [Literal(key_name), ColumnRef(binding.name, placement.name)]
+        return FunctionCall("sinew_matches", tuple(args))
 
     # ------------------------------------------------------------------
     # columns

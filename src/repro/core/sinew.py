@@ -2,7 +2,7 @@
 
 Wires together every component of Figure 1: the underlying RDBMS, the
 catalog, the loader, the schema analyzer, the column materializer, the
-query rewriter, and the optional inverted text index.  A typical session::
+query rewriter, and full-text search (``matches()``).  A typical session::
 
     from repro.core import SinewDB
 
@@ -27,6 +27,7 @@ from ..analysis.binder import Binder, BoundStatement, literal_type
 from ..analysis.checker import CheckReport, IntegrityChecker, validate_document
 from ..rdbms.database import Database, DatabaseConfig, DbSession, QueryResult
 from ..rdbms.errors import CatalogError, PlanningError, SemanticError
+from ..rdbms.storage import HeapTable, TextTarget
 from ..rdbms.transactions import CheckpointInfo
 from ..rdbms.expressions import ColumnRef, FunctionCall, Literal, Star
 from ..rdbms.sql.ast import (
@@ -58,7 +59,7 @@ from .schema_analyzer import (
     MaterializationPolicy,
     SchemaAnalyzer,
 )
-from .text_index import InvertedTextIndex
+from .text_index import document_terms, parse_query
 
 
 @dataclass
@@ -67,10 +68,6 @@ class SinewConfig:
 
     database: DatabaseConfig = field(default_factory=DatabaseConfig)
     policy: MaterializationPolicy = field(default_factory=MaterializationPolicy)
-    enable_text_index: bool = False
-    #: section 4.3: automatically prefilter equality predicates on virtual
-    #: text columns through the inverted index (requires enable_text_index)
-    rewrite_predicates_with_index: bool = False
     #: row budget of one background-materializer slice (section 3.1.4);
     #: smaller values yield the catalog latch to the loader more often
     daemon_step_rows: int = DEFAULT_STEP_ROWS
@@ -128,13 +125,16 @@ class SinewDB:
             if self.config.plan_cache_size > 0
             else None
         )
-        self.text_index = InvertedTextIndex() if self.config.enable_text_index else None
-        self._matches_cache: dict[tuple[str, str], set[int]] = {}
         register_extraction_udfs(self.db.functions, self.extractor)
-        # a cached set-membership probe, not reservoir extraction work, so
-        # it stays out of the udf_calls extraction counter
-        self.db.create_function(
-            "sinew_matches", self._sinew_matches, SqlType.BOOLEAN, counts_as_udf=False
+        # a text search, not reservoir extraction work, so it stays out of
+        # the udf_calls extraction counter; its search hook lets the planner
+        # answer it from the collection's text index
+        self.db.functions.register_scalar(
+            "sinew_matches",
+            self._sinew_matches,
+            SqlType.BOOLEAN,
+            counts_as_udf=False,
+            search=self._text_access,
         )
         # per-row structural audit of one serialized document; a header
         # probe, not extraction work, so it stays out of udf_calls
@@ -209,12 +209,6 @@ class SinewDB:
         # Validate materializer cursors against the recovered row horizon
         # so a restarted daemon resumes mid-column (never past the end).
         self.daemon.recover()
-        if self.text_index is not None:
-            # the inverted index is in-memory-only: rebuild it from the
-            # recovered documents
-            for table_name in self.collections():
-                for doc_id, document in self.documents(table_name):
-                    self.text_index.index_document(doc_id, document)
 
     def _restore_checkpoint_extra(self, extra: Any) -> None:
         """Rebuild the Sinew catalog from the checkpoint's ``extra`` blob."""
@@ -299,13 +293,6 @@ class SinewDB:
         self._require_collection(table_name)
         documents = list(documents)
         report = self.loader.load(table_name, documents)
-        if self.text_index is not None:
-            base = self.catalog.table(table_name).n_documents - report.n_documents
-            from .document import parse_document
-
-            for offset, document in enumerate(documents):
-                self.text_index.index_document(base + offset, parse_document(document))
-        self._matches_cache.clear()
         # new attributes / occurrence counts stale any cached plan
         self.catalog.bump_data_epoch()
         # a load dirties every materialized column: wake the daemon
@@ -622,7 +609,6 @@ class SinewDB:
             result = self.db.execute_statement(
                 DeleteStatement(statement.table, where), session=session
             )
-            self._matches_cache.clear()
             self.catalog.bump_data_epoch()
             return self._attach_diagnostics(result, bound)
         return self.db.execute_statement(statement, session=session)
@@ -631,14 +617,7 @@ class SinewDB:
 
     def _rewriter(self) -> QueryRewriter:
         tables = {name: self.db.table(name) for name in self._collections}
-        return QueryRewriter(
-            self.catalog,
-            tables,
-            use_text_index=(
-                self.config.rewrite_predicates_with_index
-                and self.text_index is not None
-            ),
-        )
+        return QueryRewriter(self.catalog, tables)
 
     def _bind(self, statement: Statement) -> BoundStatement:
         """Bind a statement before rewriting (parse -> bind -> rewrite).
@@ -754,7 +733,8 @@ class SinewDB:
         ):
             return statement, None
         items: list[SelectItem] = []
-        # ("doc", binding, phys_specs, json_index) or ("col", source_index, alias)
+        # ("doc", binding, phys_specs, json_index) or ("col", source_index, alias);
+        # a spec is (key name, key type, position of its value in the row)
         program: list[tuple] = []
         for item in statement.items:
             if not isinstance(item.expr, Star):
@@ -817,7 +797,8 @@ class SinewDB:
                 if step[0] == "doc":
                     text = raw_row[step[3]]
                     document = json.loads(text) if text else {}
-                    out.append(self._assemble_document(document, step[2], raw_row))
+                    cells = [(key_name, raw_row[index]) for key_name, _type, index in step[2]]
+                    out.append(self._assemble_document(document, cells))
                 else:
                     out.append(raw_row[step[1]])
             rows.append(tuple(out))
@@ -829,24 +810,21 @@ class SinewDB:
         )
 
     def _assemble_document(
-        self,
-        document: dict[str, Any],
-        phys_specs: list[tuple[str, SqlType, int]],
-        row: tuple,
+        self, document: dict[str, Any], cells: Iterable[tuple[str, Any]]
     ) -> dict[str, Any]:
         """Merge materialized physical values into a reservoir document.
 
-        The one row-to-document step: ``SELECT *`` results and stored heap
-        rows (:meth:`documents`, text-index upkeep) both end here.  Each
-        spec is ``(key name, key type, position of its value in row)``.
+        The one row-to-document step: ``SELECT *`` results, stored heap
+        rows (:meth:`documents`) and a row's text terms (:meth:`_row_terms`)
+        all end here.  Each cell is ``(key name, value of its physical
+        column)``; a document column holds bytes, an array column a list.
         """
-        for key_name, key_type, index in phys_specs:
-            value = row[index]
+        for key_name, value in cells:
             if value is None:
                 continue
-            if key_type is SqlType.BYTEA:
+            if isinstance(value, bytes):
                 value = self.extractor.to_dict(value, prefix=key_name + ".")
-            elif key_type is SqlType.ARRAY:
+            elif isinstance(value, list):
                 # object elements were serialized under the array key's
                 # dotted prefix; strip it when rebuilding them
                 value = self.extractor._array_to_plain(value, prefix=key_name + ".")
@@ -919,7 +897,6 @@ class SinewDB:
                     assignments, schema, table_catalog
                 )
                 data_position = schema.position_of(RESERVOIR_COLUMN)
-                id_position = schema.position_of(ID_COLUMN)
                 for rid in matched:
                     row = table.fetch(rid)
                     if row is None:
@@ -973,9 +950,6 @@ class SinewDB:
                         undo=lambda rid=rid, old=old: table.update(rid, old),
                         payload=replacement,
                     )
-                    if self.text_index is not None:
-                        doc = self._document_of_row(table, replacement)
-                        self.text_index.index_document(replacement[id_position], doc)
                     updated += 1
             if touched_attrs:
                 # absolute post-statement counts: replay sets them verbatim,
@@ -995,7 +969,6 @@ class SinewDB:
                     },
                     txn=txn,
                 )
-        self._matches_cache.clear()
         self.catalog.bump_data_epoch()
         return self._attach_diagnostics(QueryResult(rowcount=updated), bound)
 
@@ -1036,16 +1009,6 @@ class SinewDB:
                 reservoir.append((key_name, key_type, cell, moving))
         return physical, reservoir
 
-    def _document_of_row(self, table, row: tuple) -> dict[str, Any]:
-        """The stored document of one heap row of a collection."""
-        data = row[table.schema.position_of(RESERVOIR_COLUMN)]
-        phys_specs: list[tuple[str, SqlType, int]] = []
-        for state, placement in self.catalog.table(table.name).placements(table.schema):
-            attribute = self.catalog.attribute(state.attr_id)
-            phys_specs.append((attribute.key_name, attribute.key_type, placement.position))
-        document = self.extractor.to_dict(data) if data else {}
-        return self._assemble_document(document, phys_specs, row)
-
     # ------------------------------------------------------------------
     # documents and text search
     # ------------------------------------------------------------------
@@ -1055,8 +1018,25 @@ class SinewDB:
         self._require_collection(table_name)
         table = self.db.table(table_name)
         id_position = table.schema.position_of(ID_COLUMN)
+        data_position = table.schema.position_of(RESERVOIR_COLUMN)
+        physical = [
+            (self.catalog.attribute(state.attr_id).key_name, placement.position)
+            for state, placement in self.catalog.table(table_name).placements(table.schema)
+        ]
         for _rid, row in table.scan():
-            yield row[id_position], self._document_of_row(table, row)
+            cells = [(key_name, row[position]) for key_name, position in physical]
+            yield row[id_position], self._document(row[data_position], cells)
+
+    def _document(self, data: bytes | None, cells: Iterable[tuple[str, Any]]) -> dict:
+        """The logical document of a row: its reservoir with its cells."""
+        return self._assemble_document(self.extractor.to_dict(data) if data else {}, cells)
+
+    def _row_terms(self, values: tuple, cell_keys: tuple) -> frozenset[tuple[str, str]]:
+        """The one terms function, of the text index and of its recheck:
+        the ``(field, term)`` pairs of the logical document whose
+        reservoir is ``values[0]`` and whose physical columns, holding
+        ``cell_keys``, are ``values[1:]``."""
+        return document_terms(self._document(values[0], zip(cell_keys, values[1:])))
 
     def _sinew_check(self, data: Any) -> str:
         """The UDF behind ``sinew_check(data)``: per-document audit."""
@@ -1065,17 +1045,42 @@ class SinewDB:
         problem = validate_document(data)
         return "ok" if problem is None else problem
 
-    def _sinew_matches(self, doc_id: int, keys: str, query: str) -> bool:
-        """The UDF behind ``matches()``: membership in the index result."""
-        if self.text_index is None:
-            raise PlanningError(
-                "matches() requires the text index "
-                "(SinewConfig.enable_text_index=True)"
-            )
-        cache_key = (keys, query)
-        if cache_key not in self._matches_cache:
-            self._matches_cache[cache_key] = self.text_index.matches(keys, query)
-        return doc_id in self._matches_cache[cache_key]
+    def _sinew_matches(self, data: Any, keys: str, query: str, *cells: Any) -> bool | None:
+        """The UDF behind ``matches()`` (the rewrite's ``sinew_matches(data,
+        keys, query, key, column, ...)``): does the row's document match?"""
+        if keys is None or query is None:
+            return None
+        terms = self._row_terms((data, *cells[1::2]), cells[::2])
+        return parse_query(keys, query).holds(terms)
+
+    def _text_access(
+        self, args: tuple, table: HeapTable, binding: str
+    ) -> tuple[TextTarget, Any, int] | None:
+        """The ``search`` hook of ``sinew_matches``: the collection's text
+        index over the call's columns, the parsed query, and the rows it
+        can list by the catalog -- those holding a searched field, or all
+        for ``'*'``.  None for a call the index cannot answer."""
+        table_catalog = self.catalog.tables.get(table.name)
+        columns, literals = args[:1] + args[4::2], args[1:3] + args[3::2]
+        if (
+            table_catalog is None
+            or len(args) < 3
+            or len(args) % 2 == 0
+            or not all(type(c) is ColumnRef and c.table in (None, binding) for c in columns)
+            or not all(c.name in table.schema for c in columns)
+            or not all(type(arg) is Literal and isinstance(arg.value, str) for arg in literals)
+        ):
+            return None
+        keys, query, *cell_keys = [literal.value for literal in literals]
+        probe = parse_query(keys, query)
+        held = [
+            table_catalog.columns.get(attribute.attr_id)
+            for field in probe.fields or ()
+            for attribute in self.catalog.attributes_named(field)
+        ]
+        rows = len(table) if probe.fields is None else sum(s.count for s in held if s)
+        names = tuple(column.name for column in columns)
+        return TextTarget(self._row_terms, names, tuple(cell_keys)), probe, rows
 
     # ------------------------------------------------------------------
     # misc

@@ -1,28 +1,29 @@
-"""Inverted text index (paper section 4.3; Apache Solr in the prototype).
+"""Full-text search: ``matches(keys, query)`` (paper section 4.3; Apache
+Solr in the prototype).
 
-The index tokenizes every string value of every document, faceted by the
-flattened attribute name ("it can give the option of faceting its term
-vectors by strongly typed fields"), and keeps numeric values in sorted
-per-field lists for range probes.  Sinew uses it two ways:
+A row's terms are the ``(field, term)`` pairs of its logical document
+(:func:`document_terms`): each token of a string value, of each string
+in an array, and ``true``/``false`` for a boolean, faceted by the dotted
+key that holds it ("it can give the option of faceting its term vectors
+by strongly typed fields").  A :class:`TextQuery` tests one row's pairs
+(:meth:`TextQuery.holds`) or reads the rows that hold them from an
+inverted index (:meth:`TextQuery.rids`).
 
-* predicates over virtual columns can be answered from the index instead
-  of reservoir extraction (``search_term`` / ``search_range``), and
-* the ``matches(keys, query)`` SQL function gives full-text search over
-  any subset of fields, including a generic text field for completely
-  unstructured data.
-
-The result of every search is a set of row ids (``_id`` values), applied
-as a filter on the original relation -- the same integration contract the
-paper uses for Solr.
+The inverted index is one more index of a collection's heap
+(:class:`~repro.rdbms.storage.TextIndex`): built with one scan by the
+first ``matches()`` the planner reads from it, kept exact by every write,
+never logged.  Its row-id answers are applied as a filter on the base
+relation -- the paper's integration contract for Solr -- and, as for
+every index scan, each row it lists is rechecked by the call itself.
 """
 
 from __future__ import annotations
 
-import bisect
 import re
-from collections import defaultdict
-from typing import Any, Iterable, Mapping
+from functools import lru_cache
+from typing import Any, Callable, Iterable, Mapping
 
+from ..rdbms.errors import ExecutionError
 from .document import flatten
 
 _TOKEN_RE = re.compile(r"[A-Za-z0-9_=]+")
@@ -33,199 +34,102 @@ def tokenize(text: str) -> list[str]:
     return [token.lower() for token in _TOKEN_RE.findall(text)]
 
 
-class InvertedTextIndex:
-    """An in-process inverted index over document collections."""
+def document_terms(document: Mapping[str, Any]) -> frozenset[tuple[str, str]]:
+    """The ``(field, term)`` pairs of one logical document."""
+    terms: set[tuple[str, str]] = set()
+    for field, value in flatten(document):
+        if isinstance(value, bool):
+            terms.add((field, "true" if value else "false"))
+        elif isinstance(value, str):
+            terms.update((field, term) for term in tokenize(value))
+        elif isinstance(value, (list, tuple)):
+            for element in value:
+                if isinstance(element, str):
+                    terms.update((field, term) for term in tokenize(element))
+    return frozenset(terms)
 
-    def __init__(self):
-        # field -> term -> set of rids
-        self._postings: dict[str, dict[str, set[int]]] = defaultdict(dict)
-        # term -> set of rids (the '*' field)
-        self._global: dict[str, set[int]] = {}
-        # field -> sorted list of (numeric value, rid)
-        self._numeric: dict[str, list[tuple[float, int]]] = defaultdict(list)
-        # rid -> entries for removal on update
-        self._doc_terms: dict[int, list[tuple[str, str]]] = {}
-        self._doc_numbers: dict[int, list[tuple[str, float]]] = {}
-        self.n_documents = 0
 
-    # ------------------------------------------------------------------
-    # maintenance
-    # ------------------------------------------------------------------
+class TextQuery:
+    """One parsed ``matches(keys, query)``.
 
-    def index_document(self, rid: int, document: Mapping[str, Any]) -> None:
-        """Add one document; replaces any previous entry for ``rid``."""
-        if rid in self._doc_terms or rid in self._doc_numbers:
-            self.remove_document(rid)
-        term_entries: list[tuple[str, str]] = []
-        number_entries: list[tuple[str, float]] = []
-        for field, value in flatten(document):
-            if isinstance(value, str):
-                for term in tokenize(value):
-                    self._add_term(field, term, rid)
-                    term_entries.append((field, term))
-            elif isinstance(value, bool):
-                term = "true" if value else "false"
-                self._add_term(field, term, rid)
-                term_entries.append((field, term))
-            elif isinstance(value, (int, float)):
-                bisect.insort(self._numeric[field], (float(value), rid))
-                number_entries.append((field, float(value)))
-            elif isinstance(value, (list, tuple)):
-                for element in value:
-                    if isinstance(element, str):
-                        for term in tokenize(element):
-                            self._add_term(field, term, rid)
-                            term_entries.append((field, term))
-        self._doc_terms[rid] = term_entries
-        self._doc_numbers[rid] = number_entries
-        self.n_documents += 1
+    ``keys`` is ``'*'`` or a comma-separated field list.  ``query`` is a
+    conjunction of terms; a trailing ``*`` makes a term a prefix match,
+    a ``~`` suffix makes it fuzzy (one edit), and ``/regex/`` matches
+    terms by regular expression.  An empty query matches nothing.
+    """
 
-    def index_text(self, rid: int, text: str, field: str = "_text") -> None:
-        """Index completely unstructured text under a generic field."""
-        entries = self._doc_terms.setdefault(rid, [])
-        for term in tokenize(text):
-            self._add_term(field, term, rid)
-            entries.append((field, term))
+    __slots__ = ("fields", "terms")
 
-    def remove_document(self, rid: int) -> None:
-        for field, term in self._doc_terms.pop(rid, ()):
-            postings = self._postings.get(field, {}).get(term)
-            if postings is not None:
-                postings.discard(rid)
-            universal = self._global.get(term)
-            if universal is not None:
-                universal.discard(rid)
-        for field, value in self._doc_numbers.pop(rid, ()):
-            values = self._numeric.get(field)
-            if values is not None:
-                position = bisect.bisect_left(values, (value, rid))
-                if position < len(values) and values[position] == (value, rid):
-                    values.pop(position)
-        self.n_documents = max(0, self.n_documents - 1)
+    def __init__(self, keys: str, query: str):
+        names = [key.strip() for key in keys.split(",")]
+        #: the fields searched; None for any field
+        self.fields = None if "*" in names else frozenset(name for name in names if name)
+        #: per query term: the term itself for an exact match, else None,
+        #: and the test of an indexed term
+        self.terms = [_term_test(raw) for raw in query.split()]
 
-    def _add_term(self, field: str, term: str, rid: int) -> None:
-        self._postings[field].setdefault(term, set()).add(rid)
-        self._global.setdefault(term, set()).add(rid)
-
-    # ------------------------------------------------------------------
-    # search primitives
-    # ------------------------------------------------------------------
-
-    def search_term(self, field: str | None, term: str) -> set[int]:
-        """Exact term match in one field (or any field when None)."""
-        term = term.lower()
-        if field is None or field == "*":
-            return set(self._global.get(term, ()))
-        return set(self._postings.get(field, {}).get(term, ()))
-
-    def search_prefix(self, field: str | None, prefix: str) -> set[int]:
-        """Partial matching: every term starting with ``prefix``."""
-        prefix = prefix.lower()
-        source: Iterable[tuple[str, set[int]]]
-        if field is None or field == "*":
-            source = self._global.items()
-        else:
-            source = self._postings.get(field, {}).items()
-        matched: set[int] = set()
-        for term, rids in source:
-            if term.startswith(prefix):
-                matched.update(rids)
-        return matched
-
-    def search_fuzzy(self, field: str | None, term: str, max_edits: int = 1) -> set[int]:
-        """Fuzzy matching within an edit-distance budget."""
-        term = term.lower()
-        if field is None or field == "*":
-            candidates = self._global.items()
-        else:
-            candidates = self._postings.get(field, {}).items()
-        matched: set[int] = set()
-        for candidate, rids in candidates:
-            if abs(len(candidate) - len(term)) <= max_edits and _edit_distance_at_most(
-                candidate, term, max_edits
-            ):
-                matched.update(rids)
-        return matched
-
-    def search_range(
-        self, field: str, low: float | None, high: float | None
-    ) -> set[int]:
-        """Numeric range probe over one field (inclusive bounds)."""
-        values = self._numeric.get(field, [])
-        start = 0 if low is None else bisect.bisect_left(values, (float(low), -1))
-        end = (
-            len(values)
-            if high is None
-            else bisect.bisect_right(values, (float(high), float("inf")))
+    def holds(self, pairs: Iterable[tuple[str, str]]) -> bool:
+        """Whether a row with these ``(field, term)`` pairs matches."""
+        fields = self.fields
+        found = [term for field, term in pairs if fields is None or field in fields]
+        return bool(self.terms) and all(
+            any(map(test, found)) for _exact, test in self.terms
         )
-        return {rid for _value, rid in values[start:end]}
 
-    # ------------------------------------------------------------------
-    # the matches() query language
-    # ------------------------------------------------------------------
-
-    def matches(self, keys: str, query: str) -> set[int]:
-        """Evaluate a ``matches(keys, query)`` call.
-
-        ``keys`` is ``'*'`` or a comma-separated field list.  ``query`` is a
-        conjunction of terms; a trailing ``*`` makes a term a prefix match,
-        a ``~`` suffix makes it fuzzy, and ``/regex/`` matches terms by
-        regular expression.
-        """
-        fields = self._parse_fields(keys)
+    def rids(self, postings: Mapping[str, Mapping[str, set[int]]]) -> set[int]:
+        """The rows an inverted index's ``field -> term -> rids`` lists."""
+        fields = self.fields
+        if fields is None:
+            searched = list(postings.values())
+        else:
+            searched = [postings[field] for field in fields if field in postings]
         result: set[int] | None = None
-        for raw_term in query.split():
-            matched = self._match_one(fields, raw_term)
+        for exact, test in self.terms:
+            matched: set[int] = set()
+            for terms in searched:
+                if exact is not None:
+                    matched.update(terms.get(exact, ()))
+                    continue
+                for term, rids in terms.items():
+                    if test(term):
+                        matched.update(rids)
             result = matched if result is None else result & matched
             if not result:
                 return set()
-        return result if result is not None else set()
-
-    def _parse_fields(self, keys: str) -> list[str | None]:
-        if keys.strip() == "*":
-            return [None]
-        return [key.strip() for key in keys.split(",") if key.strip()]
-
-    def _match_one(self, fields: list[str | None], raw_term: str) -> set[int]:
-        matched: set[int] = set()
-        for field in fields:
-            if len(raw_term) > 2 and raw_term.startswith("/") and raw_term.endswith("/"):
-                pattern = re.compile(raw_term[1:-1])
-                source = (
-                    self._global.items()
-                    if field is None
-                    else self._postings.get(field, {}).items()
-                )
-                for term, rids in source:
-                    if pattern.search(term):
-                        matched.update(rids)
-            elif raw_term.endswith("*"):
-                matched.update(self.search_prefix(field, raw_term[:-1]))
-            elif raw_term.endswith("~"):
-                matched.update(self.search_fuzzy(field, raw_term[:-1]))
-            else:
-                matched.update(self.search_term(field, raw_term))
-        return matched
+        return result or set()
 
 
-def _edit_distance_at_most(a: str, b: str, budget: int) -> bool:
-    """Banded Levenshtein check: is distance(a, b) <= budget?"""
-    if a == b:
-        return True
-    if abs(len(a) - len(b)) > budget:
+@lru_cache(maxsize=256)
+def parse_query(keys: str, query: str) -> TextQuery:
+    """The :class:`TextQuery` of one call, parsed once however many rows
+    it is tested on."""
+    return TextQuery(keys, query)
+
+
+def _term_test(raw: str) -> tuple[str | None, Callable[[str], Any]]:
+    if len(raw) > 2 and raw.startswith("/") and raw.endswith("/"):
+        try:
+            return None, re.compile(raw[1:-1]).search
+        except re.error as exc:
+            raise ExecutionError(f"invalid regular expression in matches(): {raw}: {exc}")
+    if raw.endswith("*"):
+        prefix = raw[:-1].lower()
+        return None, lambda term: term.startswith(prefix)
+    if raw.endswith("~"):
+        word = raw[:-1].lower()
+        return None, lambda term: _one_edit_apart(term, word)
+    exact = raw.lower()
+    return exact, exact.__eq__
+
+
+def _one_edit_apart(a: str, b: str) -> bool:
+    """Is the Levenshtein distance of ``a`` and ``b`` at most one?"""
+    if len(a) < len(b):
+        a, b = b, a
+    if len(a) - len(b) > 1:
         return False
-    previous = list(range(len(b) + 1))
-    for i, ch_a in enumerate(a, start=1):
-        current = [i]
-        row_min = i
-        for j, ch_b in enumerate(b, start=1):
-            cost = 0 if ch_a == ch_b else 1
-            value = min(
-                previous[j] + 1, current[j - 1] + 1, previous[j - 1] + cost
-            )
-            current.append(value)
-            row_min = min(row_min, value)
-        if row_min > budget:
-            return False
-        previous = current
-    return previous[-1] <= budget
+    i = 0
+    while i < len(b) and a[i] == b[i]:
+        i += 1
+    # past the common prefix, substitute a[i] (same lengths) or delete it
+    return a[i + 1 :] == b[i + (len(a) == len(b)) :]

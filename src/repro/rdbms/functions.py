@@ -51,6 +51,12 @@ class ScalarFunction:
     (:class:`~repro.rdbms.storage.IndexExpression`), which is why a
     function is hashed by identity: an index on one registration is not
     an index on a later one under the same name.
+
+    ``search`` is offered by a predicate an index can answer as a whole
+    (Sinew's ``sinew_matches``, from a text index).  The planner calls it
+    with a call's arguments, the table and the binding; it returns the
+    index target, the probe and its estimate of the rows the probe
+    lists, or None where the index cannot answer the call.
     """
 
     name: str
@@ -60,6 +66,7 @@ class ScalarFunction:
     counters: CostCounters | None = None
     volatile: bool = False
     specializer: tuple[Any, str] | None = None
+    search: Callable[..., Any] | None = None
 
 
 class AggregateFunction:
@@ -207,6 +214,7 @@ class FunctionRegistry:
         counts_as_udf: bool = True,
         volatile: bool = False,
         specializer: tuple[Any, str] | None = None,
+        search: Callable[..., Any] | None = None,
     ) -> ScalarFunction:
         """Register a user-defined scalar function (CREATE FUNCTION)."""
         key = name.lower()
@@ -218,6 +226,7 @@ class FunctionRegistry:
             counters=self.counters,
             volatile=volatile,
             specializer=specializer,
+            search=search,
         )
         self._scalars[key] = implementation
         return implementation

@@ -271,15 +271,17 @@ class IndexScan(PlanNode):
     ``condition`` is the WHERE conjunct the planner read ``target`` and
     ``ranges`` from: a column or an expression over one with its key
     ranges (or a COALESCE of those, read from the union of their indexes:
-    :class:`~repro.rdbms.storage.UnionTarget`), or the shapes of a column
+    :class:`~repro.rdbms.storage.UnionTarget`), the shapes of a column
     with the call whose key a row must hold
-    (:class:`~repro.rdbms.storage.ShapeTarget`).  The index names
-    candidates; every fetched row is tested against ``condition`` itself,
-    as a fragment's first stage (reads run beside writers, a listed row
-    can have changed by the time it is fetched, and a shape lists every
-    row holding the key, whatever its value).  Rows come out in heap
-    order, like a Seq Scan's.  The row estimate is the built index's
-    exact count for ``ranges``, else the ``selectivity`` estimate.
+    (:class:`~repro.rdbms.storage.ShapeTarget`), or the terms of columns
+    with a text query (:class:`~repro.rdbms.storage.TextTarget`).  The
+    index names candidates; every fetched row is tested against
+    ``condition`` itself, as a fragment's first stage (reads run beside
+    writers, a listed row can have changed by the time it is fetched,
+    and a shape lists every row holding the key, whatever its value).
+    Rows come out in heap order, like a Seq Scan's.  The row estimate is
+    the built index's exact count for ``ranges``, else the
+    ``selectivity`` estimate.
     """
 
     def __init__(

@@ -30,7 +30,9 @@ once Sinew materializes a virtual column into a physical one:
   also be answered from the shape index on its column: it lists the rows
   whose shape holds the key, and is costed by the same rule, with the
   catalog's count of those rows until the index is built and the index's
-  exact count after.
+  exact count after.  A call of a function with a ``search`` hook
+  (Sinew's ``matches()``) may be answered from the text index its hook
+  names (``using text(data)``), costed by the same rule.
 * **Join order** is chosen by exhaustive left-deep enumeration with
   cardinality estimates, so a mis-estimated virtual-column filter reorders
   the join tree exactly as the paper shows.
@@ -306,15 +308,20 @@ class Planner:
         best = filtered(SeqScan(table, binding), filters)
         for position, (predicate, selectivity) in enumerate(filters):
             sargable = _index_condition(predicate, table, binding, self.functions)
-            if sargable is None:
-                continue
-            if isinstance(sargable[0], UnionTarget):
-                selectivity = _bridge_selectivity(predicate, sargable[0], binding, estimator)
-            scans = [IndexScan(table, binding, *sargable, predicate, selectivity)]
-            shapes = _shape_access(sargable[0], table)
-            if shapes is not None:
-                target, keys, listed = shapes
-                scans.append(IndexScan(table, binding, target, keys, predicate, listed))
+            if sargable is not None:
+                if isinstance(sargable[0], UnionTarget):
+                    selectivity = _bridge_selectivity(predicate, sargable[0], binding, estimator)
+                scans = [IndexScan(table, binding, *sargable, predicate, selectivity)]
+                shapes = _shape_access(sargable[0], table)
+                if shapes is not None:
+                    target, keys, listed = shapes
+                    scans.append(IndexScan(table, binding, target, keys, predicate, listed))
+            else:
+                searched = _search_access(predicate, table, binding, self.functions)
+                if searched is None:
+                    continue
+                target, probe, listed = searched
+                scans = [IndexScan(table, binding, target, probe, predicate, listed)]
             rest = filters[:position] + filters[position + 1 :]
             for scan in scans:
                 plan = filtered(scan, rest)
@@ -799,6 +806,23 @@ def _shape_access(target: IndexTarget, table: HeapTable) -> tuple[ShapeTarget, A
     if rows is None:
         return None
     return ShapeTarget(keys.group, target.column), keys, min(1.0, rows / max(1, len(table)))
+
+
+def _search_access(
+    predicate: Expr, table: HeapTable, binding: str, functions: FunctionRegistry
+) -> tuple[IndexTarget, Any, float] | None:
+    """The index a call of a function with a ``search`` hook (Sinew's
+    ``sinew_matches``) can be read from: its target, the probe, and the
+    hook's estimate of the rows it lists as a selectivity; None where the
+    predicate is no such call or the hook declines."""
+    if not isinstance(predicate, FunctionCall) or not functions.has_scalar(predicate.name):
+        return None
+    search = functions.scalar(predicate.name).search
+    found = search and search(predicate.args, table, binding)
+    if not found:
+        return None
+    target, probe, rows = found
+    return target, probe, min(1.0, rows / max(1, len(table)))
 
 
 def _bridge_selectivity(

@@ -271,9 +271,30 @@ class UnionTarget:
         return " | ".join(str(member) for member in self.members)
 
 
+@dataclass(frozen=True)
+class TextTarget:
+    """What a text index lists rows by: the ``(field, term)`` pairs
+    ``terms(values, args)`` gives for a row's values of ``columns``.
+    Sinew's ``matches()`` is the case: the values are a row's reservoir
+    and physical columns, ``args`` the keys those columns hold, and the
+    pairs are its logical document's (:mod:`repro.core.text_index`).
+    """
+
+    terms: Callable[[tuple, tuple], frozenset]
+    columns: tuple[str, ...]
+    args: tuple
+
+    def __str__(self) -> str:
+        return f"text({', '.join(self.columns)})"
+
+
 #: what an index is on: a column name, an expression over one column, the
-#: shapes of one column, or a union of the first two
-IndexTarget = Union[str, IndexExpression, ShapeTarget, UnionTarget]
+#: shapes of one column, a union of the first two, or the terms of columns
+IndexTarget = Union[str, IndexExpression, ShapeTarget, UnionTarget, TextTarget]
+
+#: read at this position, a row is the whole row (``row[ALL] is row``):
+#: where a text index, over several columns, reads a row
+ALL = slice(None)
 
 
 class ColumnIndex:
@@ -471,6 +492,71 @@ class ShapeIndex:
         return sorted(rid for group in self._groups(members) for rid in entries[group])
 
 
+class TextIndex:
+    """An inverted index: ``entries`` maps each field to each of its terms
+    to the set of rids whose row holds that ``(field, term)`` pair.
+
+    A row's pairs are its :class:`TextTarget`'s, computed outside the
+    index lock from the row's values at ``positions``; a probe is a query
+    (:class:`~repro.core.text_index.TextQuery`) that reads the postings
+    itself.  ``entries`` and ``pending`` follow :class:`ColumnIndex`.
+    """
+
+    __slots__ = ("positions", "target", "entries", "pending")
+
+    position = ALL
+
+    def __init__(self, positions: tuple[int, ...], target: TextTarget):
+        self.positions = positions
+        self.target = target
+        self.entries: dict[str, dict[str, set[int]]] | None = None
+        self.pending: list[tuple[int, Any]] = []
+
+    def keys(self, rows: list) -> list:
+        positions, terms, args = self.positions, self.target.terms, self.target.args
+        return [terms(tuple([row[p] for p in positions]), args) for row in rows]
+
+    def fill(self, pairs: list[tuple[int, Any]]) -> None:
+        self.entries = {}
+        for rid, terms in pairs:
+            self.write(rid, None, terms)
+
+    def write(self, rid: int, before: Any, after: Any) -> None:
+        """Move row ``rid`` from the pairs ``before`` to ``after``."""
+        entries = self.entries
+        if entries is None:
+            self.pending.append((rid, after))
+            return
+        before, after = before or frozenset(), after or frozenset()
+        for field, term in before - after:
+            terms = entries.get(field, {})
+            rids = terms.get(term, ())
+            if rid not in rids:
+                raise ExecutionError(f"text entry of row {rid} is missing")
+            rids.discard(rid)
+            if not rids:
+                del terms[term]
+                if not terms:
+                    del entries[field]
+        for field, term in after - before:
+            entries.setdefault(field, {}).setdefault(term, set()).add(rid)
+
+    @staticmethod
+    def resolve(query: Any) -> Any:
+        return query
+
+    def count(self, query: Any) -> int:
+        """Rows the query lists."""
+        return len(query.rids(self.entries or {}))
+
+    def rids(self, query: Any) -> list[int]:
+        """Row ids the query lists, in heap order."""
+        return sorted(query.rids(self.entries or {}))
+
+
+Index = Union[ColumnIndex, ShapeIndex, TextIndex]
+
+
 class HeapTable:
     """Append-mostly heap of tuples with stable row ids.
 
@@ -510,7 +596,7 @@ class HeapTable:
         #: every mutator below; a schema change or TRUNCATE drops them all.
         #: Replaced, never changed in place, so a writer can tell whether
         #: the set it computed keys for is still the live one.
-        self._indexes: dict[IndexTarget, ColumnIndex | ShapeIndex] = {}
+        self._indexes: dict[IndexTarget, Index] = {}
         #: a leaf: held over a row write together with its index entries,
         #: over the two ends of a build and over a probe, never while
         #: taking another latch (or evaluating a key)
@@ -833,7 +919,7 @@ class HeapTable:
     def index_fetch(self, target: IndexTarget, ranges: Any) -> Iterator[tuple[int, tuple]]:
         """Yield ``(rid, row)``, in heap order, for the live rows the index
         on ``target`` lists for ``ranges``: key ranges of an ordered
-        index, the call a shape index is probed for.
+        index, the call a shape index is probed for, a text index's query.
 
         The first probe of a target builds its index with one scan; a
         union builds each member it lacks and reads every member's rows
@@ -863,7 +949,7 @@ class HeapTable:
             if row is not None:
                 yield rid, row
 
-    def _built(self, target: IndexTarget) -> ColumnIndex | ShapeIndex:
+    def _built(self, target: IndexTarget) -> Index:
         """The index on ``target``, built first if it is not."""
         index = self._indexes.get(target)
         if index is None or index.entries is None:
@@ -885,7 +971,7 @@ class HeapTable:
                 return None
             return sum(index.count(probe) for index, probe in zip(indexes, probes))
 
-    def _build(self, target: IndexTarget) -> ColumnIndex | ShapeIndex:
+    def _build(self, target: IndexTarget) -> Index:
         """Build the index on ``target`` with one scan (build lock held).
 
         The index is registered first, so every write from then on is
@@ -893,10 +979,13 @@ class HeapTable:
         without the index lock, and the writes it may have missed or seen
         half of replace its keys for their rows at the end.
         """
-        index: ColumnIndex | ShapeIndex
+        index: Index
         if isinstance(target, ShapeTarget):
             position = self.schema.position_of(target.column)
             index = ShapeIndex(position, target.group)
+        elif isinstance(target, TextTarget):
+            index = TextIndex(tuple(map(self.schema.position_of, target.columns)), target)
+            position = ALL
         else:
             if isinstance(target, IndexExpression):
                 column, sql_type = target.column, target.function.return_type

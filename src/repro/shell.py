@@ -47,7 +47,7 @@ import sys
 from typing import Iterable, TextIO
 
 from .analysis.diagnostics import render_report
-from .core import SinewConfig, SinewDB
+from .core import SinewDB
 from .harness.tables import format_table
 from .rdbms.errors import DatabaseError, SemanticError
 from .service.client import ServiceClient, ServiceError
@@ -58,7 +58,7 @@ class SinewShell:
     """Line-oriented command processor over one SinewDB instance."""
 
     def __init__(self, sdb: SinewDB | None = None, out: TextIO | None = None):
-        self.sdb = sdb or SinewDB("shell", SinewConfig(enable_text_index=True))
+        self.sdb = sdb or SinewDB("shell")
         self.out = out or sys.stdout
         self.running = True
         #: remote mode: a live ServiceClient, or None for embedded mode

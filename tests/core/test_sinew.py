@@ -4,8 +4,8 @@ import re
 
 import pytest
 
-from repro.core import SinewConfig, SinewDB
-from repro.rdbms.errors import CatalogError, PlanningError
+from repro.core import SinewDB
+from repro.rdbms.errors import CatalogError
 from repro.rdbms.types import SqlType
 
 DOCS = [
@@ -208,13 +208,8 @@ class TestDocumentsIterator:
 
 
 class TestTextSearch:
-    @staticmethod
-    def instance(name, path=None):
-        config = SinewConfig(enable_text_index=True)
-        return SinewDB(name, config) if path is None else SinewDB.open(path, config=config)
-
     def make_indexed(self):
-        sdb = self.instance("txt")
+        sdb = SinewDB("txt")
         sdb.create_collection("posts")
         sdb.load(
             "posts",
@@ -251,7 +246,7 @@ class TestTextSearch:
         assert sdb.query("SELECT hits FROM webrequests WHERE matches('*', 'x')").rows == []
 
     def test_collections_keep_their_own_index(self):
-        sdb = self.instance("two")
+        sdb = SinewDB("two")
         sdb.create_collection("a")
         sdb.create_collection("b")
         sdb.load("a", [{"t": "apple"}, {"t": "pear"}])
@@ -266,7 +261,7 @@ class TestTextSearch:
         ]
 
     def test_rollback_undoes_the_index(self):
-        sdb = self.instance("undo")
+        sdb = SinewDB("undo")
         sdb.create_collection("a")
         sdb.load("a", [{"n": 1, "t": "apple"}, {"n": 2, "t": "pear"}])
         assert sdb.query("SELECT _id FROM a WHERE matches('*', 'apple')").rows == [(0,)]
@@ -281,7 +276,7 @@ class TestTextSearch:
         assert sdb.query("SELECT _id, t FROM a WHERE matches('*', 'kiwi')").rows == []
 
     def test_materialized_key_stays_searchable(self):
-        sdb = self.instance("settled")
+        sdb = SinewDB("settled")
         sdb.create_collection("a")
         sdb.load("a", [{"n": 1, "t": "apple"}, {"n": 2, "t": "pear"}])
         sdb.materialize("a", "t", SqlType.TEXT)
@@ -290,12 +285,12 @@ class TestTextSearch:
         assert sdb.query("SELECT n FROM a WHERE matches('*', 'pear')").rows == [(2,)]
 
     def test_matches_answers_after_reopen(self, tmp_path):
-        sdb = self.instance("db", tmp_path / "db")
+        sdb = SinewDB.open(tmp_path / "db")
         sdb.create_collection("t")
         sdb.load("t", [{"msg": "hello world"}, {"msg": "goodbye"}])
         sdb.close()
 
-        reopened = self.instance("db", tmp_path / "db")
+        reopened = SinewDB.open(tmp_path / "db")
         try:
             # the open rebuilds no index: the first matches() builds it
             assert reopened.db.counters.index_builds == 0

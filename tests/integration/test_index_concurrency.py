@@ -20,7 +20,7 @@ import pytest
 
 from repro.core.sinew import SinewConfig, SinewDB
 from repro.rdbms.database import Database
-from repro.rdbms.storage import IndexExpression, ShapeTarget
+from repro.rdbms.storage import IndexExpression, ShapeTarget, TextTarget
 from repro.rdbms.types import SqlType
 from repro.testing import disable_latch_tracking, enable_latch_tracking
 from repro.testing.faults import FaultInjector
@@ -418,6 +418,102 @@ def test_first_shape_lookup_races_loader_and_daemon():
     assert sorted(num for (num,) in rows) == sorted(acknowledged)
     table = sdb.db.table(TABLE)
     assert any(isinstance(target, ShapeTarget) for target in table._indexes)
+    assert_indexes_exact(table, typed=True)
+    sdb.close()
+
+
+def test_first_text_search_races_loader_and_daemon():
+    """The first ``matches('rare', ...)`` builds the text index while a
+    loader appends rows -- one in five holding ``rare`` -- and the daemon
+    moves ``num`` out of the reservoir, rewriting every row it moves.
+    Marking ``note`` for materialization mid-race drops the index and
+    adds a column a row's terms are read from, so it is built again
+    beside the writers.  No acknowledged row may be missing from a later
+    search, and the index ends exact."""
+    BASE = 1500
+    sdb = SinewDB(
+        "text_race",
+        SinewConfig(daemon_step_rows=50, daemon_idle_sleep=0.001),
+    )
+    sdb.create_collection(TABLE)
+    sdb.load(TABLE, [_rare_document(i) for i in range(BASE)])
+    sdb.materialize(TABLE, "num", SqlType.INTEGER)  # dirty: the daemon moves it
+    injector = FaultInjector()
+    sdb.attach_faults(injector)
+    injector.plan("materializer.before_row_move", "delay", delay=0.0002, at=1, count=None)
+
+    acknowledged: list[int] = list(range(0, BASE, 100))
+    failures: list[str] = []
+    loading = threading.Event()
+    done = threading.Event()
+    probed = threading.Event()
+    added = threading.Event()
+
+    def loader() -> None:
+        try:
+            for batch in range(30):
+                low = BASE + batch * 5
+                docs = [{"num": i, "note": f"n{i}"} for i in range(low, low + 5)]
+                docs[batch % 5]["rare"] = f"v{low + batch % 5}"
+                sdb.load(TABLE, docs)
+                acknowledged.append(low + batch % 5)
+                loading.set()
+                if batch == 15:
+                    probed.wait(timeout=30)
+                    sdb.materialize(TABLE, "note", SqlType.TEXT)
+                    added.set()
+        except Exception as exc:  # noqa: BLE001 - reported below
+            failures.append(f"loader raised {exc!r}")
+        finally:
+            loading.set()
+            added.set()
+            done.set()
+
+    def searches(thread_id: int) -> None:
+        try:
+            loading.wait(timeout=30)
+            iteration, after = 0, False
+            while not done.is_set() or iteration < 20 or not after:
+                iteration += 1
+                late = added.is_set()
+                wanted = acknowledged[-1 - (iteration * (thread_id + 1)) % 15]
+                sql = f"SELECT num FROM {TABLE} WHERE matches('rare', 'v{wanted}')"
+                rows = sdb.query(sql).rows
+                if rows != [(wanted,)]:
+                    failures.append(f"rare v{wanted} acknowledged, search gave {rows}")
+                probed.set()
+                after = after or late
+        except Exception as exc:  # noqa: BLE001
+            failures.append(f"search thread raised {exc!r}")
+
+    sdb.start_daemon()
+    try:
+        threads = [
+            threading.Thread(target=searches, args=(i,), daemon=True) for i in range(3)
+        ]
+        threads.append(threading.Thread(target=loader, daemon=True))
+        for thread in threads:
+            thread.start()
+        _join(threads)
+        deadline = time.monotonic() + 60
+        while sdb.catalog.table(TABLE).dirty_columns() and time.monotonic() < deadline:
+            sdb.daemon.kick()
+            time.sleep(0.01)
+    finally:
+        sdb.stop_daemon()
+    assert not failures, "\n".join(failures[:5])
+    assert injector.fired("materializer.before_row_move") > 0
+    assert sdb.db.counters.index_builds >= 2  # before and after the ADD COLUMN
+
+    sql = f"SELECT num FROM {TABLE} WHERE matches('rare', 'v0')"
+    assert f"Index Scan on {TABLE} using text(data, " in sdb.explain(sql)
+    for wanted in acknowledged:
+        sql = f"SELECT num FROM {TABLE} WHERE matches('rare', 'v{wanted}')"
+        assert sdb.query(sql).rows == [(wanted,)], wanted
+    rows = sdb.query(f"SELECT num FROM {TABLE} WHERE matches('rare', 'v*')").rows
+    assert sorted(num for (num,) in rows) == sorted(acknowledged)
+    table = sdb.db.table(TABLE)
+    assert any(isinstance(target, TextTarget) for target in table._indexes)
     assert_indexes_exact(table, typed=True)
     sdb.close()
 

@@ -1,7 +1,7 @@
 """What a live index must equal: a fresh build over the live rows."""
 
 from repro.core.serializer import unpack_ids
-from repro.rdbms.storage import HeapTable, IndexExpression, ShapeTarget
+from repro.rdbms.storage import HeapTable, IndexExpression, ShapeTarget, TextTarget
 from repro.rdbms.types import NUMERIC_TYPES
 
 
@@ -27,9 +27,20 @@ def assert_indexes_exact(table: HeapTable, typed: bool = False) -> None:
     directly -- to the sorted rids of the rows in it, and list for each
     member of a group every live group that holds it (a group with no
     rows left may still be listed).
+
+    A live text index must list under each ``(field, term)`` pair
+    exactly the live rows whose terms hold it.
     """
     rows = list(table.scan())
     for target, index in table._indexes.items():
+        if isinstance(target, TextTarget):
+            positions = [table.schema.position_of(column) for column in target.columns]
+            postings: dict = {}
+            for rid, row in rows:
+                for field, term in target.terms(tuple(row[p] for p in positions), target.args):
+                    postings.setdefault(field, {}).setdefault(term, set()).add(rid)
+            assert index.entries == postings, f"{target} on {table.name} out of step"
+            continue
         if isinstance(target, ShapeTarget):
             position = table.schema.position_of(target.column)
             expected_runs: dict = {}
