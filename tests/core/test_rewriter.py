@@ -221,10 +221,6 @@ class TestMultiTypedNullSemantics:
     def test_text_equality_finds_single_row(self, sdb):
         rows = sdb.query("SELECT n FROM t WHERE dyn = 's2'").rows
         assert rows == [(2,)]
-        # text equality is exact: no case folding as in a text search
-        sdb.create_collection("c")
-        sdb.load("c", [{"k": "alpha", "n": 1}, {"k": "ALPHA", "n": 2}])
-        assert sdb.query("SELECT n FROM c WHERE k = 'alpha'").rows == [(1,)]
 
     def test_numeric_and_text_subsets_partition_the_table(self, sdb):
         numeric = sdb.query("SELECT _id FROM t WHERE dyn >= 0").rows
